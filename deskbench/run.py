@@ -6,10 +6,11 @@ Run from a checkout of the repository; the program is imported from its
 `src` directory.  A run makes the workload's inputs from --seed, times set-up
 in fresh interpreters, then repeats whole rounds of the workload until the
 next round would end after --seconds.  The hlsixv lattice cache is emptied
-before every round.  With --trace 0 it prints the end-to-end metrics; with
---trace 1 it wraps the program's public functions and prints the per-layer
-metrics, saving the last round's spans under .deskbench/.  The last line of
-standard output is the result; the line before it holds run details.
+before every round.  With --trace 0 it times the rounds on a reference clock
+(see refclock.py) and prints the end-to-end metrics; with --trace 1 it wraps
+the program's public functions and prints the per-layer metrics, saving the
+last round's spans under .deskbench/.  The last line of standard output is
+the result; the line before it holds run details.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
-SETUP_SAMPLES = 3
+SETUP_SAMPLES = 5
 
 
 def import_program():
@@ -82,6 +83,7 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     hlsixv = import_program()
+    import refclock
     import workloads
 
     make_inputs, run_round = workloads.WORKLOADS[args.workload]
@@ -90,35 +92,47 @@ def main(argv=None) -> int:
         return 0
 
     setup = []
-    if not args.trace:
-        setup = [time_setup(args.workload, args.seed) for _ in range(SETUP_SAMPLES)]
-    tracer = None
+    tracer = clock = None
     if args.trace:
         import tracing
 
         tracer = tracing.install()
+    else:
+        setup = [time_setup(args.workload, args.seed) for _ in range(SETUP_SAMPLES)]
+        clock = refclock.RefClock()
 
-    round_s, work_rate = [], []
+    round_s, round_refs, work = [], [], []
     attempted = failed = wrong = 0
     notes: list = []
     start = time.perf_counter()
-    while True:
-        workloads.reset_caches()
-        if tracer:
-            tracer.begin_round()
-        t0 = time.perf_counter()
-        tally = run_round(inputs)
-        dt = time.perf_counter() - t0
-        if tracer:
-            tracer.end_round()
-        round_s.append(dt)
-        work_rate.append(tally.work / dt)
-        attempted += tally.attempted
-        failed += tally.failed
-        wrong += tally.wrong
-        notes += tally.notes
-        if time.perf_counter() - start + statistics.median(round_s) > args.seconds:
-            break
+    if clock:
+        clock.start()
+    try:
+        while True:
+            workloads.reset_caches()
+            if tracer:
+                tracer.begin_round()
+            sampled = clock.sampling_s if clock else 0.0
+            r0 = clock.now() if clock else 0.0
+            t0 = time.perf_counter()
+            tally = run_round(inputs)
+            dt = time.perf_counter() - t0
+            if clock:
+                round_refs.append(clock.now() - r0)
+                dt -= clock.sampling_s - sampled
+            if tracer:
+                tracer.end_round()
+            round_s.append(dt)
+            work.append(tally.work)
+            attempted += tally.attempted
+            failed += tally.failed
+            wrong += tally.wrong
+            notes += tally.notes
+            if time.perf_counter() - start + statistics.median(round_s) > args.seconds:
+                break
+    finally:
+        if clock:
+            clock.stop()
 
     if tracer:
         metrics = tracer.per_layer()
@@ -128,12 +142,15 @@ def main(argv=None) -> int:
     else:
         metrics = {
             "setup_s": {"value": statistics.median(setup), "unit": "s"},
-            "wall_s": {"value": statistics.median(round_s), "unit": "s"},
+            "wall_ref": {"value": statistics.median(round_refs), "unit": "ref"},
             "peak_rss_mb": {
                 "value": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
                 "unit": "MB",
             },
-            "work_per_s": {"value": statistics.median(work_rate), "unit": "1/s"},
+            "work_per_ref": {
+                "value": statistics.median(w / r for w, r in zip(work, round_refs)),
+                "unit": "1/ref",
+            },
         }
         trace_file = None
 
@@ -145,6 +162,9 @@ def main(argv=None) -> int:
         "trace": args.trace,
         "rounds": len(round_s),
         "round_s": round_s,
+        "wall_s": statistics.median(round_s),
+        "round_refs": round_refs,
+        "reference_passes": clock.passes if clock else 0,
         "setup_samples_s": setup,
         "work_per_round": tally.work,
         "machine": machine_facts(hlsixv),
