@@ -1,7 +1,6 @@
-"""Benchmark the numba kernels against their pure-python/numpy twins.
+"""Time each hot kernel and the RSK ensemble on a fixed desk-scale input.
 
-Run:  python benchmarks/bench_kernels.py
-(or with HLSIXV_DISABLE_NUMBA=1 to confirm the fallback path alone).
+Run:  PYTHONPATH=src python benchmarks/bench_kernels.py
 """
 
 import time
@@ -11,6 +10,7 @@ import numpy as np
 from hlsixv import _kernels
 from hlsixv import hl_process as hl
 from hlsixv import partitions as pt
+from hlsixv import rsk
 
 
 def timeit(fn, *args, repeat=3):
@@ -22,16 +22,17 @@ def timeit(fn, *args, repeat=3):
     return best
 
 
-def bench_scatter(impl):
+def bench_scatter():
     lat = hl.get_lattice(3, 24)
     n = len(lat.delta)
     vec = np.random.RandomState(0).random_sample(len(lat.states))
     data = np.random.RandomState(1).random_sample(n)
     out = np.zeros_like(vec)
-    return timeit(impl, lat.mu_idx, lat.lam_idx, data, vec, out), f"{n} edges"
+    return timeit(_kernels.scatter_accumulate, lat.mu_idx, lat.lam_idx, data,
+                  vec, out), f"{n} edges"
 
 
-def bench_edges(impl):
+def bench_edges():
     states = sorted(pt.partitions_in_box(3, 20))
     parts = np.zeros((len(states), 4), dtype=np.int64)
     for i, lam in enumerate(states):
@@ -43,57 +44,48 @@ def bench_edges(impl):
         for r in range(3):
             mid = mid * base + parts[i, r]
         id2idx[mid] = i
-    return timeit(impl, parts, 3, 20, id2idx), f"{len(states)} states"
+    return timeit(_kernels.build_interlacing_edges, parts, 3, 20,
+                  id2idx), f"{len(states)} states"
 
 
-def bench_rsk(impl):
+def bench_rsk():
+    rates = [1.0, 0.8, 0.6]
+    taus = [0.5, 1.0, 1.6]
+    return timeit(rsk.rsk_first_column_ensemble, rates, 0.5, taus, 20000,
+                  1), "20k runs"
+
+
+def bench_halfcont():
     rates = np.array([1.0, 0.8, 0.6])
     taus = np.array([0.5, 1.0, 1.6])
-    return timeit(impl, rates, 0.5, taus, 3, 20000, 1), "20k runs"
+    return timeit(_kernels.half_continuous_grid_ensemble, rates, 0.5, taus,
+                  20000, 1), "20k runs"
 
 
-def bench_halfcont(impl):
-    rates = np.array([1.0, 0.8, 0.6])
-    taus = np.array([0.5, 1.0, 1.6])
-    return timeit(impl, rates, 0.5, taus, 20000, 1), "20k runs"
-
-
-def bench_sixv(impl):
+def bench_sixv():
     a = np.array([0.5, 0.4, 0.3])
     b = np.array([0.5, 0.45, 0.3])
     heights = np.array([3, 3, 3], dtype=np.int64)
-    return timeit(impl, a, b, 0.4, heights, 20000, 1), "20k samples"
+    return timeit(_kernels.six_vertex_tcode_counts, a, b, 0.4, heights, 20000,
+                  1), "20k samples"
 
 
 BENCHES = [
     ("build_interlacing_edges", bench_edges),
     ("scatter_accumulate", bench_scatter),
-    ("rsk_grid_ensemble", bench_rsk),
+    ("rsk_first_column_ensemble", bench_rsk),
     ("half_continuous_grid_ensemble", bench_halfcont),
     ("six_vertex_tcode_counts", bench_sixv),
 ]
 
 
 def main():
-    modes = list(_kernels.IMPLS)
-    print(f"active mode: {_kernels.ACTIVE_MODE}; comparing: {modes}")
-    header = f"{'kernel':34s} {'size':14s}" + "".join(f" {m:>10s}" for m in modes)
+    header = f"{'kernel':34s} {'size':14s} {'best of 3':>10s}"
     print(header)
     print("-" * len(header))
     for name, bench in BENCHES:
-        times = {}
-        size = ""
-        for mode in modes:
-            impl = _kernels.IMPLS[mode][name]
-            if mode == "numba":
-                bench(impl)  # warm the JIT outside the timer
-            times[mode], size = bench(impl)
-        row = f"{name:34s} {size:14s}" + "".join(
-            f" {times[m]*1e3:9.2f}ms" for m in modes
-        )
-        if "numba" in times and "python" in times and times["numba"] > 0:
-            row += f"  ({times['python'] / times['numba']:.0f}x)"
-        print(row)
+        best, size = bench()
+        print(f"{name:34s} {size:14s} {best*1e3:8.2f}ms")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,5 @@ from . import (  # noqa: F401
     tboson,
     verify,
 )
-from ._kernels import ACTIVE_MODE  # noqa: F401
 
 __version__ = "0.1.0"

@@ -1,182 +1,21 @@
-"""Hot numeric kernels: numba @njit versions with pure-python/numpy twins.
+"""Hot numeric kernels in plain Python/numpy: the interlacing-lattice edge
+builder and its scatter-accumulate step, the half-continuous six vertex height
+ensemble and the six vertex outgoing-edge code sampler.
 
-Set HLSIXV_DISABLE_NUMBA=1 to force the fallback path (also taken when numba
-is not importable).  Numba's np.random mirrors numpy's legacy RandomState
-(same MT19937, same transforms), and the twins draw in the same order, so
-trajectories are bit-identical across modes for a given seed; a regression
-test pins this.  `IMPLS` maps mode -> kernel table for the benchmark script.
+The samplers draw from `np.random.RandomState(seed)` in a fixed order, so a
+seed fixes their output.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("HLSIXV_DISABLE_NUMBA", "").strip() not in ("", "0")
 
-try:  # pragma: no cover - import guard
-    if _DISABLED:
-        raise ImportError("numba disabled by HLSIXV_DISABLE_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-    njit = None
-
-
-# ---------------------------------------------------------------------------
-# pure python / numpy twins
-
-
-def _py_scatter_accumulate(src, dst, data, vec_in, vec_out):
+def scatter_accumulate(src, dst, data, vec_in, vec_out):
     np.add.at(vec_out, dst, vec_in[src] * data)
 
 
-def _col_count(row, n, j):
-    """#entries >= j among the first n of row."""
-    c = 0
-    for i in range(n):
-        if row[i] >= j:
-            c += 1
-    return c
-
-
-def _inc_first(row, n, v):
-    """Increment the first (topmost) row of the v-cluster."""
-    for i in range(n):
-        if row[i] == v:
-            row[i] += 1
-            return
-
-
-def first_free_value(upper, lower, lo):
-    """Smallest v >= lo with #{x in upper : x > v} == #{x in lower : x > v}.
-
-    These are the column counts col_{v+1} of two neighbouring levels, so v
-    is the first value >= lo that is free between them.  Both counts stay
-    constant between consecutive row values, so the answer is lo or a row
-    value above lo: the scan jumps from one row value to the next instead
-    of stepping v by one, and costs O(rows) per candidate whatever the
-    values are.  Zero entries never count, so zero-padded rows may be
-    passed whole.
-    """
-    v = lo
-    while True:
-        diff = 0
-        nxt = -1
-        for x in upper:
-            if x > v:
-                diff += 1
-                if nxt < 0 or x < nxt:
-                    nxt = x
-        for x in lower:
-            if x > v:
-                diff -= 1
-                if nxt < 0 or x < nxt:
-                    nxt = x
-        if diff == 0:
-            return v
-        v = nxt
-
-
-def _rsk_event_core(lam, n_levels, k, t, uniform):
-    """One Poisson signal at level k (1-based); `uniform` yields U(0,1) draws.
-
-    Value-based form of the push/pull rules: at level k the smallest free
-    row value v = min V_k increments; the move propagates upward, at each
-    level either forced (incoming value still free there) or resolved by a
-    (1-t)-type coin between the next free value above and the incoming one.
-    """
-    v = first_free_value(lam[k].tolist(), lam[k - 1].tolist(), 0)
-    _inc_first(lam[k], k, v)
-    ival = v
-    for m in range(k + 1, n_levels + 1):
-        # membership x in V_m compares lam[m] with the PRE-event lam[m-1];
-        # one row of lam[m-1] just went ival -> ival+1, so column ival+1
-        # must be corrected by one
-        below = _col_count(lam[m - 1], m - 1, ival + 1) - 1
-        if _col_count(lam[m], m, ival + 1) == below:
-            wnew = ival  # forced move, keeps interlacing tight
-        else:
-            e_rows = 0
-            for i in range(m):
-                if lam[m][i] == ival:
-                    e_rows += 1
-            if ival >= 1 and _col_count(lam[m], m, ival) == _col_count(
-                lam[m - 1], m - 1, ival
-            ):
-                r_prob = (1.0 - t) / (1.0 - t ** (e_rows + 1))
-            else:
-                r_prob = 1.0 - t
-            if uniform() < r_prob:
-                # the search starts at ival+1, where the row of lam[m-1]
-                # that moved from ival to ival+1 counts as it did before
-                wnew = first_free_value(
-                    lam[m].tolist(), lam[m - 1].tolist(), ival + 1
-                )
-            else:
-                wnew = ival
-        _inc_first(lam[m], m, wnew)
-        ival = wnew
-
-
-def _py_rsk_grid_ensemble(rates, t, taus, n_levels, n_runs, seed):
-    """First-column lengths of levels 1..n_levels at each tau, per run."""
-    rs = np.random.RandomState(seed)
-    n_taus = taus.shape[0]
-    out = np.zeros((n_runs, n_taus, n_levels), dtype=np.int32)
-    total = float(np.sum(rates))
-    cum = np.cumsum(rates)
-    lam = np.zeros((n_levels + 1, n_levels + 1), dtype=np.int64)
-    for run in range(n_runs):
-        lam[:, :] = 0
-        time = 0.0
-        ptr = 0
-        while ptr < n_taus:
-            nxt = time + rs.exponential(1.0 / total)
-            while ptr < n_taus and taus[ptr] < nxt:
-                for y in range(1, n_levels + 1):
-                    out[run, ptr, y - 1] = _col_count(lam[y], y, 1)
-                ptr += 1
-            if ptr >= n_taus:
-                break
-            u = rs.random_sample() * total
-            k = 1
-            while cum[k - 1] < u and k < n_levels:
-                k += 1
-            _rsk_event_core(lam, n_levels, k, t, rs.random_sample)
-            time = nxt
-    return out
-
-
-def _py_rsk_top_level_ensemble(rates, t, tau, n_levels, n_runs, seed):
-    """The partition at the top tracked level at time tau, per run."""
-    rs = np.random.RandomState(seed)
-    out = np.zeros((n_runs, n_levels), dtype=np.int32)
-    total = float(np.sum(rates))
-    cum = np.cumsum(rates)
-    lam = np.zeros((n_levels + 1, n_levels + 1), dtype=np.int64)
-    for run in range(n_runs):
-        lam[:, :] = 0
-        time = 0.0
-        while True:
-            dt = rs.exponential(1.0 / total)
-            if time + dt >= tau:
-                break
-            u = rs.random_sample() * total
-            k = 1
-            while cum[k - 1] < u and k < n_levels:
-                k += 1
-            _rsk_event_core(lam, n_levels, k, t, rs.random_sample)
-            time = time + dt
-        for i in range(n_levels):
-            out[run, i] = lam[n_levels][i]
-    return out
-
-
-def _py_half_continuous_grid_ensemble(brates, t, taus, n_runs, seed):
+def half_continuous_grid_ensemble(brates, t, taus, n_runs, seed):
     """Heights h(tau, y) = #occupied rows among 1..y, per run and grid point."""
     rs = np.random.RandomState(seed)
     n_rows = brates.shape[0]
@@ -221,7 +60,7 @@ def _py_half_continuous_grid_ensemble(brates, t, taus, n_runs, seed):
     return out
 
 
-def _py_six_vertex_tcode_counts(a, b, t, heights, n_samples, seed):
+def six_vertex_tcode_counts(a, b, t, heights, n_samples, seed):
     """Counts of outgoing-edge occupancy codes (bit i = cut edge i occupied)."""
     rs = np.random.RandomState(seed)
     m_cols = a.shape[0]
@@ -279,7 +118,7 @@ def _count_interlacing_edges(parts, rows):
     return total
 
 
-def _py_build_interlacing_edges(parts, rows, cap, id2idx):
+def build_interlacing_edges(parts, rows, cap, id2idx):
     """Edge arrays (mu_idx, lam_idx, delta, pcode, qcode, colinc) for all
     interlaced pairs mu < lam over the given states.
 
@@ -358,322 +197,3 @@ def _py_build_interlacing_edges(parts, rows, cap, id2idx):
                         colinc[e] = lrows - mrows
                         e += 1
     return mu_idx, lam_idx, delta, pcode, qcode, colinc
-
-
-_PY_IMPLS = {
-    "build_interlacing_edges": _py_build_interlacing_edges,
-    "scatter_accumulate": _py_scatter_accumulate,
-    "rsk_grid_ensemble": _py_rsk_grid_ensemble,
-    "rsk_top_level_ensemble": _py_rsk_top_level_ensemble,
-    "half_continuous_grid_ensemble": _py_half_continuous_grid_ensemble,
-    "six_vertex_tcode_counts": _py_six_vertex_tcode_counts,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba twins (same draw order; np.random inside njit is numba's own MT19937)
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _nb_scatter_accumulate(src, dst, data, vec_in, vec_out):
-        for e in range(src.shape[0]):
-            vec_out[dst[e]] += vec_in[src[e]] * data[e]
-
-    _nb_col_count = njit(cache=True)(_col_count)
-    _nb_inc_first = njit(cache=True)(_inc_first)
-
-    @njit(cache=True)
-    def _nb_rsk_event(lam, n_levels, k, t):
-        v = 0
-        while _nb_col_count(lam[k], k, v + 1) != _nb_col_count(
-            lam[k - 1], k - 1, v + 1
-        ):
-            v += 1
-        _nb_inc_first(lam[k], k, v)
-        ival = v
-        for m in range(k + 1, n_levels + 1):
-            below = _nb_col_count(lam[m - 1], m - 1, ival + 1) - 1
-            if _nb_col_count(lam[m], m, ival + 1) == below:
-                wnew = ival
-            else:
-                e_rows = 0
-                for i in range(m):
-                    if lam[m][i] == ival:
-                        e_rows += 1
-                if ival >= 1 and _nb_col_count(lam[m], m, ival) == _nb_col_count(
-                    lam[m - 1], m - 1, ival
-                ):
-                    r_prob = (1.0 - t) / (1.0 - t ** (e_rows + 1))
-                else:
-                    r_prob = 1.0 - t
-                if np.random.random() < r_prob:
-                    w = ival + 1
-                    while True:
-                        below_w = _nb_col_count(lam[m - 1], m - 1, w + 1)
-                        if w == ival:
-                            below_w -= 1
-                        if _nb_col_count(lam[m], m, w + 1) == below_w:
-                            break
-                        w += 1
-                    wnew = w
-                else:
-                    wnew = ival
-            _nb_inc_first(lam[m], m, wnew)
-            ival = wnew
-
-    @njit(cache=True)
-    def _nb_rsk_grid_ensemble(rates, t, taus, n_levels, n_runs, seed):
-        np.random.seed(seed)
-        n_taus = taus.shape[0]
-        out = np.zeros((n_runs, n_taus, n_levels), dtype=np.int32)
-        total = 0.0
-        for y in range(n_levels):
-            total += rates[y]
-        cum = np.cumsum(rates)
-        lam = np.zeros((n_levels + 1, n_levels + 1), dtype=np.int64)
-        for run in range(n_runs):
-            lam[:, :] = 0
-            time = 0.0
-            ptr = 0
-            while ptr < n_taus:
-                nxt = time + np.random.exponential(1.0 / total)
-                while ptr < n_taus and taus[ptr] < nxt:
-                    for y in range(1, n_levels + 1):
-                        out[run, ptr, y - 1] = _nb_col_count(lam[y], y, 1)
-                    ptr += 1
-                if ptr >= n_taus:
-                    break
-                u = np.random.random() * total
-                k = 1
-                while cum[k - 1] < u and k < n_levels:
-                    k += 1
-                _nb_rsk_event(lam, n_levels, k, t)
-                time = nxt
-        return out
-
-    @njit(cache=True)
-    def _nb_rsk_top_level_ensemble(rates, t, tau, n_levels, n_runs, seed):
-        np.random.seed(seed)
-        out = np.zeros((n_runs, n_levels), dtype=np.int32)
-        total = 0.0
-        for y in range(n_levels):
-            total += rates[y]
-        cum = np.cumsum(rates)
-        lam = np.zeros((n_levels + 1, n_levels + 1), dtype=np.int64)
-        for run in range(n_runs):
-            lam[:, :] = 0
-            time = 0.0
-            while True:
-                dt = np.random.exponential(1.0 / total)
-                if time + dt >= tau:
-                    break
-                u = np.random.random() * total
-                k = 1
-                while cum[k - 1] < u and k < n_levels:
-                    k += 1
-                _nb_rsk_event(lam, n_levels, k, t)
-                time = time + dt
-            for i in range(n_levels):
-                out[run, i] = lam[n_levels][i]
-        return out
-
-    @njit(cache=True)
-    def _nb_half_continuous_grid_ensemble(brates, t, taus, n_runs, seed):
-        np.random.seed(seed)
-        n_rows = brates.shape[0]
-        n_taus = taus.shape[0]
-        out = np.zeros((n_runs, n_taus, n_rows), dtype=np.int32)
-        occ = np.ones(n_rows, dtype=np.bool_)
-        for run in range(n_runs):
-            for y in range(n_rows):
-                occ[y] = True
-            time = 0.0
-            ptr = 0
-            while ptr < n_taus:
-                total = 0.0
-                for y in range(n_rows):
-                    if occ[y]:
-                        total += brates[y]
-                if total > 0.0:
-                    nxt = time + np.random.exponential(1.0 / total)
-                else:
-                    nxt = np.inf
-                while ptr < n_taus and taus[ptr] < nxt:
-                    h = 0
-                    for y in range(n_rows):
-                        if occ[y]:
-                            h += 1
-                        out[run, ptr, y] = h
-                    ptr += 1
-                if ptr >= n_taus:
-                    break
-                u = np.random.random() * total
-                acc = 0.0
-                row = 0
-                for y in range(n_rows):
-                    if occ[y]:
-                        acc += brates[y]
-                        if acc >= u:
-                            row = y
-                            break
-                occ[row] = False
-                z = row + 1
-                while z < n_rows:
-                    if occ[z]:
-                        z += 1
-                    elif np.random.random() < 1.0 - t:
-                        occ[z] = True
-                        break
-                    else:
-                        z += 1
-                time = nxt
-        return out
-
-    @njit(cache=True)
-    def _nb_six_vertex_tcode_counts(a, b, t, heights, n_samples, seed):
-        np.random.seed(seed)
-        m_cols = a.shape[0]
-        n_rows = b.shape[0]
-        counts = np.zeros(1 << (m_cols + n_rows), dtype=np.int64)
-        hbits = np.zeros(n_rows + 1, dtype=np.bool_)
-        for _ in range(n_samples):
-            for y in range(1, n_rows + 1):
-                hbits[y] = True
-            code = 0
-            pos = 0
-            for x in range(m_cols):
-                hx = heights[x]
-                v = False
-                for y in range(1, hx + 1):
-                    ab = a[x] * b[y - 1]
-                    in_h = hbits[y]
-                    if in_h and v:
-                        out_h, out_v = True, True
-                    elif not in_h and not v:
-                        out_h, out_v = False, False
-                    elif in_h:
-                        if np.random.random() < (1.0 - ab) / (1.0 - t * ab):
-                            out_h, out_v = True, False
-                        else:
-                            out_h, out_v = False, True
-                    else:
-                        if np.random.random() < t * (1.0 - ab) / (1.0 - t * ab):
-                            out_h, out_v = False, True
-                        else:
-                            out_h, out_v = True, False
-                    hbits[y] = out_h
-                    v = out_v
-                if v:
-                    code |= 1 << pos
-                pos += 1
-                hnext = heights[x + 1] if x + 1 < m_cols else 0
-                for y in range(hx, hnext, -1):
-                    if hbits[y]:
-                        code |= 1 << pos
-                    pos += 1
-            counts[code] += 1
-        return counts
-
-    _nb_count_edges = njit(cache=True)(_count_interlacing_edges)
-
-    @njit(cache=True)
-    def _nb_build_interlacing_edges(parts, rows, cap, id2idx):
-        n_edges = _nb_count_edges(parts, rows)
-        mu_idx = np.zeros(n_edges, dtype=np.int32)
-        lam_idx = np.zeros(n_edges, dtype=np.int32)
-        delta = np.zeros(n_edges, dtype=np.int16)
-        pcode = np.zeros(n_edges, dtype=np.int16)
-        qcode = np.zeros(n_edges, dtype=np.int16)
-        colinc = np.zeros(n_edges, dtype=np.int8)
-        base = cap + 1
-        mu = np.zeros(4, dtype=np.int64)
-        e = 0
-        for s in range(parts.shape[0]):
-            lam = parts[s]
-            lo0 = lam[1] if rows > 1 else 0
-            for m0 in range(lo0, lam[0] + 1):
-                mu[0] = m0
-                lo1 = lam[2] if rows > 2 else 0
-                hi1 = lam[1] if rows > 1 else 0
-                for m1 in range(lo1, hi1 + 1):
-                    mu[1] = m1
-                    lo2 = lam[3] if rows > 3 else 0
-                    hi2 = lam[2] if rows > 2 else 0
-                    for m2 in range(lo2, hi2 + 1):
-                        mu[2] = m2
-                        hi3 = lam[3] if rows > 3 else 0
-                        for m3 in range(0, hi3 + 1):
-                            mu[3] = m3
-                            mid = 0
-                            for i in range(rows):
-                                mid = mid * base + mu[i]
-                            d = 0
-                            lrows = 0
-                            mrows = 0
-                            for i in range(4):
-                                d += lam[i] - mu[i]
-                                if lam[i] > 0:
-                                    lrows += 1
-                                if mu[i] > 0:
-                                    mrows += 1
-                            pc = 0
-                            for i in range(4):
-                                v = mu[i]
-                                if v > 0 and (i == 0 or mu[i - 1] != v):
-                                    mmu = 0
-                                    mla = 0
-                                    for j in range(4):
-                                        if mu[j] == v:
-                                            mmu += 1
-                                        if lam[j] == v:
-                                            mla += 1
-                                    if mla + 1 == mmu:
-                                        pc += 5 ** (mmu - 1)
-                            qc = 0
-                            for i in range(4):
-                                v = lam[i]
-                                if v > 0 and (i == 0 or lam[i - 1] != v):
-                                    mmu = 0
-                                    mla = 0
-                                    for j in range(4):
-                                        if mu[j] == v:
-                                            mmu += 1
-                                        if lam[j] == v:
-                                            mla += 1
-                                    if mla == mmu + 1:
-                                        qc += 5 ** (mla - 1)
-                            mu_idx[e] = id2idx[mid]
-                            lam_idx[e] = s
-                            delta[e] = d
-                            pcode[e] = pc
-                            qcode[e] = qc
-                            colinc[e] = lrows - mrows
-                            e += 1
-        return mu_idx, lam_idx, delta, pcode, qcode, colinc
-
-    _NB_IMPLS = {
-        "build_interlacing_edges": _nb_build_interlacing_edges,
-        "scatter_accumulate": _nb_scatter_accumulate,
-        "rsk_grid_ensemble": _nb_rsk_grid_ensemble,
-        "rsk_top_level_ensemble": _nb_rsk_top_level_ensemble,
-        "half_continuous_grid_ensemble": _nb_half_continuous_grid_ensemble,
-        "six_vertex_tcode_counts": _nb_six_vertex_tcode_counts,
-    }
-    _ACTIVE = _NB_IMPLS
-else:
-    _NB_IMPLS = None
-    _ACTIVE = _PY_IMPLS
-
-IMPLS = {"python": _PY_IMPLS}
-if _NB_IMPLS is not None:
-    IMPLS["numba"] = _NB_IMPLS
-
-ACTIVE_MODE = "numba" if HAVE_NUMBA else "python"
-
-build_interlacing_edges = _ACTIVE["build_interlacing_edges"]
-scatter_accumulate = _ACTIVE["scatter_accumulate"]
-rsk_grid_ensemble = _ACTIVE["rsk_grid_ensemble"]
-rsk_top_level_ensemble = _ACTIVE["rsk_top_level_ensemble"]
-half_continuous_grid_ensemble = _ACTIVE["half_continuous_grid_ensemble"]
-six_vertex_tcode_counts = _ACTIVE["six_vertex_tcode_counts"]

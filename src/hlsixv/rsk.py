@@ -28,11 +28,12 @@ branch); coupled runs share draws per event.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels, partitions as pt
+from . import partitions as pt
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +125,35 @@ def _as_uniform(u):
     return u.random  # numpy Generator
 
 
+def _first_free_value(upper, lower, lo):
+    """Smallest v >= lo with #{x in upper : x > v} == #{x in lower : x > v}.
+
+    These are the column counts col_{v+1} of two neighbouring levels, so v
+    is the first value >= lo that is free between them.  Both counts stay
+    constant between consecutive row values, so the answer is lo or a row
+    value above lo: the scan jumps from one row value to the next instead
+    of stepping v by one, and costs O(rows) per candidate whatever the
+    values are.
+    """
+    v = lo
+    while True:
+        diff = 0
+        nxt = -1
+        for x in upper:
+            if x > v:
+                diff += 1
+                if nxt < 0 or x < nxt:
+                    nxt = x
+        for x in lower:
+            if x > v:
+                diff -= 1
+                if nxt < 0 or x < nxt:
+                    nxt = x
+        if diff == 0:
+            return v
+        v = nxt
+
+
 def _apply_signal_inplace(levels, n_max, k, t, uniform, record=None):
     def col(m, j):
         return _col(levels[m - 1], j) if m >= 1 else 0
@@ -132,7 +162,7 @@ def _apply_signal_inplace(levels, n_max, k, t, uniform, record=None):
         lv = levels[m - 1]
         lv[lv.index(v)] += 1
 
-    v = _kernels.first_free_value(levels[k - 1], levels[k - 2] if k > 1 else (), 0)
+    v = _first_free_value(levels[k - 1], levels[k - 2] if k > 1 else (), 0)
     inc_first(k, v)
     if record is not None:
         record.append((k, v))
@@ -151,7 +181,7 @@ def _apply_signal_inplace(levels, n_max, k, t, uniform, record=None):
             if uniform() < r_prob:
                 # the search starts at ival+1, where the row of level m-1
                 # that moved from ival to ival+1 counts as it did before
-                wnew = _kernels.first_free_value(
+                wnew = _first_free_value(
                     levels[m - 1], levels[m - 2], ival + 1
                 )
             else:
@@ -219,16 +249,60 @@ def run_rsk(rates, t: float, tau_max: float, seed: int, snapshot_times=(),
 
 
 def rsk_first_column_ensemble(rates, t, taus, n_runs, seed) -> np.ndarray:
-    """Kernel-backed ensemble of first-column vectors: [runs, taus, levels]."""
-    rates = np.asarray([float(c) for c in rates])
-    taus = np.asarray(sorted(float(x) for x in taus))
-    return _kernels.rsk_grid_ensemble(rates, t, taus, len(rates), n_runs, seed)
+    """Ensemble of first-column vectors: [runs, taus, levels] (int32).
+
+    Each run steps the reference rule from the empty array.  All runs share
+    one RandomState(seed) stream; per event it draws the waiting time, the
+    level and then the rule's coins, in the order of `_apply_signal_inplace`.
+    """
+    rates = [float(c) for c in rates]
+    taus = sorted(float(x) for x in taus)
+    n = len(rates)
+    rs = np.random.RandomState(seed)
+    total = float(np.sum(rates))
+    cum = np.cumsum(rates).tolist()
+    out = np.zeros((n_runs, len(taus), n), dtype=np.int32)
+    for run in range(n_runs):
+        levels = [[0] * k for k in range(1, n + 1)]
+        time = 0.0
+        ptr = 0
+        while ptr < len(taus):
+            nxt = time + rs.exponential(1.0 / total)
+            while ptr < len(taus) and taus[ptr] < nxt:
+                out[run, ptr] = [sum(1 for v in lv if v > 0) for lv in levels]
+                ptr += 1
+            if ptr == len(taus):
+                break
+            k = min(1 + bisect_left(cum, rs.random_sample() * total), n)
+            _apply_signal_inplace(levels, n, k, t, rs.random_sample)
+            time = nxt
+    return out
 
 
 def rsk_top_level_ensemble(rates, t, tau, n_runs, seed) -> np.ndarray:
-    """Kernel-backed ensemble of the top tracked level's partition at tau."""
-    rates = np.asarray([float(c) for c in rates])
-    return _kernels.rsk_top_level_ensemble(rates, t, float(tau), len(rates), n_runs, seed)
+    """Ensemble of the top tracked level's partition at tau: [runs, levels].
+
+    Same stepping and stream as `rsk_first_column_ensemble`.
+    """
+    rates = [float(c) for c in rates]
+    tau = float(tau)
+    n = len(rates)
+    rs = np.random.RandomState(seed)
+    total = float(np.sum(rates))
+    cum = np.cumsum(rates).tolist()
+    out = np.zeros((n_runs, n), dtype=np.int32)
+    for run in range(n_runs):
+        levels = [[0] * k for k in range(1, n + 1)]
+        time = 0.0
+        while True:
+            dt = rs.exponential(1.0 / total)
+            if time + dt >= tau:
+                break
+            k = min(1 + bisect_left(cum, rs.random_sample() * total), n)
+            _apply_signal_inplace(levels, n, k, t, rs.random_sample)
+            time += dt
+        out[run] = levels[-1]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from hlsixv import rsk
-from hlsixv import _kernels
 
 
 def fixed(*us):
@@ -184,12 +184,12 @@ def test_pushtasep_matches_set_zero_marginal():
 
 
 def test_kernel_matches_reference_stepper():
-    """The fast ensemble kernel and the reference stepper share the algorithm
-    and the uniform stream, so trajectories coincide bit for bit."""
+    """The ensemble and the public reference stepper share the algorithm and
+    the uniform stream, so trajectories coincide bit for bit."""
     rates = np.array([1.0, 0.7, 0.4])
     t, seed = 0.42, 99
     taus = np.array([0.4, 0.9, 1.7])
-    out = _kernels.rsk_grid_ensemble(rates, t, taus, 3, 5, seed)
+    out = rsk.rsk_first_column_ensemble(rates, t, taus, 5, seed)
 
     rs = np.random.RandomState(seed)
     total = rates.sum()
@@ -212,15 +212,50 @@ def test_kernel_matches_reference_stepper():
             time = nxt
 
 
-def test_python_and_numba_kernels_agree():
-    rates = np.array([1.0, 0.7])
-    taus = np.array([0.5, 1.1])
-    for name, shape_args in [
-        ("rsk_grid_ensemble", (rates, 0.4, taus, 2, 20, 5)),
-        ("rsk_top_level_ensemble", (rates, 0.4, 1.3, 2, 20, 5)),
-        ("half_continuous_grid_ensemble", (rates, 0.4, taus, 20, 5)),
-    ]:
-        py = _kernels.IMPLS["python"][name](*shape_args)
-        if "numba" in _kernels.IMPLS:
-            nb = _kernels.IMPLS["numba"][name](*shape_args)
-            assert np.array_equal(py, nb), name
+def test_seeded_ensemble_streams_are_pinned():
+    rates, t = [1.0, 0.7, 0.4], 0.42
+    cols = rsk.rsk_first_column_ensemble(rates, t, [0.4, 0.9, 1.7], 200, 99)
+    assert cols.sum(axis=0).tolist() == [
+        [63, 110, 142], [118, 202, 250], [161, 288, 375]
+    ]
+    top = rsk.rsk_top_level_ensemble(rates, t, 1.7, 200, 99)
+    assert top.sum(axis=0).tolist() == [472, 185, 45]
+
+
+@st.composite
+def neighbour_levels(draw, max_rows=6, max_value=30):
+    """(upper, lower): levels m and m-1 of an interlacing array."""
+    m = draw(st.integers(1, max_rows))
+    vals = draw(st.lists(st.integers(0, max_value), min_size=2 * m - 1,
+                         max_size=2 * m - 1))
+    vals.sort(reverse=True)
+    return vals[0::2], vals[1::2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(neighbour_levels(), st.integers(0, 40))
+def test_first_free_value_matches_value_scan(pair, lo):
+    upper, lower = pair
+    v = lo
+    while sum(x > v for x in upper) != sum(x > v for x in lower):
+        v += 1
+    assert rsk._first_free_value(upper, lower, lo) == v
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.floats(0.0, 0.95),
+    st.lists(
+        st.tuples(st.integers(1, 6),
+                  st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                           min_size=6, max_size=6)),
+        max_size=40,
+    ),
+)
+def test_every_event_keeps_interlacing_and_bijection(n, t, signals):
+    arr = rsk.PartitionArray(n)
+    for k, buf in signals:
+        arr = rsk.rsk_apply_signal(arr, min(k, n), t, iter(buf).__next__)
+        arr.validate()
+        assert rsk.array_from_sets(rsk.sets_from_array(arr)) == arr
