@@ -9,7 +9,6 @@ import numpy as np
 
 from hlsixv import _kernels
 from hlsixv import hl_process as hl
-from hlsixv import partitions as pt
 from hlsixv import rsk
 
 
@@ -24,7 +23,7 @@ def timeit(fn, *args, repeat=3):
 
 def bench_scatter():
     lat = hl.get_lattice(3, 24)
-    n = len(lat.delta)
+    n = len(lat.mu_idx)
     vec = np.random.RandomState(0).random_sample(len(lat.states))
     data = np.random.RandomState(1).random_sample(n)
     out = np.zeros_like(vec)
@@ -32,20 +31,10 @@ def bench_scatter():
                   vec, out), f"{n} edges"
 
 
-def bench_edges():
-    states = sorted(pt.partitions_in_box(3, 20))
-    parts = np.zeros((len(states), 4), dtype=np.int64)
-    for i, lam in enumerate(states):
-        parts[i, : len(lam)] = lam
-    base = 21
-    id2idx = np.full(base**3, -1, dtype=np.int32)
-    for i in range(len(states)):
-        mid = 0
-        for r in range(3):
-            mid = mid * base + parts[i, r]
-        id2idx[mid] = i
-    return timeit(_kernels.build_interlacing_edges, parts, 3, 20,
-                  id2idx), f"{len(states)} states"
+def bench_edges(rows, cap):
+    parts = _kernels.box_partitions(rows, cap)
+    return timeit(_kernels.build_interlacing_edges, parts), \
+        f"{len(parts)} states, {rows}x{cap}"
 
 
 def bench_rsk():
@@ -71,7 +60,8 @@ def bench_sixv():
 
 
 BENCHES = [
-    ("build_interlacing_edges", bench_edges),
+    ("build_interlacing_edges", lambda: bench_edges(3, 20)),
+    ("build_interlacing_edges", lambda: bench_edges(4, 12)),
     ("scatter_accumulate", bench_scatter),
     ("rsk_first_column_ensemble", bench_rsk),
     ("half_continuous_grid_ensemble", bench_halfcont),
@@ -80,12 +70,12 @@ BENCHES = [
 
 
 def main():
-    header = f"{'kernel':34s} {'size':14s} {'best of 3':>10s}"
+    header = f"{'kernel':34s} {'size':20s} {'best of 3':>10s}"
     print(header)
     print("-" * len(header))
     for name, bench in BENCHES:
         best, size = bench()
-        print(f"{name:34s} {size:14s} {best*1e3:8.2f}ms")
+        print(f"{name:34s} {size:20s} {best*1e3:8.2f}ms")
 
 
 if __name__ == "__main__":

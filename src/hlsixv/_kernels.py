@@ -2,11 +2,19 @@
 builder and its scatter-accumulate step, the half-continuous six vertex height
 ensemble and the six vertex outgoing-edge code sampler.
 
+The lattice builder is vectorized and works for any number of rows.  It
+enumerates each state's interlacing partners as a mixed-radix product of row
+ranges and sorts the edges into classes of equal |lam| - |mu| and equal skew
+Hall-Littlewood factors, each factor given by the multiset of its (1 - t^e)
+exponents; hl_process turns the classes into edge weights for given x and t.
+
 The samplers draw from `np.random.RandomState(seed)` in a fixed order, so a
 seed fixes their output.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 import numpy as np
 
@@ -104,96 +112,119 @@ def six_vertex_tcode_counts(a, b, t, heights, n_samples, seed):
     return counts
 
 
-def _count_interlacing_edges(parts, rows):
-    """Total number of mu interlacing below each lam (padded 4-wide parts)."""
-    n = parts.shape[0]
-    total = 0
-    for s in range(n):
-        cnt = 1
-        for i in range(rows):
-            hi = parts[s, i]
-            lo = parts[s, i + 1] if i + 1 < 4 else 0
-            cnt *= hi - lo + 1
-        total += cnt
-    return total
+def _repeat_ranges(counts):
+    """(owner, offset) over sum(counts) slots: slot k belongs to item owner[k]
+    and is its offset[k]-th slot, offsets running 0..counts[owner]-1."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    offset = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+    return owner, offset
 
 
-def build_interlacing_edges(parts, rows, cap, id2idx):
-    """Edge arrays (mu_idx, lam_idx, delta, pcode, qcode, colinc) for all
-    interlaced pairs mu < lam over the given states.
+def box_partitions(rows, cap):
+    """All partitions with at most `rows` rows and parts <= cap, as an
+    (n, rows) zero-padded array in lexicographic order."""
+    parts = np.arange(cap + 1).reshape(-1, 1)
+    for _ in range(rows - 1):
+        owner, last = _repeat_ranges(parts[:, -1] + 1)
+        parts = np.column_stack([parts[owner], last])
+    return parts
 
-    pcode/qcode encode the skew Hall-Littlewood (1 - t^e) factor multisets in
-    base 5 by exponent e; see hl_process for decoding.
+
+def _box_rank_tables(rows, cap):
+    """rank[i][mu_i] summed over the rows is the position of mu in
+    box_partitions(rows, cap).  Row i adds the number of partitions that agree
+    with mu above row i and are smaller in it: sum over v < mu_i of the
+    C(v + rows-1-i, rows-1-i) tails, which is C(mu_i + rows-1-i, rows-i)."""
+    return [
+        np.array([comb(v + rows - 1 - i, rows - i) for v in range(cap + 1)],
+                 dtype=np.intp)
+        for i in range(rows)
+    ]
+
+
+def _renumber(code):
+    """Dense keys 0..k-1 for the distinct values of code, in increasing order,
+    and those values."""
+    present = np.flatnonzero(np.bincount(code))
+    relabel = np.zeros(present[-1] + 1, dtype=np.intp)
+    relabel[present] = np.arange(len(present))
+    return relabel[code], present
+
+
+def _run_factors(pattern, rows):
+    """Exponent counts (e = 1..rows) of the P and Q skew factors of one edge.
+
+    pattern[j] tells whether z_j = z_{j+1} in the merged sequence z = (lam_1,
+    mu_1, lam_2, ..., mu_rows, 0).  A maximal run of one value that ends
+    before the trailing 0 has a value v > 0.  If it starts and ends on mu
+    entries it holds k of them and k - 1 lam entries, so m_v(lam) + 1 =
+    m_v(mu) = k and P gets a factor (1 - t^k).  If it starts and ends on lam
+    entries then m_v(lam) = m_v(mu) + 1 = k, a factor of Q.  A run with one
+    end of each kind has m_v(lam) = m_v(mu) and gives no factor.
     """
-    n_edges = _count_interlacing_edges(parts, rows)
-    mu_idx = np.zeros(n_edges, dtype=np.int32)
-    lam_idx = np.zeros(n_edges, dtype=np.int32)
-    delta = np.zeros(n_edges, dtype=np.int16)
-    pcode = np.zeros(n_edges, dtype=np.int16)
-    qcode = np.zeros(n_edges, dtype=np.int16)
-    colinc = np.zeros(n_edges, dtype=np.int8)
-    base = cap + 1
-    mu = np.zeros(4, dtype=np.int64)
-    e = 0
-    for s in range(parts.shape[0]):
-        lam = parts[s]
-        lo0 = lam[1] if rows > 1 else 0
-        for m0 in range(lo0, lam[0] + 1):
-            mu[0] = m0
-            lo1 = lam[2] if rows > 2 else 0
-            hi1 = lam[1] if rows > 1 else 0
-            for m1 in range(lo1, hi1 + 1):
-                mu[1] = m1
-                lo2 = lam[3] if rows > 3 else 0
-                hi2 = lam[2] if rows > 2 else 0
-                for m2 in range(lo2, hi2 + 1):
-                    mu[2] = m2
-                    hi3 = lam[3] if rows > 3 else 0
-                    for m3 in range(0, hi3 + 1):
-                        mu[3] = m3
-                        mid = 0
-                        for i in range(rows):
-                            mid = mid * base + mu[i]
-                        d = 0
-                        lrows = 0
-                        mrows = 0
-                        for i in range(4):
-                            d += lam[i] - mu[i]
-                            if lam[i] > 0:
-                                lrows += 1
-                            if mu[i] > 0:
-                                mrows += 1
-                        pc = 0
-                        for i in range(4):
-                            v = mu[i]
-                            if v > 0 and (i == 0 or mu[i - 1] != v):
-                                mmu = 0
-                                mla = 0
-                                for j in range(4):
-                                    if mu[j] == v:
-                                        mmu += 1
-                                    if lam[j] == v:
-                                        mla += 1
-                                if mla + 1 == mmu:
-                                    pc += 5 ** (mmu - 1)
-                        qc = 0
-                        for i in range(4):
-                            v = lam[i]
-                            if v > 0 and (i == 0 or lam[i - 1] != v):
-                                mmu = 0
-                                mla = 0
-                                for j in range(4):
-                                    if mu[j] == v:
-                                        mmu += 1
-                                    if lam[j] == v:
-                                        mla += 1
-                                if mla == mmu + 1:
-                                    qc += 5 ** (mla - 1)
-                        mu_idx[e] = id2idx[mid]
-                        lam_idx[e] = s
-                        delta[e] = d
-                        pcode[e] = pc
-                        qcode[e] = qc
-                        colinc[e] = lrows - mrows
-                        e += 1
-    return mu_idx, lam_idx, delta, pcode, qcode, colinc
+    counts = ([0] * rows, [0] * rows)  # runs ending on lam (Q), on mu (P)
+    start = 0
+    for j, same in enumerate(pattern):
+        if not same:
+            if (j - start) % 2 == 0:
+                counts[j % 2][(j - start) // 2] += 1
+            start = j + 1
+    qcounts, pcounts = counts
+    return tuple(pcounts), tuple(qcounts)
+
+
+def build_interlacing_edges(parts):
+    """Edges mu < lam of the interlacing lattice on parts = box_partitions(rows, cap).
+
+    Each state lam gets the Cartesian product of its row ranges
+    [lam_{i+1}, lam_i], enumerated in mixed radix with the last row fastest,
+    so edges come grouped by lam in state order and then by mu
+    lexicographically.  An edge's weight in a process step is
+    x^{|lam| - |mu|} times its skew factor, so edges are grouped into the few
+    classes of equal delta = |lam| - |mu| and equal P and Q factors.
+
+    Returns the intp arrays mu_idx, lam_idx and edge_class, the int8
+    first-column increment colinc, delta per class, and for P and for Q a
+    pair (key per class, exponent counts per key) describing the factor
+    prod_e (1 - t^e)^count_e.
+
+    The skew factors depend only on which neighbours of the merged sequence
+    lam_1 >= mu_1 >= ... >= mu_rows >= 0 are equal.  mu_i equals lam_i at the
+    top of its range and lam_{i+1} at the bottom, so each edge is keyed by
+    that equality pattern, renumbered densely row by row, and the few
+    distinct patterns are read by _run_factors.
+    """
+    rows = parts.shape[1]
+    lower = np.zeros_like(parts)
+    lower[:, :-1] = parts[:, 1:]
+    width = parts - lower + 1
+    lam_idx, k = _repeat_ranges(width.prod(axis=1))
+    rank = _box_rank_tables(rows, int(parts[-1, 0]))
+    mu_idx = np.zeros_like(lam_idx)
+    delta = parts.sum(axis=1)[lam_idx]
+    colinc = np.count_nonzero(parts, axis=1).astype(np.int8)[lam_idx]
+    key = np.zeros_like(lam_idx)
+    patterns = [()]
+    for i in reversed(range(rows)):  # in place where it can, to bound memory
+        w = width[:, i][lam_idx]
+        mu = k % w
+        k //= w
+        key *= 4
+        key += 2 * (mu == w - 1)  # mu_i = lam_i
+        key += mu == 0  # mu_i = lam_{i+1}
+        mu += lower[:, i][lam_idx]
+        mu_idx += rank[i][mu]
+        delta -= mu
+        colinc -= mu > 0
+        key, present = _renumber(key)
+        patterns = [(bool(c & 2), bool(c & 1)) + patterns[c >> 2] for c in present]
+    edge_class, present = _renumber(delta * len(patterns) + key)
+    class_delta, class_pattern = np.divmod(present, len(patterns))
+    factors = []
+    for side in zip(*(_run_factors(p, rows) for p in patterns)):
+        distinct = sorted(set(side))
+        lookup = {f: n for n, f in enumerate(distinct)}
+        keys = np.array([lookup[f] for f in side], dtype=np.intp)
+        factors.append((keys[class_pattern], distinct))
+    pfactors, qfactors = factors
+    return mu_idx, lam_idx, colinc, edge_class, class_delta, pfactors, qfactors

@@ -6,16 +6,17 @@ skew factor: P_{next/prev}(a_{p(i)}) on a plus, Q_{prev/next}(b_{N-m(i)+1}) on
 a minus, with empty partitions at both ends.
 
 Exact computations run on a cached interlacing lattice (partitions with at
-most min(M,N) rows and parts <= row_cap) whose edges carry the skew-factor
-structure; parts above row_cap carry total mass below a geometric tail bound,
-and the realized truncation deficit is reported against the closed-form
-normalization constant.
+most min(M,N) rows, for any number of rows, and parts <= row_cap) whose
+edges carry the skew-factor structure; parts above row_cap carry total mass
+below a geometric tail bound, and the realized truncation deficit is reported
+against the closed-form normalization constant.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -144,6 +145,18 @@ def minimal_row_cap(spec: HLProcessSpec, tol: float = 1e-12, cap_max: int = 400)
 # interlacing lattice with precomputed skew-factor structure
 
 
+def _factor_table(factors, t):
+    """prod_e (1 - t^e)^count_e per exponent multiset, multiplied in ascending e."""
+    tab = np.ones(len(factors))
+    for k, counts in enumerate(factors):
+        w = 1.0
+        for e, c in enumerate(counts, 1):
+            if c:
+                w *= (1.0 - t**e) ** c
+        tab[k] = w
+    return tab
+
+
 @dataclass
 class _Lattice:
     rows: int
@@ -152,33 +165,18 @@ class _Lattice:
     index: dict
     mu_idx: np.ndarray
     lam_idx: np.ndarray
-    delta: np.ndarray
-    pcode: np.ndarray
-    qcode: np.ndarray
+    edge_class: np.ndarray  # edges of one class share |lam| - |mu| and skew factors
+    class_delta: np.ndarray  # |lam| - |mu| per class
+    class_pkey: np.ndarray  # per class, the entry of pfactors
+    class_qkey: np.ndarray
+    pfactors: list  # per key, the count of (1 - t^e) factors for e = 1..rows
+    qfactors: list
     split: int  # edges [0:split] have colinc 0, [split:] have colinc 1
-    _ttabs: dict = field(default_factory=dict)
-
-    def factor_tables(self, t: float):
-        """code -> prod_e (1 - t^e)^{digit_e(code)} for p and q codes."""
-        tabs = self._ttabs.get(t)
-        if tabs is None:
-            powers = [1.0 - t**e for e in range(1, 5)]
-            tab = np.ones(5**4)
-            for code in range(5**4):
-                c, w = code, 1.0
-                for e in range(4):
-                    c, dig = divmod(c, 5)
-                    if dig:
-                        w *= powers[e] ** dig
-                tab[code] = w
-            tabs = tab
-            self._ttabs[t] = tabs
-        return tabs
 
     def _slice(self, colinc):
         if colinc is None:
-            return slice(0, len(self.delta))
-        return slice(0, self.split) if colinc == 0 else slice(self.split, len(self.delta))
+            return slice(0, len(self.mu_idx))
+        return slice(0, self.split) if colinc == 0 else slice(self.split, len(self.mu_idx))
 
     def apply(self, vec, kind, param, t, colinc=None, backward=False):
         """One process step: kind '+' moves mass up the lattice, '-' down.
@@ -187,14 +185,14 @@ class _Lattice:
         backward applies the transpose (for backward mass tables).
         """
         sl = self._slice(colinc)
-        tab = self.factor_tables(t)
-        powtab = float(param) ** np.arange(self.cap * 4 + 1, dtype=np.float64)
-        code = self.pcode if kind == "+" else self.qcode
-        data = powtab[self.delta[sl].astype(np.intp)] * tab[code[sl].astype(np.intp)]
+        powtab = float(param) ** np.arange(self.cap + 1, dtype=np.float64)
         if kind == "+":
+            factor = _factor_table(self.pfactors, t)[self.class_pkey]
             src, dst = self.mu_idx[sl], self.lam_idx[sl]
         else:
+            factor = _factor_table(self.qfactors, t)[self.class_qkey]
             src, dst = self.lam_idx[sl], self.mu_idx[sl]
+        data = (powtab[self.class_delta] * factor)[self.edge_class[sl]]
         if backward:
             src, dst = dst, src
         out = np.zeros_like(vec)
@@ -202,43 +200,62 @@ class _Lattice:
         return out
 
 
+class LatticeTooLarge(ValueError):
+    """The interlacing lattice asked for has more edges than get_lattice builds."""
+
+
+# Largest edge count get_lattice builds: 5.8 times the 2.76M edges of rows 3,
+# cap 32, the largest lattice the exact checks reach, admitting rows 3 up to
+# cap 44, rows 4 up to cap 25 and rows 5 up to cap 18.  The build peaks near
+# 80 bytes per edge and the finished lattice keeps three intp arrays (24 bytes
+# per edge), so the largest lattice allowed peaks near 1.3 GB and keeps
+# 0.4 GB.  A cap from minimal_row_cap's range up to 400 (rows 3, cap 400:
+# 6.0e12 edges) is refused at once.
+MAX_LATTICE_EDGES = 16_000_000
+
+
 _LATTICES: dict = {}
 
 
 def get_lattice(rows: int, cap: int) -> _Lattice:
-    if rows > 4:
-        raise ValueError("interlacing lattice supports at most 4 rows")
+    """The interlacing lattice on partitions with at most `rows` rows (any
+    number) and parts <= cap, cached per (rows, cap) in _LATTICES."""
     key = (rows, cap)
     lat = _LATTICES.get(key)
     if lat is not None:
         return lat
-    states = sorted(pt.partitions_in_box(rows, cap))
+    # an edge mu < lam is one non-increasing sequence lam_1 >= mu_1 >= lam_2
+    # >= ... >= mu_rows of length 2 rows with values in [0, cap]
+    n_edges = comb(cap + 2 * rows, 2 * rows)
+    if n_edges > MAX_LATTICE_EDGES:
+        raise LatticeTooLarge(
+            f"interlacing lattice with {rows} rows and row cap {cap} has "
+            f"{n_edges} edges, above the limit of {MAX_LATTICE_EDGES}"
+        )
+    parts = _kernels.box_partitions(rows, cap)
+    states = [pt.strip_zeros(tuple(lam)) for lam in parts.tolist()]
     index = {lam: i for i, lam in enumerate(states)}
-    parts = np.zeros((len(states), 4), dtype=np.int64)
-    for i, lam in enumerate(states):
-        parts[i, : len(lam)] = lam
-    base = cap + 1
-    id2idx = np.full(base**rows, -1, dtype=np.int32)
-    for i in range(len(states)):
-        mid = 0
-        for r in range(rows):
-            mid = mid * base + parts[i, r]
-        id2idx[mid] = i
-    mu_idx, lam_idx, delta, pcode, qcode, colinc = _kernels.build_interlacing_edges(
-        parts, rows, cap, id2idx
-    )
+    (mu_idx, lam_idx, colinc, edge_class, class_delta,
+     (class_pkey, pfactors), (class_qkey, qfactors)) = _kernels.build_interlacing_edges(parts)
     order = np.argsort(colinc, kind="stable")
     split = int(np.searchsorted(colinc[order], 1))
+    # reorder one array at a time, so that at most one extra copy is alive
+    mu_idx = mu_idx[order]
+    lam_idx = lam_idx[order]
+    edge_class = edge_class[order]
     lat = _Lattice(
         rows=rows,
         cap=cap,
         states=states,
         index=index,
-        mu_idx=mu_idx[order],
-        lam_idx=lam_idx[order],
-        delta=delta[order],
-        pcode=pcode[order],
-        qcode=qcode[order],
+        mu_idx=mu_idx,
+        lam_idx=lam_idx,
+        edge_class=edge_class,
+        class_delta=class_delta,
+        class_pkey=class_pkey,
+        class_qkey=class_qkey,
+        pfactors=pfactors,
+        qfactors=qfactors,
         split=split,
     )
     _LATTICES[key] = lat

@@ -65,7 +65,7 @@ def _row_weight(i_edge, j_edge, bottom_occ, top_occ, spectral, t, kind):
 
 
 def _occupancies(lam, L):
-    lam = pt.as_partition(lam)
+    """Site occupancies m_1..m_L of a partition already in canonical form."""
     if lam and lam[0] > L:
         raise ValueError(f"L = {L} smaller than largest part of {lam}")
     occ = [0] * L
@@ -141,7 +141,7 @@ def occ_index(occ, n_occ: int) -> int:
 
 
 def partition_occ_index(lam, L: int, n_occ: int) -> int:
-    occ = _occupancies(lam, L)
+    occ = _occupancies(pt.as_partition(lam), L)
     if max(occ) > n_occ:
         raise ValueError("occupancy exceeds basis bound")
     return occ_index(occ, n_occ)

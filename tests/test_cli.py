@@ -1,4 +1,6 @@
 import json
+import time
+from math import comb
 
 import pytest
 
@@ -57,6 +59,17 @@ def test_hl_support_distribution(capsys):
     payload = json.loads(out)
     probs = {row["key"]: row["prob"] for row in payload["outcomes"]}
     assert probs["[]/[]"] == pytest.approx(0.8, abs=1e-10)
+
+
+def test_hl_unbuildable_row_cap_exits_2_fast(capsys):
+    t0 = time.perf_counter()
+    code, _, err = run(
+        capsys, "hl", "support", "--t", "0.3", "--a", "0.3,0.3,0.3",
+        "--b", "0.3,0.3,0.3", "--row-cap", "400",
+    )
+    assert code == 2
+    assert f"has {comb(406, 6)} edges" in err
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_seed_determinism_byte_identical(capsys):

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,37 @@ def test_first_column_distribution_consistency():
         brute[key] = brute.get(key, 0.0) + p
     for key in set(brute) | set(cols.outcomes):
         assert cols[key] == pytest.approx(brute.get(key, 0.0), abs=1e-11)
+
+
+@pytest.mark.parametrize("rows,cap", [(1, 6), (2, 6), (3, 6), (4, 3), (5, 3)])
+def test_lattice_matches_interlacing_oracle(rows, cap):
+    lat = hl.get_lattice(rows, cap)
+    box = list(pt.partitions_in_box(rows, cap))
+    assert sorted(lat.states) == sorted(box)
+    expected = {(mu, lam) for lam in box for mu in box if pt.interlaces(lam, mu)}
+    edges = [(lat.states[m], lat.states[l]) for m, l in zip(lat.mu_idx, lat.lam_idx)]
+    # lam_1 >= mu_1 >= ... >= mu_rows is one non-increasing sequence in [0, cap]
+    assert len(edges) == len(expected) == comb(cap + 2 * rows, 2 * rows)
+    assert set(edges) == expected
+    for k, (mu, lam) in enumerate(edges):
+        assert pt.num_rows(lam) - pt.num_rows(mu) == (0 if k < lat.split else 1)
+    a, t = 0.37, 0.3
+    for i, src in enumerate(lat.states):
+        unit = np.zeros(len(lat.states))
+        unit[i] = 1.0
+        up = lat.apply(unit, "+", a, t)
+        down = lat.apply(unit, "-", a, t)
+        for j, dst in enumerate(lat.states):
+            p = pt.skew_p_one(dst, src, a, t)
+            q = pt.skew_q_one(src, dst, a, t)
+            assert abs(up[j] - p) <= 1e-15 * abs(p)
+            assert abs(down[j] - q) <= 1e-15 * abs(q)
+
+
+def test_lattice_too_large_fails_before_building():
+    with pytest.raises(hl.LatticeTooLarge, match=str(comb(406, 6))):
+        hl.get_lattice(3, 400)
+    assert (3, 400) not in hl._LATTICES
 
 
 def test_row_bound_invariant():
