@@ -1,4 +1,5 @@
-"""Time each hot kernel and the RSK ensemble on a fixed desk-scale input.
+"""Time each hot kernel, the Monte Carlo ensembles and the outcome counter on
+fixed desk-scale inputs.
 
 Run:  PYTHONPATH=src python benchmarks/bench_kernels.py
 """
@@ -10,6 +11,7 @@ import numpy as np
 from hlsixv import _kernels
 from hlsixv import hl_process as hl
 from hlsixv import rsk
+from hlsixv import verify as vf
 
 
 def timeit(fn, *args, repeat=3):
@@ -44,6 +46,11 @@ def bench_rsk():
                   1), "20k runs"
 
 
+def bench_rsk_top():
+    return timeit(rsk.rsk_top_level_ensemble, [1.0, 0.8], 0.5, 0.6, 100000,
+                  1), "100k runs"
+
+
 def bench_halfcont():
     rates = np.array([1.0, 0.8, 0.6])
     taus = np.array([0.5, 1.0, 1.6])
@@ -59,13 +66,22 @@ def bench_sixv():
                   1), "20k samples"
 
 
+def bench_counts():
+    # first columns of the rsk_first_column_ensemble input, as verify counts them
+    arr = rsk.rsk_first_column_ensemble([1.0, 0.8, 0.6], 0.5, [0.5, 1.0, 1.6],
+                                        20000, 1)
+    return timeit(vf._vector_counts, arr), "20k x 9"
+
+
 BENCHES = [
     ("build_interlacing_edges", lambda: bench_edges(3, 20)),
     ("build_interlacing_edges", lambda: bench_edges(4, 12)),
     ("scatter_accumulate", bench_scatter),
     ("rsk_first_column_ensemble", bench_rsk),
+    ("rsk_top_level_ensemble", bench_rsk_top),
     ("half_continuous_grid_ensemble", bench_halfcont),
     ("six_vertex_tcode_counts", bench_sixv),
+    ("verify._vector_counts", bench_counts),
 ]
 
 

@@ -8,8 +8,12 @@ ranges and sorts the edges into classes of equal |lam| - |mu| and equal skew
 Hall-Littlewood factors, each factor given by the multiset of its (1 - t^e)
 exponents; hl_process turns the classes into edge weights for given x and t.
 
-The samplers draw from `np.random.RandomState(seed)` in a fixed order, so a
-seed fixes their output.
+The Monte Carlo samplers step blocks of ENSEMBLE_BLOCK runs together with
+numpy: the half-continuous ensemble and the RSK ensembles of rsk through
+_lockstep_ensemble, one clock event per step across the runs of a block, and
+the six vertex sampler one vertex at a time across the samples of a block.
+The half-continuous sampler is uniformized.  Each sampler draws from
+`np.random.RandomState(seed)` in a fixed order, so a seed fixes its output.
 """
 
 from __future__ import annotations
@@ -23,93 +27,121 @@ def scatter_accumulate(src, dst, data, vec_in, vec_out):
     np.add.at(vec_out, dst, vec_in[src] * data)
 
 
-def half_continuous_grid_ensemble(brates, t, taus, n_runs, seed):
-    """Heights h(tau, y) = #occupied rows among 1..y, per run and grid point."""
+# Runs of a Monte Carlo ensemble are stepped together in blocks of this many,
+# which bounds the temporaries whatever the number of runs.
+ENSEMBLE_BLOCK = 4096
+
+
+def _lockstep_ensemble(total_rate, taus, n_runs, seed, start, observe, step):
+    """Records of n_runs runs of a process driven by one clock of constant
+    rate, at the sorted times taus: an int32 array [n_runs, len(taus), ...].
+
+    start(runs) gives the initial state of a block of runs (first axis runs),
+    observe(state) the record of each run, and step(state, rs) applies one
+    event to every run of state, drawing from rs.  The runs of a block step in
+    lockstep.  Each step draws the waiting times of the block's live runs at
+    once, records every tau a run passes, drops the runs whose next event
+    falls past the last tau and steps the others.
+    """
     rs = np.random.RandomState(seed)
-    n_rows = brates.shape[0]
-    n_taus = taus.shape[0]
-    out = np.zeros((n_runs, n_taus, n_rows), dtype=np.int32)
-    for run in range(n_runs):
-        occ = [True] * n_rows
-        time = 0.0
-        ptr = 0
-        while ptr < n_taus:
-            total = sum(brates[y] for y in range(n_rows) if occ[y])
-            nxt = time + rs.exponential(1.0 / total) if total > 0.0 else np.inf
-            while ptr < n_taus and taus[ptr] < nxt:
-                h = 0
-                for y in range(n_rows):
-                    if occ[y]:
-                        h += 1
-                    out[run, ptr, y] = h
-                ptr += 1
-            if ptr >= n_taus:
-                break
-            u = rs.random_sample() * total
-            acc = 0.0
-            row = 0
-            for y in range(n_rows):
-                if occ[y]:
-                    acc += brates[y]
-                    if acc >= u:
-                        row = y
-                        break
-            occ[row] = False
-            z = row + 1
-            while z < n_rows:
-                if occ[z]:
-                    z += 1  # crossing, probability 1
-                elif rs.random_sample() < 1.0 - t:
-                    occ[z] = True
-                    break
-                else:
-                    z += 1
-            time = nxt
+    record_shape = observe(start(0)).shape[1:]
+    out = np.zeros((n_runs, len(taus)) + record_shape, dtype=np.int32)
+    for first in range(0, n_runs, ENSEMBLE_BLOCK):
+        ids = np.arange(first, min(first + ENSEMBLE_BLOCK, n_runs))
+        state = start(len(ids))
+        time = np.zeros(len(ids))
+        passed = np.zeros(len(ids), dtype=np.intp)  # taus recorded so far
+        while len(ids):
+            nxt = time + rs.exponential(1.0 / total_rate, size=len(ids))
+            now = np.searchsorted(taus, nxt)  # the taus before the next event
+            seen = observe(state)
+            for p in range(passed.min(), now.max()):
+                hit = (passed <= p) & (p < now)
+                out[ids[hit], p] = seen[hit]
+            live = now < len(taus)
+            ids, state, time, passed = ids[live], state[live], nxt[live], now[live]
+            if len(ids):
+                step(state, rs)
     return out
 
 
+def half_continuous_grid_ensemble(brates, t, taus, n_runs, seed):
+    """Heights h(tau, y) = #occupied rows among 1..y, per run and grid point.
+
+    Rows start occupied.  The sampler is uniformized (Jensen 1953): one clock
+    of rate sum_y b_y rings row y with probability b_y / sum_y b_y, and a ring
+    on an empty row does nothing, which keeps the law of the process with
+    rate b_y on each occupied row.  A ring on an occupied row empties it and
+    sends an excursion up the rows: it crosses occupied rows and stops on an
+    empty row with probability 1 - t, filling it.  Per lockstep step of
+    _lockstep_ensemble the waiting times are followed by one uniform per
+    stepping run for the row, then a [runs, rows] matrix of uniforms whose
+    entry (run, z) is the coin of the excursion at an empty row z.
+    """
+    n_rows = brates.shape[0]
+    cum = np.cumsum(brates)
+    total = float(cum[-1])
+
+    def start(runs):
+        return np.ones((runs, n_rows), dtype=bool)
+
+    def observe(occ):
+        return np.cumsum(occ, axis=1)
+
+    def step(occ, rs):
+        runs = np.arange(len(occ))
+        row = np.minimum(np.searchsorted(cum, rs.random_sample(len(occ)) * total),
+                         n_rows - 1)
+        coins = rs.random_sample(occ.shape)
+        climbing = occ[runs, row]
+        occ[runs, row] = False
+        for z in range(1, n_rows):
+            stop = climbing & (row < z) & ~occ[:, z] & (coins[:, z] < 1.0 - t)
+            occ[stop, z] = True
+            climbing &= ~stop
+
+    return _lockstep_ensemble(total, taus, n_runs, seed, start, observe, step)
+
+
 def six_vertex_tcode_counts(a, b, t, heights, n_samples, seed):
-    """Counts of outgoing-edge occupancy codes (bit i = cut edge i occupied)."""
+    """Counts of outgoing-edge occupancy codes (bit i = cut edge i occupied).
+
+    Samples are drawn in blocks of ENSEMBLE_BLOCK.  Within a block the
+    vertices are visited column by column, bottom to top, and each vertex
+    draws one uniform per sample of the block, used only where exactly one
+    path enters it.
+    """
     rs = np.random.RandomState(seed)
     m_cols = a.shape[0]
     n_rows = b.shape[0]
-    counts = np.zeros(1 << (m_cols + n_rows), dtype=np.int64)
-    for _ in range(n_samples):
-        hbits = [False] + [True] * n_rows
-        code = 0
+    codes = np.empty(n_samples, dtype=np.int64)
+    for first in range(0, n_samples, ENSEMBLE_BLOCK):
+        size = min(ENSEMBLE_BLOCK, n_samples - first)
+        hbits = np.ones((n_rows + 1, size), dtype=bool)  # row 0 is never entered
+        code = np.zeros(size, dtype=np.int64)
         pos = 0
         for x in range(m_cols):
             hx = heights[x]
-            v = False
+            v = np.zeros(size, dtype=bool)
             for y in range(1, hx + 1):
                 ab = a[x] * b[y - 1]
                 in_h = hbits[y]
-                if in_h and v:
-                    out_h, out_v = True, True
-                elif not in_h and not v:
-                    out_h, out_v = False, False
-                elif in_h:
-                    if rs.random_sample() < (1.0 - ab) / (1.0 - t * ab):
-                        out_h, out_v = True, False
-                    else:
-                        out_h, out_v = False, True
-                else:
-                    if rs.random_sample() < t * (1.0 - ab) / (1.0 - t * ab):
-                        out_h, out_v = False, True
-                    else:
-                        out_h, out_v = True, False
+                # one path in: a horizontal one goes on right with probability
+                # (1 - ab)/(1 - t ab), a vertical one goes on up with t times that
+                keep = rs.random_sample(size) < np.where(
+                    in_h, (1.0 - ab) / (1.0 - t * ab), t * (1.0 - ab) / (1.0 - t * ab)
+                )
+                out_h = np.where(in_h, v | keep, v & ~keep)
+                v = in_h ^ v ^ out_h  # paths are conserved
                 hbits[y] = out_h
-                v = out_v
-            if v:
-                code |= 1 << pos
+            code |= v.astype(np.int64) << pos
             pos += 1
             hnext = heights[x + 1] if x + 1 < m_cols else 0
             for y in range(hx, hnext, -1):
-                if hbits[y]:
-                    code |= 1 << pos
+                code |= hbits[y].astype(np.int64) << pos
                 pos += 1
-        counts[code] += 1
-    return counts
+        codes[first:first + size] = code
+    return np.bincount(codes, minlength=1 << (m_cols + n_rows))
 
 
 def _repeat_ranges(counts):

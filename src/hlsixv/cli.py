@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau", type=float, default=0.6)
     sp.add_argument("--level-n", dest="level_n", type=int, default=2)
     sp.add_argument("--K", type=int, default=64)
-    sp.add_argument("--samples", type=int, default=20000)
+    sp.add_argument("--samples", type=int, default=100000)
     common(sp)
     sp.set_defaults(func=_cmd_verify)
 

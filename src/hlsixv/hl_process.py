@@ -178,12 +178,10 @@ class _Lattice:
             return slice(0, len(self.mu_idx))
         return slice(0, self.split) if colinc == 0 else slice(self.split, len(self.mu_idx))
 
-    def apply(self, vec, kind, param, t, colinc=None, backward=False):
-        """One process step: kind '+' moves mass up the lattice, '-' down.
-
-        colinc restricts to transitions whose first-column increment matches;
-        backward applies the transpose (for backward mass tables).
-        """
+    def _step_edges(self, kind, param, t, colinc=None):
+        """(src, dst, weight) per edge of one step: kind '+' goes up the
+        lattice, '-' down; colinc keeps the edges of that first-column
+        increment."""
         sl = self._slice(colinc)
         powtab = float(param) ** np.arange(self.cap + 1, dtype=np.float64)
         if kind == "+":
@@ -192,7 +190,15 @@ class _Lattice:
         else:
             factor = _factor_table(self.qfactors, t)[self.class_qkey]
             src, dst = self.lam_idx[sl], self.mu_idx[sl]
-        data = (powtab[self.class_delta] * factor)[self.edge_class[sl]]
+        return src, dst, (powtab[self.class_delta] * factor)[self.edge_class[sl]]
+
+    def apply(self, vec, kind, param, t, colinc=None, backward=False):
+        """One process step: kind '+' moves mass up the lattice, '-' down.
+
+        colinc restricts to transitions whose first-column increment matches;
+        backward applies the transpose (for backward mass tables).
+        """
+        src, dst, data = self._step_edges(kind, param, t, colinc)
         if backward:
             src, dst = dst, src
         out = np.zeros_like(vec)
@@ -345,6 +351,25 @@ def _interlacing_below(lam, max_rows):
     yield from rec(0, [])
 
 
+def _count_sequences(spec: HLProcessSpec, row_cap: int) -> int:
+    """How many sequences _enumerate_sequences yields: the paths of nonzero
+    weight through the interlacing lattice from the empty partition back to
+    it that keep the row bounds.  Counted on the lattice, so a row cap whose
+    lattice cannot be built raises LatticeTooLarge at once."""
+    lat = get_lattice(min(spec.M, spec.N), row_cap)
+    n_rows = np.array([len(lam) for lam in lat.states])
+    empty = lat.index[pt.EMPTY]
+    paths = np.zeros(len(lat.states))
+    paths[empty] = 1.0
+    n = spec.M + spec.N
+    for i, (kind, param) in enumerate(spec.steps()):
+        src, dst, weight = lat._step_edges(kind, param, spec.t)
+        paths = np.bincount(dst, weights=paths[src] * (weight != 0.0),
+                            minlength=len(paths))
+        paths[n_rows > (_row_bound(spec, i + 1) if i + 1 < n else 0)] = 0.0
+    return int(paths[empty])
+
+
 def exact_sequence_distribution(spec: HLProcessSpec, row_cap: int,
                                 max_sequences: int = 2_000_000) -> DiscreteDistribution:
     """Enumerate all sequences with parts <= row_cap; normalize by enumerated mass.
@@ -352,19 +377,22 @@ def exact_sequence_distribution(spec: HLProcessSpec, row_cap: int,
     The deficit of the enumerated mass against Pi^S is reported as
     mass_deficit; the caller's row_cap must keep it below ~1e-12 relative.
     This is the exponential reference enumerator; the support/marginal laws
-    go through the lattice DP instead.
+    go through the lattice DP instead.  The sequences are counted on the
+    lattice first, and more than max_sequences of them raise ValueError
+    before any is enumerated.
     """
+    count = _count_sequences(spec, row_cap)
+    if count > max_sequences:
+        raise ValueError(
+            f"{count} sequences, more than {max_sequences}; use the DP-backed "
+            "laws or lower row_cap"
+        )
     pi = normalization_pi(spec)
     outcomes: dict = {}
     total = 0.0
     for seq, w in _enumerate_sequences(spec, row_cap):
         outcomes[seq] = outcomes.get(seq, 0.0) + w
         total += w
-        if len(outcomes) > max_sequences:
-            raise ValueError(
-                f"more than {max_sequences} sequences; use the DP-backed laws "
-                "or lower row_cap"
-            )
     if total <= 0:
         raise TruncationError("no admissible sequences under row_cap")
     deficit = 1.0 - total / pi

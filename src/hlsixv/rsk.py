@@ -22,18 +22,20 @@ removes the next element above (the new removed element continues the scan).
 Both dynamics, driven by the same uniforms, produce identical trajectories
 under the bijection col_{j}(level m) = col_j(level m-1) + 1{j-1 not in V_m}.
 
-All steppers draw lazily from a `uniform()` callable (one draw per random
-branch); coupled runs share draws per event.
+The single-trajectory steppers draw lazily from a `uniform()` callable (one
+draw per random branch); coupled runs share draws per event.  The ensembles
+step blocks of runs in lockstep with numpy and draw in batches: per event a
+row of coins for each run, read in the order `_apply_signal_inplace` would
+draw them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import partitions as pt
+from . import _kernels, partitions as pt
 
 
 # ---------------------------------------------------------------------------
@@ -248,35 +250,99 @@ def run_rsk(rates, t: float, tau_max: float, seed: int, snapshot_times=(),
     return out
 
 
+def _first_free_values(upper, lower, lo):
+    """_first_free_value for a block of runs: upper [runs, m] and lower
+    [runs, m-1] hold two neighbouring levels per run, unused slots negative,
+    and lo [runs] the per-run start.  Every run jumps from row value to row
+    value as in the reference, so the loop takes at most 2m - 1 passes."""
+    vals = np.concatenate([upper, lower], axis=1)
+    sign = np.where(np.arange(vals.shape[1]) < upper.shape[1], 1, -1)
+    v = lo
+    while True:
+        above = vals > v[:, None]
+        busy = above @ sign != 0
+        if not busy.any():
+            return v
+        nxt = np.where(above, vals, np.iinfo(vals.dtype).max).min(axis=1)
+        v = np.where(busy, nxt, v)
+
+
+def _apply_signal_batch(L, k, t, U):
+    """_apply_signal_inplace on a block of runs at once.
+
+    L [runs, n, n] holds level m of run r in L[r, m-1, :m] and -1 in the
+    other slots.  Run r gets a signal at level k[r] and reads its coins from
+    the row U[r] in order, one per level whose move is not forced.  The tests,
+    the free-value scan, the R formula and the push target are those of the
+    reference, applied level by level across the runs.
+    """
+    runs, n = L.shape[0], L.shape[1]
+    run_ids = np.arange(runs)
+    coin = np.zeros(runs, dtype=np.intp)
+    ival = np.zeros(runs, dtype=L.dtype)
+    for m in range(int(k.min()), n + 1):
+        upper = L[:, m - 1, :m]
+        lower = L[:, m - 2, :m - 1] if m > 1 else L[:, 0, :0]
+        begin = k == m
+        # the level below already moved a row from ival to ival+1, so its
+        # pre-event column ival+1 is one less than the current count
+        col_up = (upper > ival[:, None]).sum(axis=1)
+        col_low = (lower > ival[:, None]).sum(axis=1)
+        draws = (k < m) & (col_up != col_low - 1)
+        e_rows = (upper == ival[:, None]).sum(axis=1)
+        tie = (ival >= 1) & ((upper >= ival[:, None]).sum(axis=1)
+                             == (lower >= ival[:, None]).sum(axis=1))
+        r_prob = np.where(tie, (1.0 - t) / (1.0 - t ** (e_rows + 1)), 1.0 - t)
+        push = draws & (U[run_ids, coin] < r_prob)
+        coin += draws
+        w = ival.copy()
+        # the push search starts at ival+1, where the row of level m-1 that
+        # moved from ival to ival+1 counts as it did before
+        search = np.flatnonzero(begin | push)
+        w[search] = _first_free_values(
+            upper[search], lower[search], np.where(begin[search], 0, ival[search] + 1)
+        )
+        moving = np.flatnonzero(k <= m)
+        first_row = np.argmax(upper[moving] == w[moving, None], axis=1)
+        L[moving, m - 1, first_row] += 1
+        ival = w
+
+
+def _rsk_ensemble(rates, t, taus, n_runs, seed, observe):
+    """Records observe(L) of RSK runs from the empty array at the sorted taus.
+
+    Runs step in lockstep (`_kernels._lockstep_ensemble`).  After the waiting
+    times, each step draws one level uniform per stepping run, then a [runs,
+    levels] matrix of coins, row r feeding run r's event.
+    """
+    rates = [float(c) for c in rates]
+    n = len(rates)
+    total = float(np.sum(rates))
+    cum = np.cumsum(rates)
+    empty = np.where(np.tri(n, dtype=bool), 0, -1)
+
+    def start(runs):
+        return np.repeat(empty[None], runs, axis=0)
+
+    def step(L, rs):
+        k = np.minimum(1 + np.searchsorted(cum, rs.random_sample(len(L)) * total), n)
+        _apply_signal_batch(L, k, t, rs.random_sample((len(L), n)))
+
+    return _kernels._lockstep_ensemble(
+        total, np.asarray(taus, dtype=float), n_runs, seed, start, observe, step
+    )
+
+
 def rsk_first_column_ensemble(rates, t, taus, n_runs, seed) -> np.ndarray:
     """Ensemble of first-column vectors: [runs, taus, levels] (int32).
 
-    Each run steps the reference rule from the empty array.  All runs share
-    one RandomState(seed) stream; per event it draws the waiting time, the
-    level and then the rule's coins, in the order of `_apply_signal_inplace`.
+    Runs start from the empty array and step the event rule in its batched
+    form `_apply_signal_batch`, a block of `_kernels.ENSEMBLE_BLOCK` runs at
+    a time, drawing from RandomState(seed) as `_rsk_ensemble` describes.
     """
-    rates = [float(c) for c in rates]
     taus = sorted(float(x) for x in taus)
-    n = len(rates)
-    rs = np.random.RandomState(seed)
-    total = float(np.sum(rates))
-    cum = np.cumsum(rates).tolist()
-    out = np.zeros((n_runs, len(taus), n), dtype=np.int32)
-    for run in range(n_runs):
-        levels = [[0] * k for k in range(1, n + 1)]
-        time = 0.0
-        ptr = 0
-        while ptr < len(taus):
-            nxt = time + rs.exponential(1.0 / total)
-            while ptr < len(taus) and taus[ptr] < nxt:
-                out[run, ptr] = [sum(1 for v in lv if v > 0) for lv in levels]
-                ptr += 1
-            if ptr == len(taus):
-                break
-            k = min(1 + bisect_left(cum, rs.random_sample() * total), n)
-            _apply_signal_inplace(levels, n, k, t, rs.random_sample)
-            time = nxt
-    return out
+    return _rsk_ensemble(rates, t, taus, n_runs, seed,
+                         lambda L: (L > 0).sum(axis=2))
 
 
 def rsk_top_level_ensemble(rates, t, tau, n_runs, seed) -> np.ndarray:
@@ -284,25 +350,8 @@ def rsk_top_level_ensemble(rates, t, tau, n_runs, seed) -> np.ndarray:
 
     Same stepping and stream as `rsk_first_column_ensemble`.
     """
-    rates = [float(c) for c in rates]
-    tau = float(tau)
-    n = len(rates)
-    rs = np.random.RandomState(seed)
-    total = float(np.sum(rates))
-    cum = np.cumsum(rates).tolist()
-    out = np.zeros((n_runs, n), dtype=np.int32)
-    for run in range(n_runs):
-        levels = [[0] * k for k in range(1, n + 1)]
-        time = 0.0
-        while True:
-            dt = rs.exponential(1.0 / total)
-            if time + dt >= tau:
-                break
-            k = min(1 + bisect_left(cum, rs.random_sample() * total), n)
-            _apply_signal_inplace(levels, n, k, t, rs.random_sample)
-            time += dt
-        out[run] = levels[-1]
-    return out
+    out = _rsk_ensemble(rates, t, [float(tau)], n_runs, seed, lambda L: L[:, -1])
+    return out[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -455,7 +455,8 @@ def sample_half_continuous(
 def half_continuous_height_ensemble(
     t: float, rates, query_times, n_runs: int, seed: int
 ) -> np.ndarray:
-    """Independent runs of sample_half_continuous: [n_runs, n_times, n_rows]."""
+    """Independent runs of sample_half_continuous: [n_runs, n_times, n_rows],
+    the times in increasing order."""
     rates = np.asarray([float(r) for r in rates])
-    taus = np.asarray([float(q) for q in query_times])
+    taus = np.asarray(sorted(float(q) for q in query_times))
     return _kernels.half_continuous_grid_ensemble(rates, t, taus, n_runs, seed)

@@ -72,6 +72,18 @@ def test_hl_unbuildable_row_cap_exits_2_fast(capsys):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_hl_exact_unbuildable_row_cap_exits_2_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(
+        capsys, "hl", "exact", "--t", "0.3", "--a", "0.3,0.3,0.3",
+        "--b", "0.3,0.3,0.3", "--row-cap", "400",
+    )
+    assert code == 2
+    assert out == ""
+    assert f"has {comb(406, 6)} edges" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_seed_determinism_byte_identical(capsys):
     args = ("hl", "sample", "--t", "0.3", "--a", "0.4,0.3", "--b", "0.4,0.3",
             "--samples", "5", "--seed", "11")

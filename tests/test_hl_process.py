@@ -68,6 +68,27 @@ def test_exact_sequence_point_mass_at_small_a():
     assert dist[((),)] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_sequence_count_matches_enumeration():
+    for M in (1, 2):
+        for N in (1, 2):
+            for S in pt.enumerate_sign_class(M, N, +1):
+                for a in ((0.4, 0.3)[:M], (0.0, 0.3)[:M]):
+                    spec = hl.HLProcessSpec(t=0.35, a=a, b=(0.45, 0.3)[:N], S=S)
+                    for cap in (3, 8):
+                        n = sum(1 for _ in hl._enumerate_sequences(spec, cap))
+                        assert hl._count_sequences(spec, cap) == n
+
+
+def test_exact_sequence_distribution_refuses_before_enumerating():
+    spec = hl.HLProcessSpec(t=0.3, a=(0.3, 0.3), b=(0.3, 0.3), S="++--")
+    assert hl._count_sequences(spec, 40) == 259161
+    with pytest.raises(ValueError, match="259161 sequences, more than 1000"):
+        hl.exact_sequence_distribution(spec, 40, max_sequences=1000)
+    spec3 = hl.HLProcessSpec(t=0.3, a=(0.3,) * 3, b=(0.3,) * 3, S="+++---")
+    with pytest.raises(hl.LatticeTooLarge):
+        hl.exact_sequence_distribution(spec3, 400)
+
+
 def two_variable_hl_p(lam, x1, x2, t):
     """Explicit 2-variable Hall-Littlewood P for at most 2 rows."""
     l1, l2 = (lam + (0, 0))[:2]

@@ -183,43 +183,56 @@ def test_pushtasep_matches_set_zero_marginal():
         assert zero_marginal == push.occupied
 
 
-def test_kernel_matches_reference_stepper():
-    """The ensemble and the public reference stepper share the algorithm and
-    the uniform stream, so trajectories coincide bit for bit."""
-    rates = np.array([1.0, 0.7, 0.4])
-    t, seed = 0.42, 99
-    taus = np.array([0.4, 0.9, 1.7])
-    out = rsk.rsk_first_column_ensemble(rates, t, taus, 5, seed)
+def _packed(arrays):
+    """Runs of PartitionArray as the [runs, n, n] block of the ensembles."""
+    n = arrays[0].n_max
+    L = np.full((len(arrays), n, n), -1, dtype=np.int64)
+    for r, arr in enumerate(arrays):
+        for m, lv in enumerate(arr.levels):
+            L[r, m, : m + 1] = lv
+    return L
 
-    rs = np.random.RandomState(seed)
-    total = rates.sum()
-    cum = np.cumsum(rates)
-    for run in range(5):
-        arr = rsk.PartitionArray(3)
-        time, ptr = 0.0, 0
-        while ptr < len(taus):
-            nxt = time + rs.exponential(1.0 / total)
-            while ptr < len(taus) and taus[ptr] < nxt:
-                assert tuple(out[run, ptr]) == arr.first_columns()
-                ptr += 1
-            if ptr >= len(taus):
-                break
-            u = rs.random_sample() * total
-            k = 1
-            while cum[k - 1] < u and k < 3:
-                k += 1
-            arr = rsk.rsk_apply_signal(arr, k, t, rs.random_sample)
-            time = nxt
+
+_coins = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=6, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.floats(0.0, 0.95),
+    st.lists(
+        st.tuples(st.lists(st.tuples(st.integers(1, 6), _coins), max_size=30),
+                  st.integers(1, 6), _coins),
+        min_size=1, max_size=8,
+    ),
+)
+def test_batch_step_matches_reference_stepper(n, t, runs):
+    """Each run of the batched event step equals the reference stepper fed
+    the run's coin row, from random arrays built by the reference."""
+    arrays = []
+    for history, _, _ in runs:
+        arr = rsk.PartitionArray(n)
+        for k, buf in history:
+            rsk._apply_signal_inplace(arr.levels, n, min(k, n), t, iter(buf).__next__)
+        arrays.append(arr)
+    L = _packed(arrays)
+    k = np.array([min(level, n) for _, level, _ in runs])
+    U = np.array([coins[:n] for _, _, coins in runs])
+    rsk._apply_signal_batch(L, k, t, U)
+    for r, arr in enumerate(arrays):
+        rsk._apply_signal_inplace(arr.levels, n, int(k[r]), t, iter(U[r]).__next__)
+        arr.validate()
+    assert np.array_equal(L, _packed(arrays))
 
 
 def test_seeded_ensemble_streams_are_pinned():
     rates, t = [1.0, 0.7, 0.4], 0.42
     cols = rsk.rsk_first_column_ensemble(rates, t, [0.4, 0.9, 1.7], 200, 99)
     assert cols.sum(axis=0).tolist() == [
-        [63, 110, 142], [118, 202, 250], [161, 288, 375]
+        [65, 107, 135], [123, 216, 260], [170, 297, 366]
     ]
     top = rsk.rsk_top_level_ensemble(rates, t, 1.7, 200, 99)
-    assert top.sum(axis=0).tolist() == [472, 185, 45]
+    assert top.sum(axis=0).tolist() == [488, 186, 32]
 
 
 @st.composite

@@ -254,6 +254,13 @@ def test_half_continuous_single_row_law():
     assert np.all((ens == 0) | (ens == 1))
 
 
+def test_half_continuous_ensemble_sorts_query_times():
+    args = (0.4, (1.0, 0.7))
+    h1 = sv.half_continuous_height_ensemble(*args, (2.0, 0.2), 500, seed=1)
+    h2 = sv.half_continuous_height_ensemble(*args, (0.2, 2.0), 500, seed=1)
+    assert np.array_equal(h1, h2)
+
+
 def test_half_continuous_monotone_and_deterministic():
     h1 = sv.sample_half_continuous(0.4, (1.0, 0.7, 0.5), 3.0, (0.5, 1.0, 2.5), seed=4)
     h2 = sv.sample_half_continuous(0.4, (1.0, 0.7, 0.5), 3.0, (0.5, 1.0, 2.5), seed=4)
@@ -263,3 +270,20 @@ def test_half_continuous_monotone_and_deterministic():
     assert np.all(np.diff(h1, axis=0) <= 0)
     with pytest.raises(ValueError):
         sv.sample_half_continuous(0.4, (1.0,), 1.0, (2.0,), seed=1)
+
+
+def test_seeded_sampler_streams_are_pinned():
+    ens = sv.half_continuous_height_ensemble(
+        0.4, (1.0, 0.7, 0.5), (0.5, 1.0, 2.5), 200, seed=99
+    )
+    assert ens.sum(axis=0).tolist() == [
+        [125, 268, 435], [81, 188, 327], [17, 75, 168]
+    ]
+    params = sv.SixVertexParams(t=0.35, a=(0.5, 0.35), b=(0.5, 0.4))
+    counts = sv.sample_outgoing_counts(
+        params, sv.JaggedDomain.rectangular(2, 2), 2000, seed=99
+    )
+    assert counts == {
+        (1, 1, -1, -1): 1133, (-1, 1, -1, 1): 356, (-1, 1, 1, -1): 199,
+        (1, -1, -1, 1): 167, (1, -1, 1, -1): 106, (-1, -1, 1, 1): 39,
+    }

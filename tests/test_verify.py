@@ -1,5 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hlsixv import verify as vf
 from hlsixv.distributions import DiscreteDistribution, tv_distance
@@ -111,3 +115,23 @@ def test_check_plancherel_small():
     )
     assert r.passed, r.details
     assert r.details["tv_2K"] < r.details["tv_K"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(
+        np.int64,
+        hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6)
+        | st.tuples(st.integers(0, 300), st.just(1)),
+        elements=st.integers(-4, 4) | st.integers(-2**62, 2**62),
+    )
+)
+def test_vector_counts_match_tuple_counter(arr):
+    flat = arr.reshape(len(arr), int(np.prod(arr.shape[1:])))
+    expected = Counter(tuple(int(v) for v in row) for row in flat)
+    counts = vf._vector_counts(arr)
+    assert counts == expected
+    assert list(counts) == list(expected)  # first appearance first
+    assert all(type(v) is int for key in counts for v in key)
+    stripped = vf._vector_counts(arr, key=lambda row: row[:1])
+    assert stripped == Counter(tuple(int(v) for v in row[:1]) for row in flat)
