@@ -1,5 +1,5 @@
-"""Time each hot kernel, the Monte Carlo ensembles and the outcome counter on
-fixed desk-scale inputs.
+"""Time each hot kernel, the Monte Carlo ensembles, the outcome counter and
+the two sides of the coupled RSK trajectory on fixed desk-scale inputs.
 
 Run:  PYTHONPATH=src python benchmarks/bench_kernels.py
 """
@@ -73,6 +73,21 @@ def bench_counts():
     return timeit(vf._vector_counts, arr), "20k x 9"
 
 
+def bench_coupled(stepper, start, events):
+    """Mean time per event of one side of a coupled trajectory of `events`
+    signals from `start` at six levels (criterion 8's seed and t)."""
+    rng = np.random.default_rng(108)
+    signals = [(int(rng.integers(1, 7)), list(rng.random(6)))
+               for _ in range(events)]
+
+    def run():
+        state = start
+        for k, buf in signals:
+            state = stepper(state, k, 0.38, iter(buf).__next__, record=[])
+
+    return timeit(run) / events, f"per event, {events} ev"
+
+
 BENCHES = [
     ("build_interlacing_edges", lambda: bench_edges(3, 20)),
     ("build_interlacing_edges", lambda: bench_edges(4, 12)),
@@ -82,7 +97,21 @@ BENCHES = [
     ("half_continuous_grid_ensemble", bench_halfcont),
     ("six_vertex_tcode_counts", bench_sixv),
     ("verify._vector_counts", bench_counts),
+    ("sets_apply_signal",
+     lambda: bench_coupled(rsk.sets_apply_signal, rsk.SetSystem(6), 1000)),
+    ("sets_apply_signal",
+     lambda: bench_coupled(rsk.sets_apply_signal, rsk.SetSystem(6), 10000)),
+    ("rsk_apply_signal",
+     lambda: bench_coupled(rsk.rsk_apply_signal, rsk.PartitionArray(6), 1000)),
+    ("rsk_apply_signal",
+     lambda: bench_coupled(rsk.rsk_apply_signal, rsk.PartitionArray(6), 10000)),
 ]
+
+
+def _fmt(seconds):
+    if seconds < 1e-3:
+        return f"{seconds*1e6:8.2f}us"
+    return f"{seconds*1e3:8.2f}ms"
 
 
 def main():
@@ -91,7 +120,7 @@ def main():
     print("-" * len(header))
     for name, bench in BENCHES:
         best, size = bench()
-        print(f"{name:34s} {size:20s} {best*1e3:8.2f}ms")
+        print(f"{name:34s} {size:20s} {_fmt(best)}")
 
 
 if __name__ == "__main__":

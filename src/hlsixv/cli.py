@@ -236,9 +236,9 @@ def _cmd_moments(args):
 def _cmd_rsk(args):
     rates = _floats(args.rates)
     seedv = split_seed(args.seed, f"rsk.{args.action}")
+    n_max = args.levels or len(rates)
     if args.action == "run":
         snaps = _floats(args.snapshots) if args.snapshots else (args.tmax,)
-        n_max = args.levels or len(rates)
         if args.format == "csv":
             events: list = []
             rsk.run_rsk(rates, args.t, args.tmax, seedv, snaps, n_max=n_max,
@@ -263,7 +263,7 @@ def _cmd_rsk(args):
             "events": rows,
             "occupied": [i + 1 for i, o in enumerate(state.occupied) if o],
         }
-    sets = rsk.run_sets(rates, args.t, args.tmax, seedv)
+    sets = rsk.run_sets(rates, args.t, args.tmax, seedv, n_max=n_max)
     return 0, {
         "complements": [sorted(c) for c in sets.complements],
         "first_columns": list(rsk.array_from_sets(sets).first_columns()),

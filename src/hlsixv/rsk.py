@@ -21,6 +21,13 @@ crossed unchanged, at levels missing i a coin of probability R inserts i and
 removes the next element above (the new removed element continues the scan).
 Both dynamics, driven by the same uniforms, produce identical trajectories
 under the bijection col_{j}(level m) = col_j(level m-1) + 1{j-1 not in V_m}.
+`SetSystem` stores the complement of V_m as a floor f = min V_m plus the
+sparse set of missing elements above f: the complement is [0, f) | extras.
+Removing f advances the floor through the extras, inserting an element below
+f lowers the floor and moves the gap into the extras.  The floors grow with
+the event count while the extras stay small (about 500 elements over six
+levels after 10^4 events), so the cost of an event, of a copy and of the
+bijection no longer grows with the number of events so far.
 
 The single-trajectory steppers draw lazily from a `uniform()` callable (one
 draw per random branch); coupled runs share draws per event.  The ensembles
@@ -116,9 +123,15 @@ def rsk_apply_signal(array: PartitionArray, k: int, t: float, uniform,
     When `record` is a list, (level, value) is appended for every row
     increment (the row of that value moved up by one).
     """
+    _check_level(k, array.n_max)
     out = array.copy()
     _apply_signal_inplace(out.levels, out.n_max, k, t, _as_uniform(uniform), record)
     return out
+
+
+def _check_level(k, n_max):
+    if not 1 <= k <= n_max:
+        raise ValueError(f"signal level {k} outside 1..{n_max}")
 
 
 def _as_uniform(u):
@@ -358,51 +371,68 @@ def rsk_top_level_ensemble(rates, t, tau, n_runs, seed) -> np.ndarray:
 # set-valued dynamics
 
 
-@dataclass
 class SetSystem:
-    """V_1..V_n as complements within Z>=0 (everything present initially)."""
+    """V_1..V_n as complements within Z>=0 (everything present initially).
 
-    n_max: int
-    complements: list = field(default_factory=list)
+    Level m is stored as its floor f = min V_m and the sparse set of
+    complement elements above f, so that the complement is [0, f) | extras.
+    """
 
-    def __post_init__(self):
-        if not self.complements:
-            self.complements = [set() for _ in range(self.n_max)]
-        else:
-            self.complements = [set(c) for c in self.complements]
+    def __init__(self, n_max: int, complements=None):
+        self.n_max = n_max
+        if not complements:
+            complements = [()] * n_max
+        if len(complements) != n_max:
+            raise ValueError("need one complement per level")
+        self._floors = []
+        self._extras = []
+        for comp in complements:
+            comp = set(map(int, comp))
+            if comp and min(comp) < 0:
+                raise ValueError("complements lie in Z>=0")
+            f = 0
+            while f in comp:
+                f += 1
+            self._floors.append(f)
+            self._extras.append({x for x in comp if x > f})
+
+    @classmethod
+    def _from_parts(cls, n_max, floors, extras) -> "SetSystem":
+        out = cls.__new__(cls)
+        out.n_max, out._floors, out._extras = n_max, floors, extras
+        return out
+
+    @property
+    def complements(self) -> list:
+        """The complement of each V_m as a plain set (a fresh copy)."""
+        return [set(range(f)) | e for f, e in zip(self._floors, self._extras)]
 
     def copy(self) -> "SetSystem":
-        return SetSystem(self.n_max, [set(c) for c in self.complements])
+        return SetSystem._from_parts(
+            self.n_max, list(self._floors), [set(e) for e in self._extras]
+        )
 
     def contains(self, level: int, x: int) -> bool:
-        return x >= 0 and x not in self.complements[level - 1]
+        return x >= self._floors[level - 1] and x not in self._extras[level - 1]
 
     def min_of(self, level: int) -> int:
-        v = 0
-        comp = self.complements[level - 1]
-        while v in comp:
-            v += 1
-        return v
+        return self._floors[level - 1]
 
     def h_count(self, r: int, m: int) -> int:
         """h^(r)(m) = #{l <= m : r in V_l}."""
         return sum(1 for l in range(1, m + 1) if self.contains(l, r))
 
-    def column_counts(self, m: int, j_max: int) -> list:
-        """col_j of the corresponding level-m partition, j = 1..j_max."""
-        cols = [0] * (j_max + 1)
-        for l in range(1, m + 1):
-            for j in range(1, j_max + 1):
-                if not self.contains(l, j - 1):
-                    cols[j] += 1
-        return cols[1:]
-
     def __eq__(self, other):
         return (
             isinstance(other, SetSystem)
             and self.n_max == other.n_max
-            and self.complements == other.complements
+            and self._floors == other._floors
+            and self._extras == other._extras
         )
+
+    def __repr__(self):
+        return (f"SetSystem(n_max={self.n_max}, floors={self._floors}, "
+                f"extras={self._extras})")
 
 
 def sets_apply_signal(sets: SetSystem, k: int, t: float, uniform,
@@ -413,67 +443,78 @@ def sets_apply_signal(sets: SetSystem, k: int, t: float, uniform,
     element removed there, or the incoming element when the level is crossed
     unchanged (mirroring the array-side row increments one for one).
     """
+    _check_level(k, sets.n_max)
     out = sets.copy()
     _sets_signal_inplace(out, k, t, _as_uniform(uniform), record)
     return out
 
 
 def _sets_signal_inplace(sets: SetSystem, k: int, t: float, uniform, record=None):
-    # rule 4b reads the pre-event counters; track this event's changes as
-    # deltas instead of snapshotting the whole state
-    changed: dict = {}
-
-    def pre_contains(level, x):
-        if x < 0:
-            return False
-        delta = changed.get(level)
-        if delta is not None:
-            removed, added = delta
-            if x == removed:
-                return True
-            if x == added:
-                return False
-        return x not in sets.complements[level - 1]
-
-    i = sets.min_of(k)
-    sets.complements[k - 1].add(i)
-    changed[k] = (i, None)
+    floors, extras = sets._floors, sets._extras
+    # each level changes at most once per event, losing removed[l] and
+    # gaining added[l]; rule 4b reads the pre-event sets through them
+    removed = [-1] * sets.n_max
+    added = [-1] * sets.n_max
+    i = floors[k - 1]
+    e = extras[k - 1]
+    f = i + 1
+    while f in e:
+        e.remove(f)
+        f += 1
+    floors[k - 1] = f
+    removed[k - 1] = i
     if record is not None:
         record.append((k, i))
-    for m in range(k + 1, sets.n_max + 1):
-        if sets.contains(m, i):
+    for m in range(k, sets.n_max):
+        f, e = floors[m], extras[m]
+        if i >= f and i not in e:
             if record is not None:
-                record.append((m, i))
+                record.append((m + 1, i))
             continue
-        if i >= 1 and sets.contains(m, i - 1):
-            d = sum(
-                1 for l in range(1, m + 1) if pre_contains(l, i)
-            ) - sum(
-                1 for l in range(1, m + 1) if pre_contains(l, i - 1)
-            )
+        j = i - 1
+        if j >= f and j not in e:
+            # d = h^(i)(m) - h^(i-1)(m) before the event
+            d = 0
+            for l in range(m + 1):
+                fl, el, rl, al = floors[l], extras[l], removed[l], added[l]
+                if i == rl or (i != al and i >= fl and i not in el):
+                    d += 1
+                if j == rl or (j != al and j >= fl and j not in el):
+                    d -= 1
             r_prob = (1.0 - t) / (1.0 - t ** (d + 1))
         else:
             r_prob = 1.0 - t
         if uniform() < r_prob:
-            comp = sets.complements[m - 1]
-            comp.discard(i)
-            v = i + 1
-            while not sets.contains(m, v):
-                v += 1
-            comp.add(v)
-            changed[m] = (v, i)
+            # insert i and remove the next element of V_m above it
+            if i < f:
+                # the floor drops to i; the gap up to the old floor and the
+                # old floor itself stay out of V_m
+                e.update(range(i + 1, f + 1))
+                floors[m] = i
+                v = f
+            else:
+                e.discard(i)
+                v = i + 1
+                while v in e:
+                    v += 1
+                e.add(v)
+            removed[m] = v
+            added[m] = i
             if record is not None:
-                record.append((m, v))
+                record.append((m + 1, v))
             i = v
         elif record is not None:
-            record.append((m, i))
+            record.append((m + 1, i))
 
 
 def run_sets(rates, t: float, tau_max: float, seed: int, n_max=None) -> SetSystem:
-    """Event-driven set dynamics to time tau_max."""
+    """Event-driven set dynamics to time tau_max; rates and n_max as in
+    `run_rsk`, with the same draws."""
     rates = [float(c) for c in rates]
     if n_max is None:
         n_max = len(rates)
+    if len(rates) != n_max or any(c <= 0 for c in rates):
+        raise ValueError("need one positive rate per tracked level")
     rng = np.random.default_rng(seed)
     total = sum(rates)
     cum = np.cumsum(rates)
@@ -493,44 +534,72 @@ def run_sets(rates, t: float, tau_max: float, seed: int, n_max=None) -> SetSyste
 # bijection between the two state spaces
 
 
+def _level_floor_extras(lv, prev):
+    """Floor and extras of the complement of V_m from levels m and m-1.
+
+    i is missing from V_m iff #{x in lv : x > i} != #{x in prev : x > i},
+    for i below the top row lv[0].  Both counts stay constant between
+    consecutive row values, so the complement is a union of such runs.
+    """
+    top = lv[0]
+    cuts = sorted({x for x in (*lv, *prev) if x < top} | {0})
+    floor = None
+    extras = set()
+    for lo, hi in zip(cuts, cuts[1:] + [top]):
+        if sum(1 for x in lv if x > lo) == sum(1 for x in prev if x > lo):
+            if floor is None:
+                floor = lo
+        elif floor is not None:
+            extras.update(range(lo, hi))
+    return (top if floor is None else floor), extras
+
+
 def sets_from_array(array: PartitionArray) -> SetSystem:
     """i in V_m  iff  #rows<=i of level m exceeds that of level m-1 by one."""
-    comps = []
+    floors, extras = [], []
     prev: list = []
-    for k in range(1, array.n_max + 1):
-        lv = array.level(k)
-        comp = set()
-        top = lv[0] if lv else 0
-        for i in range(0, top):
-            rows_le_m = sum(1 for x in lv if x <= i)
-            rows_le_p = sum(1 for x in prev if x <= i)
-            if rows_le_m - rows_le_p != 1:
-                comp.add(i)
-        comps.append(comp)
+    for lv in array.levels:
+        f, e = _level_floor_extras(lv, prev)
+        floors.append(f)
+        extras.append(e)
         prev = lv
-    return SetSystem(array.n_max, comps)
+    return SetSystem._from_parts(array.n_max, floors, extras)
 
 
 def array_from_sets(sets: SetSystem, n_max=None) -> PartitionArray:
-    """Inverse of sets_from_array: col_j(m) = col_j(m-1) + 1{j-1 not in V_m}."""
+    """Inverse of sets_from_array: col_j(m) = col_j(m-1) + 1{j-1 not in V_m}.
+
+    Row i of level m counts the x with c(x) = #{l <= m : x not in V_l} >= i.
+    The floors alone give c(x) >= i exactly for x below the i-th largest
+    floor; each extra x, below p(x) of the floors and in e(x) of the extras,
+    adds one to rows p(x)+1 .. p(x)+e(x).
+    """
     if n_max is None:
         n_max = sets.n_max
-    j_max = 1 + max((max(c) for c in sets.complements if c), default=-1)
-    cols = [0] * (j_max + 1)
+    if not 0 <= n_max <= sets.n_max:
+        raise ValueError(f"n_max {n_max} outside the {sets.n_max} tracked levels")
+    mult: dict = {}
     levels = []
-    for m in range(1, n_max + 1):
-        for j in range(1, j_max + 1):
-            if not sets.contains(m, j - 1):
-                cols[j] += 1
-        lv = [sum(1 for j in range(1, j_max + 1) if cols[j] >= i) for i in range(1, m + 1)]
+    for m in range(n_max):
+        for x in sets._extras[m]:
+            mult[x] = mult.get(x, 0) + 1
+        floors = sorted(sets._floors[:m + 1], reverse=True)
+        lv = list(floors)
+        for x, e in mult.items():
+            p = sum(1 for f in floors if f > x)
+            for row in range(p, p + e):
+                lv[row] += 1
         levels.append(lv)
     return PartitionArray(n_max, levels)
 
 
 def counter_partition(sets: SetSystem, m: int) -> tuple:
     """(m - h^(0), m - h^(1), ...): the conjugate of the level-m partition."""
-    j_max = 1 + max((max(c) for c in sets.complements if c), default=-1)
-    vals = [m - sets.h_count(r, m) for r in range(0, j_max + 1)]
+    top = max(  # largest missing element, -1 when no level misses one
+        (max(e) if e else f - 1 for f, e in zip(sets._floors, sets._extras)),
+        default=-1,
+    )
+    vals = [m - sets.h_count(r, m) for r in range(0, top + 2)]
     return pt.strip_zeros(tuple(vals))
 
 

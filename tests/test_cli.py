@@ -136,6 +136,37 @@ def rsk_run_with_events(events):
     return rsk.run_rsk((1.0, 0.8), 0.45, 3.0, seed=4, events=events)
 
 
+# read before SetSystem stored each level as a floor plus extras
+RSK_SETS_PINNED = [
+    (("--rates", "1.0,0.8,0.6", "--t", "0.4", "--tmax", "8", "--seed", "7"),
+     {"complements": [[0, 1, 2, 3], [0, 1, 2], [0, 1, 2, 4, 5, 6, 7, 8, 9]],
+      "first_columns": [1, 2, 3]}),
+    (("--rates", "1,1,1,1,1", "--t", "0.3", "--tmax", "6", "--seed", "11"),
+     {"complements": [[0, 1, 2, 3, 4, 5, 6, 7], [0, 1, 2, 3, 4, 5, 8, 9, 10],
+                      [0, 11], [1, 2, 3, 4, 6, 7, 8, 12, 13],
+                      [0, 1, 2, 9, 10, 14]],
+      "first_columns": [1, 2, 3, 3, 4]}),
+]
+
+
+@pytest.mark.parametrize("args, expected", RSK_SETS_PINNED)
+def test_rsk_sets_output_is_pinned(capsys, args, expected):
+    code, out, _ = run(capsys, "rsk", "sets", *args)
+    assert code == 0
+    assert json.loads(out) == expected
+
+
+@pytest.mark.parametrize("action", ["run", "sets"])
+@pytest.mark.parametrize("bad", [
+    ("--rates", "1,-1"), ("--rates", "1,0"), ("--rates", "1,1", "--levels", "3"),
+])
+def test_rsk_bad_rates_or_levels_exit_2(capsys, action, bad):
+    code, out, err = run(capsys, "rsk", action, *bad, "--t", "0.3", "--tmax", "2")
+    assert code == 2
+    assert out == ""
+    assert "need one positive rate per tracked level" in err
+
+
 def test_verify_subcommand_exit_codes(capsys):
     code, out, err = run(
         capsys, "verify", "support", "--t", "0.3", "--a", "0.4", "--b", "0.4",

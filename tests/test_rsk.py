@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,6 +114,13 @@ def test_bijection_round_trips():
     vac = rsk.PartitionArray(3)
     assert rsk.sets_from_array(vac).complements == [set(), set(), set()]
     assert rsk.array_from_sets(rsk.SetSystem(3)) == vac
+
+
+def test_array_from_sets_levels_beyond_the_sets_raise():
+    sets = rsk.sets_from_array(rsk.PartitionArray(3, [[2], [2, 1], [3, 1, 0]]))
+    assert rsk.array_from_sets(sets, 2) == rsk.PartitionArray(2, [[2], [2, 1]])
+    with pytest.raises(ValueError, match="outside the 3 tracked levels"):
+        rsk.array_from_sets(sets, 4)
 
 
 def test_counter_partition_is_conjugate():
@@ -272,3 +281,134 @@ def test_every_event_keeps_interlacing_and_bijection(n, t, signals):
         arr = rsk.rsk_apply_signal(arr, min(k, n), t, iter(buf).__next__)
         arr.validate()
         assert rsk.array_from_sets(rsk.sets_from_array(arr)) == arr
+
+
+@pytest.mark.parametrize("k", [0, -1, 4])
+def test_sets_signal_level_outside_range_raises(k):
+    sets = rsk.SetSystem(3)
+    with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+        rsk.sets_apply_signal(sets, k, 0.5, fixed(0.5, 0.5))
+    assert sets == rsk.SetSystem(3)
+
+
+@pytest.mark.parametrize("k", [0, -1, 4])
+def test_array_signal_level_outside_range_raises(k):
+    with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+        rsk.rsk_apply_signal(rsk.PartitionArray(3), k, 0.5, fixed(0.5, 0.5))
+
+
+# a complement: a prefix [0, p) together with sparse elements anywhere
+_complement = st.tuples(st.integers(0, 30), st.sets(st.integers(0, 60))).map(
+    lambda p: set(range(p[0])) | p[1]
+)
+_complement_lists = st.integers(1, 6).flatmap(
+    lambda n: st.lists(_complement, min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complement_lists)
+def test_complements_round_trip(comps):
+    n = len(comps)
+    sets = rsk.SetSystem(n, comps)
+    assert sets.complements == comps
+    for level, comp in enumerate(comps, start=1):
+        assert sets.min_of(level) == min(set(range(len(comp) + 1)) - comp)
+        for x in range(-1, 93):
+            assert sets.contains(level, x) == (x >= 0 and x not in comp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complement_lists, st.data())
+def test_set_system_equality_is_canonical(comps, data):
+    n = len(comps)
+    sets = rsk.SetSystem(n, comps)
+    assert sets == rsk.SetSystem(n, [set(c) for c in comps]) == sets.copy()
+    level = data.draw(st.integers(0, n - 1))
+    x = data.draw(st.integers(0, 70))
+    other = [set(c) for c in comps]
+    other[level] ^= {x}
+    assert rsk.SetSystem(n, other) != sets
+    other[level] ^= {x}
+    assert rsk.SetSystem(n, other) == sets
+    assert rsk.SetSystem(n + 1, comps + [set()]) != sets
+    with pytest.raises(ValueError, match="one complement per level"):
+        rsk.SetSystem(n + 1, comps)
+
+
+def _reference_sets_signal(comps, k, t, uniform, record):
+    """The set rule on plain complement sets, with a snapshot of the pre-event
+    sets for the rule-4b count."""
+    pre = [set(c) for c in comps]
+
+    def has(cs, level, x):
+        return x >= 0 and x not in cs[level - 1]
+
+    i = min(set(range(len(comps[k - 1]) + 1)) - comps[k - 1])
+    comps[k - 1].add(i)
+    record.append((k, i))
+    for m in range(k + 1, len(comps) + 1):
+        if has(comps, m, i):
+            record.append((m, i))
+            continue
+        if has(comps, m, i - 1):
+            d = sum(has(pre, l, i) - has(pre, l, i - 1) for l in range(1, m + 1))
+            r_prob = (1.0 - t) / (1.0 - t ** (d + 1))
+        else:
+            r_prob = 1.0 - t
+        if uniform() < r_prob:
+            comps[m - 1].discard(i)
+            i += 1
+            while i in comps[m - 1]:
+                i += 1
+            comps[m - 1].add(i)
+        record.append((m, i))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.floats(0.0, 0.95),
+    st.lists(st.tuples(st.integers(1, 6), _coins), max_size=80),
+)
+def test_set_stepper_matches_plain_set_reference_and_array(n, t, signals):
+    sets = rsk.SetSystem(n)
+    comps = [set() for _ in range(n)]
+    arr = rsk.PartitionArray(n)
+    for k, buf in signals:
+        k = min(k, n)
+        rec_s, rec_ref, rec_a = [], [], []
+        sets = rsk.sets_apply_signal(sets, k, t, iter(buf).__next__, record=rec_s)
+        _reference_sets_signal(comps, k, t, iter(buf).__next__, rec_ref)
+        arr = rsk.rsk_apply_signal(arr, k, t, iter(buf).__next__, record=rec_a)
+        assert rec_s == rec_ref == rec_a
+        assert sets.complements == comps
+        assert sets == rsk.SetSystem(n, comps)
+        assert rsk.sets_from_array(arr) == sets
+        assert rsk.array_from_sets(sets) == arr
+
+
+def test_set_step_cost_stays_flat_in_event_count():
+    """The set side's time per event over events 9000-10000 stays within 2x
+    of its time over events 1000-2000 (best of 3, windows interleaved)."""
+    rng = np.random.default_rng(108)
+    events = [(int(rng.integers(1, 7)), list(rng.random(6))) for _ in range(10_000)]
+    sets = rsk.SetSystem(6)
+    starts = {}
+    for step, (k, buf) in enumerate(events):
+        if step in (1000, 9000):
+            starts[step] = sets
+        sets = rsk.sets_apply_signal(sets, k, 0.38, iter(buf).__next__)
+
+    def window(start):
+        s = starts[start]
+        t0 = time.perf_counter()
+        for k, buf in events[start:start + 1000]:
+            s = rsk.sets_apply_signal(s, k, 0.38, iter(buf).__next__)
+        return time.perf_counter() - t0
+
+    early, late = float("inf"), float("inf")
+    for _ in range(3):
+        early = min(early, window(1000))
+        late = min(late, window(9000))
+    assert late <= 2.0 * early, (early, late)
