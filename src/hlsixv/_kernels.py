@@ -7,6 +7,10 @@ enumerates each state's interlacing partners as a mixed-radix product of row
 ranges and sorts the edges into classes of equal |lam| - |mu| and equal skew
 Hall-Littlewood factors, each factor given by the multiset of its (1 - t^e)
 exponents; hl_process turns the classes into edge weights for given x and t.
+scatter_accumulate is the one sum over a step's edges: hl_process's DP step
+`_Lattice.apply` and its sequence count both call it.  It is one
+`np.bincount`, which adds the edges in order, so its sums are the same bit
+for bit on every run.
 
 The Monte Carlo samplers step blocks of ENSEMBLE_BLOCK runs together with
 numpy: the half-continuous ensemble and the RSK ensembles of rsk through
@@ -23,8 +27,10 @@ from math import comb
 import numpy as np
 
 
-def scatter_accumulate(src, dst, data, vec_in, vec_out):
-    np.add.at(vec_out, dst, vec_in[src] * data)
+def scatter_accumulate(src, dst, data, vec_in, size):
+    """The vector of length size whose entry d sums vec_in[src] * data over
+    the edges with dst = d, added in edge order."""
+    return np.bincount(dst, weights=vec_in[src] * data, minlength=size)
 
 
 # Runs of a Monte Carlo ensemble are stepped together in blocks of this many,

@@ -236,18 +236,16 @@ def _cmd_moments(args):
 def _cmd_rsk(args):
     rates = _floats(args.rates)
     seedv = split_seed(args.seed, f"rsk.{args.action}")
-    n_max = args.levels or len(rates)
     if args.action == "run":
         snaps = _floats(args.snapshots) if args.snapshots else (args.tmax,)
         if args.format == "csv":
             events: list = []
-            rsk.run_rsk(rates, args.t, args.tmax, seedv, snaps, n_max=n_max,
-                        events=events)
+            rsk.run_rsk(rates, args.t, args.tmax, seedv, snaps, events=events)
             return 0, [
                 {"time": e[0], "level": e[1], "row": e[2], "new_value": e[3]}
                 for e in events
             ]
-        traj = rsk.run_rsk(rates, args.t, args.tmax, seedv, snaps, n_max=n_max)
+        traj = rsk.run_rsk(rates, args.t, args.tmax, seedv, snaps)
         return 0, [
             {"tau": tau, "levels": [list(l) for l in arr.levels]} for tau, arr in traj
         ]
@@ -263,7 +261,7 @@ def _cmd_rsk(args):
             "events": rows,
             "occupied": [i + 1 for i, o in enumerate(state.occupied) if o],
         }
-    sets = rsk.run_sets(rates, args.t, args.tmax, seedv, n_max=n_max)
+    sets = rsk.run_sets(rates, args.t, args.tmax, seedv)
     return 0, {
         "complements": [sorted(c) for c in sets.complements],
         "first_columns": list(rsk.array_from_sets(sets).first_columns()),
@@ -403,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rates", required=True)
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--tmax", type=float, required=True)
-    sp.add_argument("--levels", type=int, default=None)
     sp.add_argument("--snapshots", default="")
     common(sp)
     sp.set_defaults(func=_cmd_rsk)

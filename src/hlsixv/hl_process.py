@@ -201,9 +201,7 @@ class _Lattice:
         src, dst, data = self._step_edges(kind, param, t, colinc)
         if backward:
             src, dst = dst, src
-        out = np.zeros_like(vec)
-        _kernels.scatter_accumulate(src, dst, data, vec, out)
-        return out
+        return _kernels.scatter_accumulate(src, dst, data, vec, len(vec))
 
 
 class LatticeTooLarge(ValueError):
@@ -273,7 +271,8 @@ def get_lattice(rows: int, cap: int) -> _Lattice:
 
 
 def sequence_weight(seq, spec: HLProcessSpec) -> float:
-    """Unnormalized weight prod_i W^{(S,i)} of (lam^(1), ..., lam^(M+N-1))."""
+    """Unnormalized weight prod_i W^{(S,i)} of (lam^(1), ..., lam^(M+N-1)),
+    from partitions.py's skew factors: an oracle independent of the lattice."""
     seq = tuple(pt.as_partition(lam) for lam in seq)
     if len(seq) != spec.M + spec.N - 1:
         raise ValueError(
@@ -298,75 +297,59 @@ def _row_bound(spec: HLProcessSpec, i: int) -> int:
     return min(p, spec.N - m)
 
 
-def _enumerate_sequences(spec: HLProcessSpec, row_cap: int):
-    """All admissible sequences with parts <= row_cap, with their weights."""
-    steps = spec.steps()
+def _step_tables(spec: HLProcessSpec, lat: _Lattice) -> list:
+    """Per step i, the lattice edges of nonzero weight whose target keeps the
+    row bound _row_bound(spec, i+1) (0 after the last step), grouped by source
+    state as (indptr, dst, weight): the edges out of state s are
+    [indptr[s]:indptr[s+1]], in lattice edge order."""
+    n_rows = np.array([len(lam) for lam in lat.states])
     n = spec.M + spec.N
-
-    def rec(i, prev, acc, w):
-        if i == n:
-            if prev == pt.EMPTY:
-                yield tuple(acc), w
-            return
-        kind, param = steps[i]
+    tables = []
+    for i, (kind, param) in enumerate(spec.steps()):
+        src, dst, weight = lat._step_edges(kind, param, spec.t)
         bound = _row_bound(spec, i + 1) if i + 1 < n else 0
-        if kind == "+":
-            for cur in pt.interlacing_above(prev, bound, row_cap):
-                w2 = w * pt.skew_p_one(cur, prev, param, spec.t)
-                if w2 != 0.0:
-                    acc.append(cur)
-                    yield from rec(i + 1, cur, acc, w2)
-                    acc.pop()
+        keep = (weight != 0.0) & (n_rows[dst] <= bound)
+        src, dst, weight = src[keep], dst[keep], weight[keep]
+        order = np.argsort(src, kind="stable")
+        indptr = np.searchsorted(src[order], np.arange(len(lat.states) + 1))
+        tables.append((indptr, dst[order], weight[order]))
+    return tables
+
+
+def _enumerate_sequences(spec: HLProcessSpec, row_cap: int):
+    """All admissible sequences with parts <= row_cap, with their weights:
+    the paths through _step_tables from the empty partition back to it."""
+    lat = get_lattice(min(spec.M, spec.N), row_cap)
+    tables = [tuple(a.tolist() for a in tab) for tab in _step_tables(spec, lat)]
+    yield from _paths(tables, lat.states, 0, lat.index[pt.EMPTY], [], 1.0)
+
+
+def _paths(tables, states, i, src, acc, w):
+    """Each path through tables[i:] from state src, as the states acc plus
+    those it visits before its last step, and w times its edge weights.  A
+    module-level generator, so that no closure cycle keeps a lattice alive
+    after the cache lets it go."""
+    indptr, dst, weight = tables[i]
+    for e in range(indptr[src], indptr[src + 1]):
+        if i + 1 == len(tables):
+            yield tuple(acc), w * weight[e]
         else:
-            for cur in _interlacing_below(prev, bound):
-                w2 = w * pt.skew_q_one(prev, cur, param, spec.t)
-                if w2 != 0.0:
-                    if i + 1 == n:
-                        yield from rec(i + 1, cur, acc, w2)
-                    else:
-                        acc.append(cur)
-                        yield from rec(i + 1, cur, acc, w2)
-                        acc.pop()
-
-    yield from rec(0, pt.EMPTY, [], 1.0)
-
-
-def _interlacing_below(lam, max_rows):
-    """All mu interlacing below lam with at most max_rows rows."""
-    lam = pt.strip_zeros(lam)
-    n = len(lam)
-
-    def rec(i, acc):
-        if i == n:
-            mu = pt.strip_zeros(tuple(acc))
-            if pt.num_rows(mu) <= max_rows:
-                yield mu
-            return
-        lo = lam[i + 1] if i + 1 < n else 0
-        for v in range(lo, lam[i] + 1):
-            acc.append(v)
-            yield from rec(i + 1, acc)
+            acc.append(states[dst[e]])
+            yield from _paths(tables, states, i + 1, dst[e], acc, w * weight[e])
             acc.pop()
-
-    yield from rec(0, [])
 
 
 def _count_sequences(spec: HLProcessSpec, row_cap: int) -> int:
-    """How many sequences _enumerate_sequences yields: the paths of nonzero
-    weight through the interlacing lattice from the empty partition back to
-    it that keep the row bounds.  Counted on the lattice, so a row cap whose
-    lattice cannot be built raises LatticeTooLarge at once."""
+    """How many sequences _enumerate_sequences yields, counted by one
+    unit-weight pass per step over _step_tables, so a row cap whose lattice
+    cannot be built raises LatticeTooLarge at once."""
     lat = get_lattice(min(spec.M, spec.N), row_cap)
-    n_rows = np.array([len(lam) for lam in lat.states])
     empty = lat.index[pt.EMPTY]
     paths = np.zeros(len(lat.states))
     paths[empty] = 1.0
-    n = spec.M + spec.N
-    for i, (kind, param) in enumerate(spec.steps()):
-        src, dst, weight = lat._step_edges(kind, param, spec.t)
-        paths = np.bincount(dst, weights=paths[src] * (weight != 0.0),
-                            minlength=len(paths))
-        paths[n_rows > (_row_bound(spec, i + 1) if i + 1 < n else 0)] = 0.0
+    for indptr, dst, _ in _step_tables(spec, lat):
+        src = np.repeat(np.arange(len(paths)), np.diff(indptr))
+        paths = _kernels.scatter_accumulate(src, dst, 1.0, paths, len(paths))
     return int(paths[empty])
 
 
@@ -376,10 +359,10 @@ def exact_sequence_distribution(spec: HLProcessSpec, row_cap: int,
 
     The deficit of the enumerated mass against Pi^S is reported as
     mass_deficit; the caller's row_cap must keep it below ~1e-12 relative.
-    This is the exponential reference enumerator; the support/marginal laws
-    go through the lattice DP instead.  The sequences are counted on the
-    lattice first, and more than max_sequences of them raise ValueError
-    before any is enumerated.
+    This is the exponential reference enumerator: it walks the lattice's
+    step tables path by path, where the support/marginal laws sum them by
+    DP.  The sequences are counted first, and more than max_sequences of
+    them raise ValueError before any is enumerated.
     """
     count = _count_sequences(spec, row_cap)
     if count > max_sequences:
@@ -467,34 +450,11 @@ def exact_support_distribution(
     reported.
     """
     lat = get_lattice(min(spec.M, spec.N), row_cap)
-    steps = spec.steps()
-    t = spec.t
-    empty = lat.index[pt.EMPTY]
     mu = spec.mu()
     vec0 = np.zeros(len(lat.states))
-    vec0[empty] = 1.0
+    vec0[lat.index[pt.EMPTY]] = 1.0
     masses: dict = {}
-
-    def rec(i, vec, tbits):
-        if i == len(steps):
-            m = vec[empty]
-            if m > 0.0:
-                masses[tuple(tbits)] = m
-            return
-        kind, param = steps[i]
-        for tbit in (1, -1):
-            if kind == "+":
-                inc = 0 if tbit == 1 else 1
-                out = lat.apply(vec, "+", param, t, colinc=inc)
-            else:
-                dec = 1 if tbit == 1 else 0
-                out = lat.apply(vec, "-", param, t, colinc=dec)
-            if np.any(out):
-                tbits.append(tbit)
-                rec(i + 1, out, tbits)
-                tbits.pop()
-
-    rec(0, vec0, [])
+    _support_masses(lat, spec.steps(), spec.t, 0, vec0, [], masses)
     total = sum(masses.values())
     if total <= 0:
         raise TruncationError("no admissible sequences under row_cap")
@@ -504,6 +464,30 @@ def exact_support_distribution(
         for T, m in masses.items()
     }
     return DiscreteDistribution(outcomes, mass_deficit=1.0 - total / pi)
+
+
+def _support_masses(lat, steps, t, i, vec, tbits, masses):
+    """masses[T] = the mass that returns to the empty partition, for each
+    support string T that extends tbits, from the mass vec after i steps.  A
+    module-level function, so that no closure cycle keeps a lattice alive
+    after the cache lets it go."""
+    if i == len(steps):
+        m = vec[lat.index[pt.EMPTY]]
+        if m > 0.0:
+            masses[tuple(tbits)] = m
+        return
+    kind, param = steps[i]
+    for tbit in (1, -1):
+        if kind == "+":
+            inc = 0 if tbit == 1 else 1
+            out = lat.apply(vec, "+", param, t, colinc=inc)
+        else:
+            dec = 1 if tbit == 1 else 0
+            out = lat.apply(vec, "-", param, t, colinc=dec)
+        if np.any(out):
+            tbits.append(tbit)
+            _support_masses(lat, steps, t, i + 1, out, tbits, masses)
+            tbits.pop()
 
 
 def exact_support_string_distribution(
@@ -586,45 +570,35 @@ class SequenceSampler:
             )
         if self.bwd[0][empty] <= 0:
             raise TruncationError("no admissible sequences under row_cap")
+        self._edges = _step_tables(spec, self.lat)
         self._tables: dict = {}
 
-    def _conditional(self, i, prev):
-        key = (i, prev)
+    def _conditional(self, i, src):
+        """(targets, cumulative probabilities) of step i from state src: the
+        edges of _step_tables in lattice edge order, weighted by their
+        completion mass, those of zero weight dropped."""
+        key = (i, src)
         tab = self._tables.get(key)
         if tab is not None:
             return tab
-        kind, param = self.steps[i]
-        bound = _row_bound(self.spec, i + 1) if i + 1 <= len(self.steps) - 1 else 0
-        if i == len(self.steps) - 1:
-            cands = [pt.EMPTY]
-        elif kind == "+":
-            cands = list(pt.interlacing_above(prev, bound, self.cap))
-        else:
-            cands = list(_interlacing_below(prev, bound))
-        weights = []
-        for cur in cands:
-            if kind == "+":
-                w = pt.skew_p_one(cur, prev, param, self.spec.t)
-            else:
-                w = pt.skew_q_one(prev, cur, param, self.spec.t)
-            weights.append(w * self.bwd[i + 1][self.lat.index[cur]])
-        weights = np.asarray(weights)
+        indptr, dst, weight = self._edges[i]
+        targets = dst[indptr[src]:indptr[src + 1]]
+        weights = weight[indptr[src]:indptr[src + 1]] * self.bwd[i + 1][targets]
         keep = weights > 0
-        cands = [c for c, k in zip(cands, keep) if k]
         cum = np.cumsum(weights[keep])
         cum /= cum[-1]
-        tab = (cands, cum)
+        tab = (targets[keep].tolist(), cum)
         self._tables[key] = tab
         return tab
 
     def sample(self):
-        prev = pt.EMPTY
+        src = self.lat.index[pt.EMPTY]
         seq = []
         for i in range(len(self.steps) - 1):
-            cands, cum = self._conditional(i, prev)
+            targets, cum = self._conditional(i, src)
             j = int(np.searchsorted(cum, self.rng.random(), side="right"))
-            prev = cands[min(j, len(cands) - 1)]
-            seq.append(prev)
+            src = targets[min(j, len(targets) - 1)]
+            seq.append(self.lat.states[src])
         return tuple(seq)
 
 

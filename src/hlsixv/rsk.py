@@ -207,22 +207,25 @@ def _apply_signal_inplace(levels, n_max, k, t, uniform, record=None):
         ival = wnew
 
 
+def _level_clock(rates):
+    """The number of levels, the total rate and the cumulative rates of the
+    clock that rings level k with probability c_k / sum_j c_j."""
+    rates = [float(c) for c in rates]
+    if not rates or any(c <= 0 for c in rates):
+        raise ValueError("need one positive rate per tracked level")
+    return len(rates), sum(rates), np.cumsum(rates)
+
+
 def run_rsk(rates, t: float, tau_max: float, seed: int, snapshot_times=(),
-            n_max=None, validate: bool = False, events=None) -> list:
+            validate: bool = False, events=None) -> list:
     """Event-driven trajectory; returns [(tau, PartitionArray)] at snapshots.
 
-    rates are the level clock intensities c_1..c_n; n_max defaults to their
-    count.  validate=True re-checks interlacing after every event.  Passing a
-    list as `events` collects (time, level, row, new_value) per row move.
+    rates are the level clock intensities c_1..c_n, one per tracked level.
+    validate=True re-checks interlacing after every event.  Passing a list
+    as `events` collects (time, level, row, new_value) per row move.
     """
-    rates = [float(c) for c in rates]
-    if n_max is None:
-        n_max = len(rates)
-    if len(rates) != n_max or any(c <= 0 for c in rates):
-        raise ValueError("need one positive rate per tracked level")
+    n_max, total, cum = _level_clock(rates)
     rng = np.random.default_rng(seed)
-    total = sum(rates)
-    cum = np.cumsum(rates)
     arr = PartitionArray(n_max)
     snaps = sorted(float(s) for s in snapshot_times)
     if snaps and snaps[-1] > tau_max:
@@ -507,17 +510,11 @@ def _sets_signal_inplace(sets: SetSystem, k: int, t: float, uniform, record=None
             record.append((m + 1, i))
 
 
-def run_sets(rates, t: float, tau_max: float, seed: int, n_max=None) -> SetSystem:
-    """Event-driven set dynamics to time tau_max; rates and n_max as in
-    `run_rsk`, with the same draws."""
-    rates = [float(c) for c in rates]
-    if n_max is None:
-        n_max = len(rates)
-    if len(rates) != n_max or any(c <= 0 for c in rates):
-        raise ValueError("need one positive rate per tracked level")
+def run_sets(rates, t: float, tau_max: float, seed: int) -> SetSystem:
+    """Event-driven set dynamics to time tau_max; rates as in `run_rsk`, with
+    the same draws."""
+    n_max, total, cum = _level_clock(rates)
     rng = np.random.default_rng(seed)
-    total = sum(rates)
-    cum = np.cumsum(rates)
     sets = SetSystem(n_max)
     time = 0.0
     while True:

@@ -94,6 +94,19 @@ def test_seed_determinism_byte_identical(capsys):
     assert out1 != out3
 
 
+def test_hl_sample_stream_is_pinned(capsys):
+    # one uniform per step, candidates in lattice edge order (SCHEMAS.md "Seeding")
+    code, out, _ = run(capsys, "hl", "sample", "--t", "0.3", "--a", "0.4,0.3",
+                       "--b", "0.4,0.3", "--samples", "5", "--seed", "11")
+    assert code == 0
+    assert json.loads(out) == [
+        {"sample": i, "sequence": seq} for i, seq in enumerate([
+            "[[], [], []]", "[[], [], []]", "[[1], [1], [1]]", "[[], [], []]",
+            "[[], [], []]",
+        ])
+    ]
+
+
 def test_rsk_run_and_csv_format(capsys):
     code, out, _ = run(
         capsys, "rsk", "run", "--rates", "1.0,0.5", "--t", "0.4",
@@ -159,12 +172,16 @@ def test_rsk_sets_output_is_pinned(capsys, args, expected):
 @pytest.mark.parametrize("action", ["run", "sets"])
 @pytest.mark.parametrize("bad", [
     ("--rates", "1,-1"), ("--rates", "1,0"), ("--rates", "1,1", "--levels", "3"),
+    ("--rates", ""),
 ])
 def test_rsk_bad_rates_or_levels_exit_2(capsys, action, bad):
     code, out, err = run(capsys, "rsk", action, *bad, "--t", "0.3", "--tmax", "2")
     assert code == 2
     assert out == ""
-    assert "need one positive rate per tracked level" in err
+    if "--levels" in bad:  # one level per rate: there is no --levels option
+        assert "unrecognized arguments: --levels 3" in err
+    else:
+        assert "need one positive rate per tracked level" in err
 
 
 def test_verify_subcommand_exit_codes(capsys):

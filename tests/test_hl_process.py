@@ -1,7 +1,9 @@
+from itertools import product
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hlsixv import hl_process as hl
 from hlsixv import partitions as pt
@@ -77,6 +79,38 @@ def test_sequence_count_matches_enumeration():
                     for cap in (3, 8):
                         n = sum(1 for _ in hl._enumerate_sequences(spec, cap))
                         assert hl._count_sequences(spec, cap) == n
+
+
+SIGNS_UP_TO_2 = [(M, N, S) for M in (1, 2) for N in (1, 2)
+                 for S in pt.enumerate_sign_class(M, N, +1)]
+_param = st.one_of(st.just(0.0), st.floats(0.05, 0.95))
+
+
+@pytest.mark.parametrize("M, N, S", SIGNS_UP_TO_2)
+@settings(max_examples=50, deadline=None)
+@given(cap=st.integers(1, 6), t=st.floats(0.05, 0.95),
+       a=st.lists(_param, min_size=2, max_size=2),
+       b=st.lists(_param, min_size=2, max_size=2))
+def test_enumeration_matches_partition_reference(M, N, S, cap, t, a, b):
+    """The lattice walk of _enumerate_sequences against sequences built from
+    partitions.py alone: every sequence of box partitions that keeps the row
+    bounds and has positive sequence_weight, and nothing else."""
+    spec = hl.HLProcessSpec(t=t, a=a[:M], b=b[:N], S=S)
+    candidates = []
+    for i in range(1, M + N):
+        p, m = pt.prefix_counts(spec.S, i)
+        candidates.append(list(pt.partitions_in_box(min(p, N - m), cap)))
+    expected = {}
+    for seq in product(*candidates):
+        w = hl.sequence_weight(seq, spec)
+        if w > 0:
+            expected[seq] = w
+    got = list(hl._enumerate_sequences(spec, cap))
+    assert len(got) == len(dict(got))
+    got = dict(got)
+    assert got.keys() == expected.keys()
+    for seq, w in got.items():
+        assert abs(w - expected[seq]) <= 1e-14 * expected[seq]
 
 
 def test_exact_sequence_distribution_refuses_before_enumerating():
@@ -270,6 +304,29 @@ def test_lattice_too_large_fails_before_building():
     with pytest.raises(hl.LatticeTooLarge, match=str(comb(406, 6))):
         hl.get_lattice(3, 400)
     assert (3, 400) not in hl._LATTICES
+
+
+@pytest.mark.parametrize("law", [
+    lambda spec, cap: hl.exact_support_distribution(spec, cap),
+    lambda spec, cap: hl.exact_marginal_distribution(spec, 2, cap),
+    lambda spec, cap: hl.exact_sequence_distribution(spec, cap),
+    lambda spec, cap: hl.SequenceSampler(spec, cap, seed=1).sample(),
+], ids=["support", "marginal", "sequence", "sampler"])
+def test_exact_laws_free_the_lattice_with_the_cache(law):
+    """No reference cycle keeps a lattice alive once _LATTICES drops it, so a
+    cleared cache frees the lattice without waiting for the cyclic collector."""
+    import gc
+    import weakref
+
+    spec = hl.HLProcessSpec(t=0.3, a=(0.4, 0.3), b=(0.4, 0.3), S="+-+-")
+    hl._LATTICES.pop((2, 11), None)
+    gc.disable()
+    try:
+        law(spec, 11)
+        ref = weakref.ref(hl._LATTICES.pop((2, 11)))
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_row_bound_invariant():
