@@ -12,6 +12,10 @@ scatter_accumulate is the one sum over a step's edges: hl_process's DP step
 `np.bincount`, which adds the edges in order, so its sums are the same bit
 for bit on every run.
 
+Every continuous-time dynamics is driven by one Poisson clock that rings
+level k at rate c_k: _level_clock checks its inputs, _clock_rings rings it
+for one run and _lockstep_ensemble for blocks of runs.
+
 The Monte Carlo samplers step blocks of ENSEMBLE_BLOCK runs together with
 numpy: the half-continuous ensemble and the RSK ensembles of rsk through
 _lockstep_ensemble, one clock event per step across the runs of a block, and
@@ -33,22 +37,50 @@ def scatter_accumulate(src, dst, data, vec_in, size):
     return np.bincount(dst, weights=vec_in[src] * data, minlength=size)
 
 
+def _level_clock(rates, t):
+    """(n, cum, total = cum[-1]) of the clock that rings level k = 1..n at
+    rate c_k.  ValueError unless the rates are positive and 0 < t < 1."""
+    rates = [float(c) for c in rates]
+    if not rates or any(c <= 0 for c in rates):
+        raise ValueError("need one positive rate per tracked level")
+    if not 0.0 < t < 1.0:
+        raise ValueError(f"need 0 < t < 1, got {t}")
+    cum = np.cumsum(rates)
+    return len(rates), cum, float(cum[-1])
+
+
+def _clock_rings(rates, t, horizon, rng):
+    """(time, level) of each ring of the level clock before horizon: per
+    ring one exponential waiting time at the total rate from the Generator
+    rng, then one uniform for the level.  Inputs are checked at the first
+    ring."""
+    n, cum, total = _level_clock(rates, t)
+    time = 0.0
+    while True:
+        time += rng.exponential(1.0 / total)
+        if time >= horizon:
+            return
+        yield time, min(1 + int(np.searchsorted(cum, rng.random() * total)), n)
+
+
 # Runs of a Monte Carlo ensemble are stepped together in blocks of this many,
 # which bounds the temporaries whatever the number of runs.
 ENSEMBLE_BLOCK = 4096
 
 
-def _lockstep_ensemble(total_rate, taus, n_runs, seed, start, observe, step):
-    """Records of n_runs runs of a process driven by one clock of constant
-    rate, at the sorted times taus: an int32 array [n_runs, len(taus), ...].
+def _lockstep_ensemble(rates, t, taus, n_runs, seed, start, observe, step):
+    """Records of n_runs runs driven by the level clock of rates, at the
+    sorted times taus: an int32 array [n_runs, len(taus), ...].
 
     start(runs) gives the initial state of a block of runs (first axis runs),
-    observe(state) the record of each run, and step(state, rs) applies one
-    event to every run of state, drawing from rs.  The runs of a block step in
-    lockstep.  Each step draws the waiting times of the block's live runs at
-    once, records every tau a run passes, drops the runs whose next event
-    falls past the last tau and steps the others.
+    observe(state) the record of each run, and step(state, level, rs) applies
+    one event to every run of state, run r at level[r] in 1..n, drawing from
+    rs.  The runs of a block step in lockstep.  Each step draws the waiting
+    times of the block's live runs at once, records every tau a run passes,
+    drops the runs whose next event falls past the last tau, and steps the
+    others after one level uniform each.
     """
+    n, cum, total = _level_clock(rates, t)
     rs = np.random.RandomState(seed)
     record_shape = observe(start(0)).shape[1:]
     out = np.zeros((n_runs, len(taus)) + record_shape, dtype=np.int32)
@@ -58,7 +90,7 @@ def _lockstep_ensemble(total_rate, taus, n_runs, seed, start, observe, step):
         time = np.zeros(len(ids))
         passed = np.zeros(len(ids), dtype=np.intp)  # taus recorded so far
         while len(ids):
-            nxt = time + rs.exponential(1.0 / total_rate, size=len(ids))
+            nxt = time + rs.exponential(1.0 / total, size=len(ids))
             now = np.searchsorted(taus, nxt)  # the taus before the next event
             seen = observe(state)
             for p in range(passed.min(), now.max()):
@@ -67,26 +99,25 @@ def _lockstep_ensemble(total_rate, taus, n_runs, seed, start, observe, step):
             live = now < len(taus)
             ids, state, time, passed = ids[live], state[live], nxt[live], now[live]
             if len(ids):
-                step(state, rs)
+                u = rs.random_sample(len(ids))
+                step(state, np.minimum(1 + np.searchsorted(cum, u * total), n), rs)
     return out
 
 
 def half_continuous_grid_ensemble(brates, t, taus, n_runs, seed):
     """Heights h(tau, y) = #occupied rows among 1..y, per run and grid point.
 
-    Rows start occupied.  The sampler is uniformized (Jensen 1953): one clock
-    of rate sum_y b_y rings row y with probability b_y / sum_y b_y, and a ring
-    on an empty row does nothing, which keeps the law of the process with
-    rate b_y on each occupied row.  A ring on an occupied row empties it and
-    sends an excursion up the rows: it crosses occupied rows and stops on an
-    empty row with probability 1 - t, filling it.  Per lockstep step of
-    _lockstep_ensemble the waiting times are followed by one uniform per
-    stepping run for the row, then a [runs, rows] matrix of uniforms whose
-    entry (run, z) is the coin of the excursion at an empty row z.
+    Rows start occupied.  The sampler is uniformized (Jensen 1953): the level
+    clock of the rates b_y rings row y with probability b_y / sum_y b_y, and
+    a ring on an empty row does nothing, which keeps the law of the process
+    with rate b_y on each occupied row.  A ring on an occupied row empties it
+    and sends an excursion up the rows: it crosses occupied rows and stops on
+    an empty row with probability 1 - t, filling it.  Per lockstep step of
+    _lockstep_ensemble the row is followed by a [runs, rows] matrix of
+    uniforms whose entry (run, z) is the coin of the excursion at an empty
+    row z.
     """
-    n_rows = brates.shape[0]
-    cum = np.cumsum(brates)
-    total = float(cum[-1])
+    n_rows = len(brates)
 
     def start(runs):
         return np.ones((runs, n_rows), dtype=bool)
@@ -94,10 +125,9 @@ def half_continuous_grid_ensemble(brates, t, taus, n_runs, seed):
     def observe(occ):
         return np.cumsum(occ, axis=1)
 
-    def step(occ, rs):
+    def step(occ, level, rs):
         runs = np.arange(len(occ))
-        row = np.minimum(np.searchsorted(cum, rs.random_sample(len(occ)) * total),
-                         n_rows - 1)
+        row = level - 1
         coins = rs.random_sample(occ.shape)
         climbing = occ[runs, row]
         occ[runs, row] = False
@@ -106,7 +136,7 @@ def half_continuous_grid_ensemble(brates, t, taus, n_runs, seed):
             occ[stop, z] = True
             climbing &= ~stop
 
-    return _lockstep_ensemble(total, taus, n_runs, seed, start, observe, step)
+    return _lockstep_ensemble(brates, t, taus, n_runs, seed, start, observe, step)
 
 
 def six_vertex_tcode_counts(a, b, t, heights, n_samples, seed):

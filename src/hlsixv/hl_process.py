@@ -390,38 +390,34 @@ def exact_sequence_distribution(spec: HLProcessSpec, row_cap: int,
 
 def support_string(seq, S) -> tuple:
     """The outgoing string T built from first-column increments along seq."""
-    S = pt.parse_signs(S)
-    seq = tuple(pt.as_partition(lam) for lam in seq)
-    chain = (pt.EMPTY,) + seq + (pt.EMPTY,)
+    return _support_string(seq, pt.parse_signs(S))
+
+
+def _support_string(seq, S) -> tuple:
+    """support_string for parsed signs S, counting each partition's rows once."""
+    if len(seq) != len(S) - 1:
+        raise ValueError(f"{len(seq)} partitions for {len(S)} signs")
+    rows = [0] + [len(pt.as_partition(lam)) for lam in seq] + [0]
     T = []
     for i, si in enumerate(S):
-        prev = pt.num_rows(chain[i])
-        cur = pt.num_rows(chain[i + 1])
+        step = rows[i + 1] - rows[i]
         if si == 1:
-            if cur == prev:
-                T.append(1)
-            elif cur == prev + 1:
-                T.append(-1)
-            else:
-                raise ValueError(f"first-column increment {cur - prev} at step {i+1}")
+            if step not in (0, 1):
+                raise ValueError(f"first-column increment {step} at step {i+1}")
+            T.append(1 if step == 0 else -1)
         else:
-            if prev == cur + 1:
-                T.append(1)
-            elif prev == cur:
-                T.append(-1)
-            else:
-                raise ValueError(f"first-column decrement {prev - cur} at step {i+1}")
+            if step not in (0, -1):
+                raise ValueError(f"first-column decrement {-step} at step {i+1}")
+            T.append(1 if step == -1 else -1)
     return tuple(T)
 
 
 def support_of_sequence(seq, S) -> SkewDiagram:
     """The skew diagram nu(T)/mu(S) supporting the sequence."""
     S = pt.parse_signs(S)
-    M, N = pt.sign_counts(S)
-    T = support_string(seq, S)
-    nu = pt.partition_from_string(T, M, N)
-    mu = pt.partition_from_string(S, M, N)
-    return SkewDiagram(outer=nu, inner=mu)
+    # a sequence from and back to the empty partition gives T the counts of S
+    T = _support_string(seq, S)
+    return SkewDiagram(outer=pt._traced_partition(T), inner=pt._traced_partition(S))
 
 
 def first_columns(seq) -> tuple:

@@ -162,6 +162,11 @@ def partition_from_string(signs: SignString, p: int, m: int) -> Partition:
     cp, cm = sign_counts(signs)
     if (cp, cm) != (p, m):
         raise ValueError(f"expected {p} pluses and {m} minuses, got {cp}/{cm}")
+    return _traced_partition(signs)
+
+
+def _traced_partition(signs: SignString) -> Partition:
+    """partition_from_string for a parsed sign string, its counts unchecked."""
     parts = []
     minuses = 0
     for x in signs:

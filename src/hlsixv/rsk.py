@@ -94,8 +94,15 @@ class PartitionArray:
         return f"PartitionArray({self.levels}, tau={self.tau})"
 
 
-def _col(level: list, j: int) -> int:
-    return sum(1 for v in level if v >= j)
+def _rows_above_at(level, v) -> tuple:
+    """(#rows > v, #rows == v) of a level, in one pass."""
+    above = at = 0
+    for x in level:
+        if x > v:
+            above += 1
+        elif x == v:
+            at += 1
+    return above, at
 
 
 def is_blocked(array: PartitionArray, k: int, i: int) -> bool:
@@ -170,96 +177,70 @@ def _first_free_value(upper, lower, lo):
 
 
 def _apply_signal_inplace(levels, n_max, k, t, uniform, record=None):
-    def col(m, j):
-        return _col(levels[m - 1], j) if m >= 1 else 0
-
-    def inc_first(m, v):
-        lv = levels[m - 1]
-        lv[lv.index(v)] += 1
-
-    v = _first_free_value(levels[k - 1], levels[k - 2] if k > 1 else (), 0)
-    inc_first(k, v)
+    ival = _first_free_value(levels[k - 1], levels[k - 2] if k > 1 else (), 0)
+    lv = levels[k - 1]
+    lv[lv.index(ival)] += 1
     if record is not None:
-        record.append((k, v))
-    ival = v
+        record.append((k, ival))
     for m in range(k + 1, n_max + 1):
+        upper, lower = levels[m - 1], levels[m - 2]
+        up_above, up_at = _rows_above_at(upper, ival)
+        low_above, low_at = _rows_above_at(lower, ival)
         # the level below already moved a row from ival to ival+1, so its
         # pre-event column ival+1 is one less than the current count
-        if col(m, ival + 1) == col(m - 1, ival + 1) - 1:
-            wnew = ival
+        if up_above == low_above - 1:
+            w = ival
         else:
-            e_rows = sum(1 for x in levels[m - 1] if x == ival)
-            if ival >= 1 and col(m, ival) == col(m - 1, ival):
-                r_prob = (1.0 - t) / (1.0 - t ** (e_rows + 1))
+            if ival >= 1 and up_above + up_at == low_above + low_at:
+                r_prob = (1.0 - t) / (1.0 - t ** (up_at + 1))
             else:
                 r_prob = 1.0 - t
             if uniform() < r_prob:
                 # the search starts at ival+1, where the row of level m-1
                 # that moved from ival to ival+1 counts as it did before
-                wnew = _first_free_value(
-                    levels[m - 1], levels[m - 2], ival + 1
-                )
+                w = _first_free_value(upper, lower, ival + 1)
             else:
-                wnew = ival
-        inc_first(m, wnew)
+                w = ival
+        upper[upper.index(w)] += 1
         if record is not None:
-            record.append((m, wnew))
-        ival = wnew
-
-
-def _level_clock(rates):
-    """The number of levels, the total rate and the cumulative rates of the
-    clock that rings level k with probability c_k / sum_j c_j."""
-    rates = [float(c) for c in rates]
-    if not rates or any(c <= 0 for c in rates):
-        raise ValueError("need one positive rate per tracked level")
-    return len(rates), sum(rates), np.cumsum(rates)
+            record.append((m, w))
+        ival = w
 
 
 def run_rsk(rates, t: float, tau_max: float, seed: int, snapshot_times=(),
             validate: bool = False, events=None) -> list:
     """Event-driven trajectory; returns [(tau, PartitionArray)] at snapshots.
 
-    rates are the level clock intensities c_1..c_n, one per tracked level.
-    validate=True re-checks interlacing after every event.  Passing a list
-    as `events` collects (time, level, row, new_value) per row move.
+    rates are the level clock intensities c_1..c_n, one per tracked level
+    (`_kernels._level_clock`).  validate=True re-checks interlacing after
+    every event.  Passing a list as `events` collects (time, level, row,
+    new_value) per row move.
     """
-    n_max, total, cum = _level_clock(rates)
     rng = np.random.default_rng(seed)
-    arr = PartitionArray(n_max)
+    arr = PartitionArray(len(rates))
     snaps = sorted(float(s) for s in snapshot_times)
     if snaps and snaps[-1] > tau_max:
         raise ValueError("snapshot beyond horizon")
     out = []
-    time = 0.0
-    si = 0
-    while True:
-        dt = rng.exponential(1.0 / total)
-        nxt = time + dt
-        while si < len(snaps) and snaps[si] < min(nxt, tau_max):
+
+    def take(until):
+        while len(out) < len(snaps) and snaps[len(out)] < until:
             snap = arr.copy()
-            snap.tau = snaps[si]
-            out.append((snaps[si], snap))
-            si += 1
-        if nxt >= tau_max:
-            break
-        k = 1 + int(np.searchsorted(cum, rng.random() * total))
-        k = min(k, n_max)
+            snap.tau = snaps[len(out)]
+            out.append((snap.tau, snap))
+
+    for time, k in _kernels._clock_rings(rates, t, tau_max, rng):
+        take(time)
         rec = [] if events is not None else None
-        _apply_signal_inplace(arr.levels, n_max, k, t, rng.random, rec)
+        _apply_signal_inplace(arr.levels, arr.n_max, k, t, rng.random, rec)
         if rec is not None:
             for m, v in rec:
                 # the moved row is the last of the (v+1)-cluster it joined
-                row = _col(arr.level(m), v + 1)
-                events.append((nxt, m, row, v + 1))
+                row = _rows_above_at(arr.level(m), v)[0]
+                events.append((time, m, row, v + 1))
         if validate:
             arr.validate()
-        time = nxt
-    while si < len(snaps):
-        snap = arr.copy()
-        snap.tau = snaps[si]
-        out.append((snaps[si], snap))
-        si += 1
+    take(float("inf"))
     arr.tau = tau_max
     if not snaps:
         out.append((tau_max, arr))
@@ -328,24 +309,20 @@ def _rsk_ensemble(rates, t, taus, n_runs, seed, observe):
     """Records observe(L) of RSK runs from the empty array at the sorted taus.
 
     Runs step in lockstep (`_kernels._lockstep_ensemble`).  After the waiting
-    times, each step draws one level uniform per stepping run, then a [runs,
-    levels] matrix of coins, row r feeding run r's event.
+    times and the level uniforms, each step draws a [runs, levels] matrix of
+    coins, row r feeding run r's event.
     """
-    rates = [float(c) for c in rates]
     n = len(rates)
-    total = float(np.sum(rates))
-    cum = np.cumsum(rates)
     empty = np.where(np.tri(n, dtype=bool), 0, -1)
 
     def start(runs):
         return np.repeat(empty[None], runs, axis=0)
 
-    def step(L, rs):
-        k = np.minimum(1 + np.searchsorted(cum, rs.random_sample(len(L)) * total), n)
+    def step(L, k, rs):
         _apply_signal_batch(L, k, t, rs.random_sample((len(L), n)))
 
     return _kernels._lockstep_ensemble(
-        total, np.asarray(taus, dtype=float), n_runs, seed, start, observe, step
+        rates, t, np.asarray(taus, dtype=float), n_runs, seed, start, observe, step
     )
 
 
@@ -513,17 +490,10 @@ def _sets_signal_inplace(sets: SetSystem, k: int, t: float, uniform, record=None
 def run_sets(rates, t: float, tau_max: float, seed: int) -> SetSystem:
     """Event-driven set dynamics to time tau_max; rates as in `run_rsk`, with
     the same draws."""
-    n_max, total, cum = _level_clock(rates)
     rng = np.random.default_rng(seed)
-    sets = SetSystem(n_max)
-    time = 0.0
-    while True:
-        dt = rng.exponential(1.0 / total)
-        if time + dt >= tau_max:
-            break
-        k = 1 + int(np.searchsorted(cum, rng.random() * total))
-        _sets_signal_inplace(sets, min(k, n_max), t, rng.random)
-        time += dt
+    sets = SetSystem(len(rates))
+    for _, k in _kernels._clock_rings(rates, t, tau_max, rng):
+        _sets_signal_inplace(sets, k, t, rng.random)
     return sets
 
 
@@ -644,27 +614,14 @@ def pushtasep_apply_clock(state: PushTASEPState, k: int, t: float, uniform):
 def run_pushtasep(rates, t: float, horizon: float, seed: int) -> tuple:
     """Event-driven t-PushTASEP from the packed state.
 
-    rates gives one clock rate per tracked site.  Returns (events, state)
-    with events = [(time, site_rung, src_or_None, dst_or_None)].
+    rates gives one clock rate per tracked site (`_kernels._level_clock`).
+    Returns (events, state) with events = [(time, site_rung, src_or_None,
+    dst_or_None)].
     """
-    rates = [float(c) for c in rates]
-    n = len(rates)
     rng = np.random.default_rng(seed)
-    total = sum(rates)
-    cum = np.cumsum(rates)
-    state = PushTASEPState(n)
+    state = PushTASEPState(len(rates))
     events = []
-    time = 0.0
-    while True:
-        dt = rng.exponential(1.0 / total)
-        if time + dt >= horizon:
-            break
-        time += dt
-        k = 1 + int(np.searchsorted(cum, rng.random() * total))
-        k = min(k, n)
-        move = pushtasep_apply_clock(state, k, t, rng.random)
-        if move is None:
-            events.append((time, k, None, None))
-        else:
-            events.append((time, k, move[0], move[1]))
+    for time, k in _kernels._clock_rings(rates, t, horizon, rng):
+        move = pushtasep_apply_clock(state, k, t, rng.random) or (None, None)
+        events.append((time, k) + move)
     return events, state

@@ -440,16 +440,12 @@ def sample_half_continuous(
 
     Rows start occupied; the path on row y turns up at rate b_y, and the
     vertical excursion crosses occupied rows surely, continuing past an empty
-    row with probability t.  Returns an int array [n_times, n_rows].
+    row with probability t.  Returns an int array [n_times, n_rows]: the one
+    run of half_continuous_height_ensemble.
     """
-    rates = np.asarray([float(r) for r in rates])
-    if np.any(rates <= 0) or not 0.0 < t < 1.0:
-        raise ValueError("need positive rates and 0 < t < 1")
-    taus = np.asarray(sorted(float(q) for q in query_times))
-    if horizon is not None and taus.size and taus[-1] > horizon:
+    if horizon is not None and max(map(float, query_times), default=0.0) > horizon:
         raise ValueError("query time beyond horizon")
-    out = _kernels.half_continuous_grid_ensemble(rates, t, taus, 1, seed)
-    return out[0]
+    return half_continuous_height_ensemble(t, rates, query_times, 1, seed)[0]
 
 
 def half_continuous_height_ensemble(
@@ -457,6 +453,5 @@ def half_continuous_height_ensemble(
 ) -> np.ndarray:
     """Independent runs of sample_half_continuous: [n_runs, n_times, n_rows],
     the times in increasing order."""
-    rates = np.asarray([float(r) for r in rates])
     taus = np.asarray(sorted(float(q) for q in query_times))
     return _kernels.half_continuous_grid_ensemble(rates, t, taus, n_runs, seed)

@@ -169,6 +169,102 @@ def test_rsk_sets_output_is_pinned(capsys, args, expected):
     assert json.loads(out) == expected
 
 
+# read before the single-run samplers shared one level clock
+RSK_RUN_PINNED = [
+    (("--rates", "1.0,0.8,0.6", "--t", "0.4", "--tmax", "3", "--snapshots", "1,2.5",
+      "--seed", "7"),
+     [{"levels": [[1], [1, 0], [2, 0, 0]], "tau": 1.0},
+      {"levels": [[6], [6, 2], [7, 2, 1]], "tau": 2.5}]),
+    (("--rates", "1,1", "--t", "0.3", "--tmax", "4", "--snapshots", "0.5,2,4",
+      "--seed", "11"),
+     [{"levels": [[0], [0, 0]], "tau": 0.5}, {"levels": [[1], [1, 0]], "tau": 2.0},
+      {"levels": [[3], [3, 2]], "tau": 4.0}]),
+]
+
+RSK_RUN_CSV_PINNED = [
+    (("--rates", "1.0,0.5", "--t", "0.4", "--tmax", "2", "--seed", "2"),
+     "time,level,row,new_value\n"
+     "0.049345379773393934,1,1,1\n0.049345379773393934,2,1,1\n"
+     "1.2039946698820483,2,2,1\n1.2438591327119453,1,1,2\n"
+     "1.2438591327119453,2,1,2\n1.6789608656175583,2,2,2\n"
+     "1.9855405702394275,1,1,3\n1.9855405702394275,2,1,3\n"),
+    (("--rates", "0.7,1.2,0.9", "--t", "0.55", "--tmax", "1.5", "--seed", "5"),
+     "time,level,row,new_value\n"
+     "0.08295578979599914,1,1,1\n0.08295578979599914,2,1,1\n"
+     "0.08295578979599914,3,1,1\n0.6064529954552782,1,1,2\n"
+     "0.6064529954552782,2,1,2\n0.6064529954552782,3,1,2\n"
+     "0.8597369909568293,2,2,1\n0.8597369909568293,3,2,1\n"
+     "1.3444297984291156,1,1,3\n1.3444297984291156,2,1,3\n"
+     "1.3444297984291156,3,1,3\n"),
+]
+
+
+def _push(time, site, src, dst):
+    return {"clock_site": site, "dst": dst, "src": src, "time": time}
+
+
+RSK_PUSHTASEP_PINNED = [
+    (("--rates", "1,0.8,0.6,1.2", "--t", "0.35", "--tmax", "1.5", "--seed", "5"),
+     {"events": [_push(0.012636716833411797, 4, 4, None),
+                 _push(0.4780244432020829, 1, 1, 4),
+                 _push(0.7296895088612148, 1, None, None),
+                 _push(0.8885820365428393, 4, 4, None)],
+      "occupied": [2, 3]}),
+    (("--rates", "1,1,1", "--t", "0.6", "--tmax", "1", "--seed", "3"),
+     {"events": [_push(0.07909526904767232, 1, 1, None),
+                 _push(0.3038391797356628, 1, None, None),
+                 _push(0.5192506164280187, 3, 3, None),
+                 _push(0.5647418615529493, 1, None, None),
+                 _push(0.5815563120383205, 3, None, None)],
+      "occupied": [2]}),
+]
+
+
+@pytest.mark.parametrize("args, expected", RSK_RUN_PINNED)
+def test_rsk_run_output_is_pinned(capsys, args, expected):
+    code, out, _ = run(capsys, "rsk", "run", *args)
+    assert code == 0
+    assert json.loads(out) == expected
+
+
+@pytest.mark.parametrize("args, expected", RSK_RUN_CSV_PINNED)
+def test_rsk_run_csv_events_are_pinned(capsys, args, expected):
+    code, out, _ = run(capsys, "rsk", "run", *args, "--format", "csv")
+    assert code == 0
+    assert out == expected
+
+
+@pytest.mark.parametrize("args, expected", RSK_PUSHTASEP_PINNED)
+def test_rsk_pushtasep_output_is_pinned(capsys, args, expected):
+    code, out, _ = run(capsys, "rsk", "pushtasep", *args)
+    assert code == 0
+    assert json.loads(out) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ("rsk", "pushtasep", "--rates", "", "--t", "0.3", "--tmax", "2"),
+    ("rsk", "pushtasep", "--rates", "1,-1", "--t", "0.3", "--tmax", "2"),
+    ("verify", "rsk", "--rates", "1,-1"),
+    ("verify", "plancherel", "--rates", "1,-1"),
+    ("sixv", "halfcont", "--rates", "1,-1", "--t", "0.4", "--query", "0.5",
+     "--samples", "2"),
+    ("sixv", "halfcont", "--rates", "1,0.5", "--t", "1.5", "--query", "0.5",
+     "--samples", "2"),
+    ("rsk", "run", "--rates", "1,1", "--t", "1", "--tmax", "2"),
+    ("rsk", "sets", "--rates", "1,1", "--t", "0", "--tmax", "2"),
+])
+def test_clock_inputs_that_cannot_run_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    if "1,-1" in argv or "" in argv:
+        assert "need one positive rate per tracked level" in err
+    else:
+        assert "need 0 < t < 1" in err
+
+
 @pytest.mark.parametrize("action", ["run", "sets"])
 @pytest.mark.parametrize("bad", [
     ("--rates", "1,-1"), ("--rates", "1,0"), ("--rates", "1,1", "--levels", "3"),

@@ -1,5 +1,5 @@
-"""The traced deskbench result: one round of exact-laws with --trace 1 must end
-in a strict JSON line that is correct and names every per-layer metric of
+"""The traced deskbench result: one round of each workload with --trace 1 must
+end in a strict JSON line that is correct and names every per-layer metric of
 BENCHMARK.json, so that removing a function or attribute the tracer reads
 shows here and not only in a benchmark run."""
 
@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -15,9 +17,19 @@ def _reject_constant(name):
     raise ValueError(f"non-finite number {name} in the result line")
 
 
-def test_traced_exact_laws_result_names_every_per_layer_metric():
+# per workload, the metrics that must count some work: the tracer reads them
+# from functions the workload reaches only through the program's names
+COUNTED = {
+    "exact-laws": (),
+    "monte-carlo": ("rsk.ensemble_runs",),
+    "rsk-trajectory": ("rsk.signals",),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(COUNTED))
+def test_traced_result_names_every_per_layer_metric(workload):
     proc = subprocess.run(
-        [sys.executable, "deskbench/run.py", "--workload", "exact-laws",
+        [sys.executable, "deskbench/run.py", "--workload", workload,
          "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
@@ -27,3 +39,5 @@ def test_traced_exact_laws_result_names_every_per_layer_metric():
     assert result["failed"] == 0
     wanted = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     assert set(result["metrics"]) == wanted
+    for name in COUNTED[workload]:
+        assert result["metrics"][name]["value"] > 0, name

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hlsixv import hl_process as hl
 from hlsixv import verify as vf
 from hlsixv.distributions import DiscreteDistribution, tv_distance
 
@@ -16,6 +17,17 @@ def test_tv_distance_cases():
     assert tv_distance(p, q) == pytest.approx(1.0)
     r = DiscreteDistribution({"a": 0.7, "b": 0.3})
     assert tv_distance(p, r) == pytest.approx(0.1)
+
+
+def test_exact_law_widens_the_cap_to_the_realized_deficit():
+    spec = hl.plancherel_spec(0.5, (1.0, 0.8), 0.6, 128)
+    # the tail bound's cap falls short: its realized deficit is near 1e-7
+    assert hl.minimal_row_cap(spec) <= 8
+    assert hl.exact_marginal_distribution(spec, 2, 8).mass_deficit > 1e-8
+    law, cap = vf._exact_law(hl.exact_marginal_distribution, spec, 2)
+    assert cap == 16
+    assert law.mass_deficit <= 1e-12
+    assert vf._exact_law(hl.exact_marginal_distribution, spec, 2, row_cap=8)[1] == 8
 
 
 def test_chi_square_exact_proportional_counts():
