@@ -1,6 +1,6 @@
 """Hot numeric kernels in plain Python/numpy: the interlacing-lattice edge
-builder and its scatter-accumulate step, the half-continuous six vertex height
-ensemble and the six vertex outgoing-edge code sampler.
+builder and its scatter-accumulate step, and the level clock with the lockstep
+driver of the Monte Carlo ensembles.
 
 The lattice builder is vectorized and works for any number of rows.  It
 enumerates each state's interlacing partners as a mixed-radix product of row
@@ -16,12 +16,11 @@ Every continuous-time dynamics is driven by one Poisson clock that rings
 level k at rate c_k: _level_clock checks its inputs, _clock_rings rings it
 for one run and _lockstep_ensemble for blocks of runs.
 
-The Monte Carlo samplers step blocks of ENSEMBLE_BLOCK runs together with
-numpy: the half-continuous ensemble and the RSK ensembles of rsk through
-_lockstep_ensemble, one clock event per step across the runs of a block, and
-the six vertex sampler one vertex at a time across the samples of a block.
-The half-continuous sampler is uniformized.  Each sampler draws from
-`np.random.RandomState(seed)` in a fixed order, so a seed fixes its output.
+The Monte Carlo ensembles step blocks of ENSEMBLE_BLOCK runs together with
+numpy: the half-continuous ensemble of six_vertex and the RSK ensembles of
+rsk through _lockstep_ensemble, one clock event per step across the runs of
+a block.  Each draws from `np.random.RandomState(seed)` in a fixed order, so
+a seed fixes its output.
 """
 
 from __future__ import annotations
@@ -102,82 +101,6 @@ def _lockstep_ensemble(rates, t, taus, n_runs, seed, start, observe, step):
                 u = rs.random_sample(len(ids))
                 step(state, np.minimum(1 + np.searchsorted(cum, u * total), n), rs)
     return out
-
-
-def half_continuous_grid_ensemble(brates, t, taus, n_runs, seed):
-    """Heights h(tau, y) = #occupied rows among 1..y, per run and grid point.
-
-    Rows start occupied.  The sampler is uniformized (Jensen 1953): the level
-    clock of the rates b_y rings row y with probability b_y / sum_y b_y, and
-    a ring on an empty row does nothing, which keeps the law of the process
-    with rate b_y on each occupied row.  A ring on an occupied row empties it
-    and sends an excursion up the rows: it crosses occupied rows and stops on
-    an empty row with probability 1 - t, filling it.  Per lockstep step of
-    _lockstep_ensemble the row is followed by a [runs, rows] matrix of
-    uniforms whose entry (run, z) is the coin of the excursion at an empty
-    row z.
-    """
-    n_rows = len(brates)
-
-    def start(runs):
-        return np.ones((runs, n_rows), dtype=bool)
-
-    def observe(occ):
-        return np.cumsum(occ, axis=1)
-
-    def step(occ, level, rs):
-        runs = np.arange(len(occ))
-        row = level - 1
-        coins = rs.random_sample(occ.shape)
-        climbing = occ[runs, row]
-        occ[runs, row] = False
-        for z in range(1, n_rows):
-            stop = climbing & (row < z) & ~occ[:, z] & (coins[:, z] < 1.0 - t)
-            occ[stop, z] = True
-            climbing &= ~stop
-
-    return _lockstep_ensemble(brates, t, taus, n_runs, seed, start, observe, step)
-
-
-def six_vertex_tcode_counts(a, b, t, heights, n_samples, seed):
-    """Counts of outgoing-edge occupancy codes (bit i = cut edge i occupied).
-
-    Samples are drawn in blocks of ENSEMBLE_BLOCK.  Within a block the
-    vertices are visited column by column, bottom to top, and each vertex
-    draws one uniform per sample of the block, used only where exactly one
-    path enters it.
-    """
-    rs = np.random.RandomState(seed)
-    m_cols = a.shape[0]
-    n_rows = b.shape[0]
-    codes = np.empty(n_samples, dtype=np.int64)
-    for first in range(0, n_samples, ENSEMBLE_BLOCK):
-        size = min(ENSEMBLE_BLOCK, n_samples - first)
-        hbits = np.ones((n_rows + 1, size), dtype=bool)  # row 0 is never entered
-        code = np.zeros(size, dtype=np.int64)
-        pos = 0
-        for x in range(m_cols):
-            hx = heights[x]
-            v = np.zeros(size, dtype=bool)
-            for y in range(1, hx + 1):
-                ab = a[x] * b[y - 1]
-                in_h = hbits[y]
-                # one path in: a horizontal one goes on right with probability
-                # (1 - ab)/(1 - t ab), a vertical one goes on up with t times that
-                keep = rs.random_sample(size) < np.where(
-                    in_h, (1.0 - ab) / (1.0 - t * ab), t * (1.0 - ab) / (1.0 - t * ab)
-                )
-                out_h = np.where(in_h, v | keep, v & ~keep)
-                v = in_h ^ v ^ out_h  # paths are conserved
-                hbits[y] = out_h
-            code |= v.astype(np.int64) << pos
-            pos += 1
-            hnext = heights[x + 1] if x + 1 < m_cols else 0
-            for y in range(hx, hnext, -1):
-                code |= hbits[y].astype(np.int64) << pos
-                pos += 1
-        codes[first:first + size] = code
-    return np.bincount(codes, minlength=1 << (m_cols + n_rows))
 
 
 def _repeat_ranges(counts):

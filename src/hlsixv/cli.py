@@ -108,9 +108,9 @@ def _hl_spec(args) -> hl.HLProcessSpec:
 
 def _cmd_hl(args):
     spec = _hl_spec(args)
-    cap = args.row_cap or hl.minimal_row_cap(spec)
     if args.action == "pi":
         return 0, {"pi": hl.normalization_pi(spec)}
+    cap = args.row_cap or hl.row_cap(spec)
     if args.action == "exact":
         dist = hl.exact_sequence_distribution(spec, cap)
         rows = sorted(
@@ -150,15 +150,16 @@ def _cmd_sixv(args):
         taus = _floats(args.query)
         if not rates or not taus:
             raise ValueError("halfcont requires --rates and --query")
-        if args.samples > 1:
-            ens = sv.half_continuous_height_ensemble(
-                args.t, rates, taus, args.samples, split_seed(args.seed, "sixv.halfcont")
-            )
-            return 0, {"query_times": list(taus), "heights": ens.tolist()}
-        h = sv.sample_half_continuous(
-            args.t, rates, args.tmax, taus, split_seed(args.seed, "sixv.halfcont")
+        if args.samples < 1:
+            raise ValueError("halfcont requires --samples >= 1")
+        if args.tmax is not None and max(taus) > args.tmax:
+            raise ValueError("query time beyond horizon")
+        ens = sv.half_continuous_height_ensemble(
+            args.t, rates, taus, args.samples, split_seed(args.seed, "sixv.halfcont")
         )
-        return 0, {"query_times": list(taus), "heights": h.tolist()}
+        # one run prints its [times, rows] heights, more the [runs, times, rows] array
+        heights = ens[0] if args.samples == 1 else ens
+        return 0, {"query_times": list(taus), "heights": heights.tolist()}
     if not args.a or not args.b:
         raise ValueError(f"sixv {args.action} requires --a and --b")
     params, meta = _sv_params(args)

@@ -123,8 +123,8 @@ def minimal_row_cap(spec: HLProcessSpec, tol: float = 1e-12, cap_max: int = 400)
 
     Sequences containing a part > R carry unnormalized mass at most
     K rho^{R+1}/(1-rho) with rho = max a_i b_j, K counting the (step, pair)
-    combinations; the exact realized deficit is validated downstream against
-    Pi^S.
+    combinations.  row_cap widens it until the realized deficit against Pi^S
+    is within 1e-12.
     """
     rho = max((ai * bj for ai in spec.a for bj in spec.b), default=0.0)
     if rho == 0.0:
@@ -139,6 +139,30 @@ def minimal_row_cap(spec: HLProcessSpec, tol: float = 1e-12, cap_max: int = 400)
                 f"tail ratio {rho} too close to 1: cap {cap_max} insufficient for tol {tol}"
             )
     return max(cap, 4)
+
+
+def row_cap(spec: HLProcessSpec) -> int:
+    """The row cap of spec's exact laws: minimal_row_cap rounded up to a
+    multiple of 8, widened by 8 until the realized deficit 1 - Z/Pi^S of the
+    forward DP is at most 1e-12.  The tail bound alone undercounts the paths
+    through many small parameters (at plancherel_spec(K=128) its cap 8 leaves
+    1e-7).  LatticeTooLarge when no buildable cap gets there."""
+    pi = normalization_pi(spec)
+    cap = -(-minimal_row_cap(spec) // 8) * 8
+    while 1.0 - _forward_mass(spec, cap) / pi > 1e-12:
+        cap += 8
+    return cap
+
+
+def _forward_mass(spec: HLProcessSpec, row_cap: int) -> float:
+    """Z: the mass of the sequences with parts <= row_cap, by the forward DP."""
+    lat = get_lattice(min(spec.M, spec.N), row_cap)
+    empty = lat.index[pt.EMPTY]
+    vec = np.zeros(len(lat.states))
+    vec[empty] = 1.0
+    for kind, param in spec.steps():
+        vec = lat.apply(vec, kind, param, spec.t)
+    return vec[empty]
 
 
 # ---------------------------------------------------------------------------

@@ -55,11 +55,6 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(out)
 
 
-def column(lam: Partition, j: int) -> int:
-    """lambda'_j for j >= 1 without building the conjugate."""
-    return sum(1 for p in lam if p >= j)
-
-
 def multiplicities(lam: Partition) -> dict:
     """Map j -> m_j(lambda) = #{i : lambda_i = j} over j >= 1."""
     out: dict = {}
@@ -67,14 +62,6 @@ def multiplicities(lam: Partition) -> dict:
         if p > 0:
             out[p] = out.get(p, 0) + 1
     return out
-
-
-def contains(lam: Partition, mu: Partition) -> bool:
-    """mu subset of lam componentwise."""
-    for i, m in enumerate(mu):
-        if m > (lam[i] if i < len(lam) else 0):
-            return False
-    return True
 
 
 def interlaces(lam: Partition, mu: Partition) -> bool:

@@ -71,12 +71,28 @@ class SixVertexParams:
         return Q, xi, u
 
 
+def vertex_branches(ab: float, t: float, h: bool, v: bool) -> tuple:
+    """The outcomes (probability, h_out, v_out) of a vertex with column-row
+    product ab entered by a path on the left iff h and from below iff v.
+
+    With one path in there are two branches, and a sampler takes the first
+    when a uniform falls below its probability; with none or two there is
+    one sure branch.
+    """
+    if h == v:
+        return ((1.0, h, v),)
+    d = 1.0 - t * ab
+    if h:
+        return (((1.0 - ab) / d, True, False), ((1.0 - t) * ab / d, False, True))
+    return ((t * (1.0 - ab) / d, False, True), ((1.0 - t) / d, True, False))
+
+
 def vertex_probabilities(params: SixVertexParams, x: int, y: int) -> tuple:
     """(P(horizontal pass), P(turn up), P(vertical pass), P(turn right)) at (x,y)."""
     ab = params.a[x - 1] * params.b[y - 1]
-    t = params.t
-    d = 1.0 - t * ab
-    return ((1.0 - ab) / d, (1.0 - t) * ab / d, t * (1.0 - ab) / d, (1.0 - t) / d)
+    (p_pass, _, _), (p_up, _, _) = vertex_branches(ab, params.t, True, False)
+    (p_vert, _, _), (p_right, _, _) = vertex_branches(ab, params.t, False, True)
+    return p_pass, p_up, p_vert, p_right
 
 
 def native_vertex_probabilities(Q: float, xi_x: float, u_y: float) -> tuple:
@@ -176,22 +192,6 @@ class LatticeState:
     def v_in(self, x, y):
         return False if y == 1 else self.vert[(x, y - 1)]
 
-    def vertex_type(self, x, y) -> str:
-        key = (
-            self.h_in(x, y),
-            self.v_in(x, y),
-            self.horiz[(x, y)],
-            self.vert[(x, y)],
-        )
-        return {
-            (False, False, False, False): "empty",
-            (True, True, True, True): "full-cross",
-            (True, False, True, False): "horizontal",
-            (True, False, False, True): "turn-up",
-            (False, True, False, True): "vertical",
-            (False, True, True, False): "turn-right",
-        }[key]
-
     def validate(self):
         """Path conservation and boundary conditions at every vertex."""
         H = self.domain.column_heights()
@@ -216,7 +216,8 @@ class LatticeState:
 
 
 def sample_state(params: SixVertexParams, domain: JaggedDomain, seed) -> LatticeState:
-    """Markovian sampling, column by column (equivalent to x+y sweeps)."""
+    """Markovian sampling, column by column (equivalent to x+y sweeps): one
+    uniform per vertex that exactly one path enters."""
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
     H = domain.column_heights()
     vert, horiz = {}, {}
@@ -224,18 +225,13 @@ def sample_state(params: SixVertexParams, domain: JaggedDomain, seed) -> Lattice
         v = False
         for y in range(1, H[x - 1] + 1):
             h = True if x == 1 else horiz[(x - 1, y)]
-            p_pass, _, p_vert, _ = vertex_probabilities(params, x, y)
-            if h and v:
-                oh, ov = True, True
-            elif not h and not v:
-                oh, ov = False, False
-            elif h:
-                oh, ov = (True, False) if rng.random() < p_pass else (False, True)
-            else:
-                oh, ov = (False, True) if rng.random() < p_vert else (True, False)
-            horiz[(x, y)] = oh
-            vert[(x, y)] = ov
-            v = ov
+            ab = params.a[x - 1] * params.b[y - 1]
+            branches = vertex_branches(ab, params.t, h, v)
+            branch = branches[0]
+            if len(branches) > 1 and rng.random() >= branch[0]:
+                branch = branches[1]
+            _, horiz[(x, y)], v = branch
+            vert[(x, y)] = v
     return LatticeState(domain, params, vert, horiz)
 
 
@@ -278,17 +274,8 @@ def _column_outcomes(params, x, hx, hbits):
         if y > hx:
             results.append((prob, tuple(acc_h), tuple(acc_v)))
             return
-        h = hbits[y - 1]
-        p_pass, p_up, p_vert, p_right = vertex_probabilities(params, x, y)
-        if h and v:
-            branches = [(1.0, True, True)]
-        elif not h and not v:
-            branches = [(1.0, False, False)]
-        elif h:
-            branches = [(p_pass, True, False), (p_up, False, True)]
-        else:
-            branches = [(p_vert, False, True), (p_right, True, False)]
-        for w, oh, ov in branches:
+        ab = params.a[x - 1] * params.b[y - 1]
+        for w, oh, ov in vertex_branches(ab, params.t, hbits[y - 1], v):
             acc_h.append(oh)
             acc_v.append(ov)
             rec(y + 1, ov, acc_h, acc_v, prob * w)
@@ -410,21 +397,50 @@ def exact_cut_column_distribution(
 
 
 # ---------------------------------------------------------------------------
-# bulk sampling (kernel-backed)
+# bulk sampling
 
 
 def sample_outgoing_counts(
     params: SixVertexParams, domain: JaggedDomain, n_samples: int, seed: int
 ) -> dict:
-    """Monte Carlo counts of outgoing strings T over n_samples states."""
-    H = np.asarray(domain.column_heights(), dtype=np.int64)
-    counts = _kernels.six_vertex_tcode_counts(
-        np.asarray(params.a), np.asarray(params.b), params.t, H, n_samples, seed
-    )
-    n_edges = domain.M + domain.N
+    """Monte Carlo counts of outgoing strings T over n_samples states.
+
+    Samples are drawn in blocks of `_kernels.ENSEMBLE_BLOCK` from
+    RandomState(seed).  Within a block the vertices are visited column by
+    column, bottom to top, and each vertex draws one uniform per sample of
+    the block, used only where exactly one path enters: the path keeps its
+    direction when the uniform falls below the first branch of
+    vertex_branches.  Each sample is coded with bit i set when cut edge i is
+    occupied.
+    """
+    H = domain.column_heights()
+    M, N = domain.M, domain.N
+    rs = np.random.RandomState(seed)
+    codes = np.empty(n_samples, dtype=np.int64)
+    for first in range(0, n_samples, _kernels.ENSEMBLE_BLOCK):
+        size = min(_kernels.ENSEMBLE_BLOCK, n_samples - first)
+        hbits = np.ones((N + 1, size), dtype=bool)  # row 0 is never entered
+        code = np.zeros(size, dtype=np.int64)
+        pos = 0
+        for x in range(1, M + 1):
+            v = np.zeros(size, dtype=bool)
+            for y in range(1, H[x - 1] + 1):
+                p_pass, _, p_vert, _ = vertex_probabilities(params, x, y)
+                in_h = hbits[y]
+                keep = rs.random_sample(size) < np.where(in_h, p_pass, p_vert)
+                out_h = np.where(in_h, v | keep, v & ~keep)
+                v = in_h ^ v ^ out_h  # paths are conserved
+                hbits[y] = out_h
+            code |= v.astype(np.int64) << pos
+            pos += 1
+            for y in range(H[x - 1], H[x] if x < M else 0, -1):
+                code |= hbits[y].astype(np.int64) << pos
+                pos += 1
+        codes[first:first + size] = code
+    counts = np.bincount(codes, minlength=1 << (M + N))
     out = {}
     for code in np.nonzero(counts)[0]:
-        T = tuple(-1 if (int(code) >> i) & 1 else 1 for i in range(n_edges))
+        T = tuple(-1 if (int(code) >> i) & 1 else 1 for i in range(M + N))
         out[T] = int(counts[code])
     return out
 
@@ -433,25 +449,52 @@ def sample_outgoing_counts(
 # half-continuous limit
 
 
-def sample_half_continuous(
-    t: float, rates, horizon: float, query_times, seed: int
-) -> np.ndarray:
-    """Heights h(tau, y) of the half-continuous model at query times x rows.
+def _excursion_batch(occ, level, coins, t):
+    """One ring of the half-continuous dynamics in each run of a block.
 
-    Rows start occupied; the path on row y turns up at rate b_y, and the
-    vertical excursion crosses occupied rows surely, continuing past an empty
-    row with probability t.  Returns an int array [n_times, n_rows]: the one
-    run of half_continuous_height_ensemble.
+    occ [runs, rows] holds the occupied rows; run r is rung at row level[r]
+    (1-based).  A ring on an empty row does nothing.  A ring on an occupied
+    row empties it and sends an excursion up the rows: it crosses occupied
+    rows surely and, at each empty row z (0-based), stops there and fills it
+    when coins[r, z] < 1 - t, or else carries on; past the last row it
+    leaves.  This is the rule of `rsk.pushtasep_apply_clock`, which reads the
+    same coin at the same row.
     """
-    if horizon is not None and max(map(float, query_times), default=0.0) > horizon:
-        raise ValueError("query time beyond horizon")
-    return half_continuous_height_ensemble(t, rates, query_times, 1, seed)[0]
+    runs = np.arange(len(occ))
+    row = level - 1
+    climbing = occ[runs, row]
+    occ[runs, row] = False
+    for z in range(1, occ.shape[1]):
+        stop = climbing & (row < z) & ~occ[:, z] & (coins[:, z] < 1.0 - t)
+        occ[stop, z] = True
+        climbing &= ~stop
 
 
 def half_continuous_height_ensemble(
     t: float, rates, query_times, n_runs: int, seed: int
 ) -> np.ndarray:
-    """Independent runs of sample_half_continuous: [n_runs, n_times, n_rows],
-    the times in increasing order."""
+    """Heights h(tau, y) = #occupied rows among 1..y of independent runs of
+    the half-continuous model: [n_runs, n_times, n_rows], the times in
+    increasing order.
+
+    Rows start occupied, and the path on row y turns up at rate b_y =
+    rates[y-1] into the excursion of `_excursion_batch`.  The sampler is
+    uniformized (Jensen 1953): the level clock of the rates rings row y with
+    probability b_y / sum_y b_y, and a ring on an empty row does nothing,
+    which keeps the law of the process with rate b_y on each occupied row.
+    Runs step in lockstep (`_kernels._lockstep_ensemble`).  After the waiting
+    times and the level uniforms, each step draws a [runs, rows] matrix of
+    coins, row r feeding run r's excursion.
+    """
+    n_rows = len(rates)
+
+    def start(runs):
+        return np.ones((runs, n_rows), dtype=bool)
+
+    def step(occ, level, rs):
+        _excursion_batch(occ, level, rs.random_sample(occ.shape), t)
+
     taus = np.asarray(sorted(float(q) for q in query_times))
-    return _kernels.half_continuous_grid_ensemble(rates, t, taus, n_runs, seed)
+    return _kernels._lockstep_ensemble(
+        rates, t, taus, n_runs, seed, start, lambda occ: np.cumsum(occ, axis=1), step
+    )

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import partitions as pt
+from .six_vertex import vertex_branches
 
 
 def boson_weight(in_h: int, in_v: int, out_h: int, out_v: int, spectral: float,
@@ -152,18 +153,13 @@ def partition_occ_index(lam, L: int, n_occ: int) -> int:
 
 
 def _r6v(in_left, in_bottom, out_top, out_right, ab, t):
-    """Stochastic six-vertex weights with column-row product ab."""
-    key = (in_left, in_bottom, out_top, out_right)
-    d = 1.0 - t * ab
-    table = {
-        (0, 0, 0, 0): 1.0,
-        (1, 1, 1, 1): 1.0,
-        (1, 0, 0, 1): (1.0 - ab) / d,
-        (1, 0, 1, 0): (1.0 - t) * ab / d,
-        (0, 1, 1, 0): t * (1.0 - ab) / d,
-        (0, 1, 0, 1): (1.0 - t) / d,
-    }
-    return table.get(key, 0.0)
+    """Stochastic six-vertex weight with column-row product ab: the
+    probability of the branch of six_vertex.vertex_branches that leaves this
+    way, 0 for no branch."""
+    for p, h, v in vertex_branches(ab, t, bool(in_left), bool(in_bottom)):
+        if (h, v) == (bool(out_right), bool(out_top)):
+            return p
+    return 0.0
 
 
 def verify_yang_baxter(i1, i2, j1, j2, m, n, a, b, t) -> float:

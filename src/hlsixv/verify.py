@@ -125,24 +125,6 @@ def draw_matched_params(rng, M: int, N: int, max_ab: float = 0.30,
     return t, a, b
 
 
-def _exact_law(law, spec, *args, row_cap=None):
-    """(law(spec, *args, cap), cap): a truncated exact law of spec.
-
-    Unless row_cap gives the cap, it starts at hl.minimal_row_cap(spec)
-    rounded up to a multiple of 8 and widens by 8 until the realized mass
-    deficit is at most 1e-12: the tail bound undercounts the paths through
-    many small parameters (at plancherel_spec(K=128) its cap 8 leaves 1e-7).
-    """
-    if row_cap is not None:
-        return law(spec, *args, row_cap), row_cap
-    cap = max(8, -(-hl.minimal_row_cap(spec) // 8) * 8)
-    out = law(spec, *args, cap)
-    while out.mass_deficit > 1e-12:
-        cap += 8
-        out = law(spec, *args, cap)
-    return out, cap
-
-
 # ---------------------------------------------------------------------------
 # exact checks
 
@@ -152,7 +134,8 @@ def check_support_match(M, N, S, t, a, b, row_cap=None,
     """TV between the HL support law and the 6v outgoing-edge law."""
     start = time.perf_counter()
     spec = hl.HLProcessSpec(t=t, a=tuple(a), b=tuple(b), S=pt.parse_signs(S))
-    hdist, row_cap = _exact_law(hl.exact_support_distribution, spec, row_cap=row_cap)
+    row_cap = row_cap or hl.row_cap(spec)
+    hdist = hl.exact_support_distribution(spec, row_cap)
     params = sv.SixVertexParams(t=t, a=tuple(a), b=tuple(b))
     vdist = sv.exact_outgoing_distribution(params, sv.JaggedDomain(M, N, spec.S))
     tv = tv_distance(hdist, vdist)
@@ -172,7 +155,8 @@ def check_height_match(M, N, S, t, a, b, row_cap=None,
     """TV between the joint first-column law and the cut-path height law."""
     start = time.perf_counter()
     spec = hl.HLProcessSpec(t=t, a=tuple(a), b=tuple(b), S=pt.parse_signs(S))
-    hdist, row_cap = _exact_law(hl.exact_first_column_distribution, spec, row_cap=row_cap)
+    row_cap = row_cap or hl.row_cap(spec)
+    hdist = hl.exact_first_column_distribution(spec, row_cap)
     params = sv.SixVertexParams(t=t, a=tuple(a), b=tuple(b))
     vdist = sv.exact_cut_column_distribution(params, sv.JaggedDomain(M, N, spec.S))
     tv = tv_distance(hdist, vdist)
@@ -193,7 +177,7 @@ def hl_exact_moment(k, ms, N, t, a, b, row_cap=None) -> float:
     M = max(ms)
     S = tuple([1] * M + [-1] * N)
     spec = hl.HLProcessSpec(t=t, a=tuple(a)[:M], b=tuple(b), S=S)
-    dist, _ = _exact_law(hl.exact_first_column_distribution, spec, row_cap=row_cap)
+    dist = hl.exact_first_column_distribution(spec, row_cap or hl.row_cap(spec))
     return dist.expectation(
         lambda cols: t ** sum(N - cols[m - 1] for m in ms)
     )
@@ -312,13 +296,15 @@ def check_plancherel_marginal(rates, t, tau, level: int, K: int, samples: int,
     the pure sampling-noise component.
     """
     start = time.perf_counter()
+    if not 1 <= level <= len(rates):
+        raise ValueError(f"level {level} outside 1..{len(rates)}, one per rate")
     rates = [float(c) for c in rates][:level]
     ens = rsk.rsk_top_level_ensemble(rates, t, tau, samples, seed)
     counts = _vector_counts(ens, key=pt.strip_zeros)
 
     def exact_law(kk):
         spec = hl.plancherel_spec(t, rates, tau, kk)
-        return _exact_law(hl.exact_marginal_distribution, spec, level)[0]
+        return hl.exact_marginal_distribution(spec, level, hl.row_cap(spec))
 
     def tv_against(law):
         n = samples

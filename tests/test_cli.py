@@ -353,3 +353,80 @@ def test_halfcont_cli(capsys):
     assert code == 0
     payload = json.loads(out)
     assert len(payload["heights"]) == 2
+
+
+@pytest.mark.parametrize("shape,expected", [
+    (("--a", "0.5,0.35", "--b", "0.5,0.4"), [
+        "0,2990593004,[],[2, 2, 1]",
+        "1,861771716,[2, 2],[1, 0, 0]",
+        "2,2990593004,[],[2, 2, 1]",
+        "3,1567037624,[2],[2, 1, 0]",
+    ]),
+    (("--a", "0.5,0.35,0.4", "--b", "0.5,0.4,0.3", "--S", "+-++--"), [
+        "0,3069354216,[3, 2],[3, 2, 1, 1, 0]",
+        "1,2488836479,[3, 1],[3, 2, 2, 1, 0]",
+        "2,2323557871,[3, 2, 2],[2, 1, 1, 1, 0]",
+        "3,2906167309,[2, 2, 2],[2, 1, 1, 1, 1]",
+    ]),
+])
+def test_sixv_sample_csv_is_pinned(capsys, shape, expected):
+    # one uniform per vertex with exactly one path in (SCHEMAS.md "Seeding")
+    code, out, _ = run(capsys, "sixv", "sample", "--t", "0.35", *shape,
+                       "--samples", "4", "--format", "csv", "--seed", "5")
+    assert code == 0
+    assert out.splitlines() == ["sample,state_hash,nu,heights"] + expected
+
+
+@pytest.mark.parametrize("samples,query,expected", [
+    ("1", "0.5,1.0,2.5", [[0, 1, 1], [0, 1, 1], [0, 1, 1]]),
+    ("3", "2.5,0.5,1.0", [
+        [[0, 1, 2], [0, 1, 2], [0, 1, 1]],
+        [[1, 1, 2], [1, 1, 2], [0, 0, 1]],
+        [[0, 1, 2], [0, 0, 1], [0, 0, 0]],
+    ]),
+])
+def test_halfcont_output_is_pinned(capsys, samples, query, expected):
+    # heights at the sorted query times; one run prints [times, rows]
+    code, out, _ = run(capsys, "sixv", "halfcont", "--t", "0.4", "--rates",
+                       "1.0,0.7,0.5", "--query", query, "--seed", "4",
+                       "--samples", samples)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["query_times"] == [float(q) for q in query.split(",")]
+    assert payload["heights"] == expected
+
+
+@pytest.mark.parametrize("samples", ["1", "2"])
+def test_halfcont_checks_the_horizon_for_any_sample_count(capsys, samples):
+    code, out, err = run(capsys, "sixv", "halfcont", "--t", "0.4", "--rates",
+                         "1,0.5", "--tmax", "1", "--query", "2",
+                         "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert "query time beyond horizon" in err
+
+
+def test_halfcont_needs_a_run(capsys):
+    code, out, err = run(capsys, "sixv", "halfcont", "--t", "0.4", "--rates",
+                         "1,0.5", "--query", "0.5", "--samples", "0")
+    assert code == 2
+    assert out == ""
+    assert "--samples >= 1" in err
+
+
+def test_verify_plancherel_level_beyond_the_rates_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "plancherel", "--rates", "1.0,0.8",
+                         "--level-n", "3", "--samples", "20000", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "level 3 outside 1..2" in err
+
+
+def test_hl_support_widens_the_cap_to_the_realized_deficit(capsys):
+    # many small b: the tail bound's cap 8 leaves a deficit of 3.3e-11
+    code, out, _ = run(capsys, "hl", "support", "--t", "0.5", "--a", "1.0,0.8",
+                       "--b", ",".join(["0.015"] * 24))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["row_cap"] == 16
+    assert payload["mass_deficit"] <= 1e-12

@@ -437,6 +437,21 @@ def test_plancherel_spec_shape():
     assert len(set(spec.b)) == 1
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 20), st.floats(0.1, 0.9),
+       st.floats(0.05, 1.0), st.floats(0.005, 0.5))
+def test_row_cap_is_the_first_bucket_within_the_deficit(M, N, t, a, b):
+    """The default cap's support law loses at most 1e-12 of Pi^S, and the
+    bucket below it, when the tail bound allows that bucket, loses more."""
+    spec = hl.HLProcessSpec(t=t, a=(a,) * M, b=(min(b, 0.5 / a),) * N,
+                            S=(1,) * M + (-1,) * N)
+    cap = hl.row_cap(spec)
+    assert cap % 8 == 0 and cap >= hl.minimal_row_cap(spec)
+    assert hl.exact_support_distribution(spec, cap).mass_deficit <= 1e-12
+    if cap - 8 >= hl.minimal_row_cap(spec):
+        assert hl.exact_support_distribution(spec, cap - 8).mass_deficit > 1e-12
+
+
 def test_truncation_error():
     spec = spec11()
     with pytest.raises(hl.TruncationError):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hlsixv import rsk
 from hlsixv import six_vertex as sv
 from hlsixv import partitions as pt
 from hlsixv.distributions import DiscreteDistribution, tv_distance
@@ -262,14 +264,43 @@ def test_half_continuous_ensemble_sorts_query_times():
 
 
 def test_half_continuous_monotone_and_deterministic():
-    h1 = sv.sample_half_continuous(0.4, (1.0, 0.7, 0.5), 3.0, (0.5, 1.0, 2.5), seed=4)
-    h2 = sv.sample_half_continuous(0.4, (1.0, 0.7, 0.5), 3.0, (0.5, 1.0, 2.5), seed=4)
+    args = (0.4, (1.0, 0.7, 0.5), (0.5, 1.0, 2.5), 1)
+    h1 = sv.half_continuous_height_ensemble(*args, seed=4)[0]
+    h2 = sv.half_continuous_height_ensemble(*args, seed=4)[0]
     assert np.array_equal(h1, h2)
     # heights cumulative in y, non-increasing in tau
     assert np.all(np.diff(h1, axis=1) >= 0)
     assert np.all(np.diff(h1, axis=0) <= 0)
-    with pytest.raises(ValueError):
-        sv.sample_half_continuous(0.4, (1.0,), 1.0, (2.0,), seed=1)
+
+
+_rows = st.integers(1, 6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(0.0, 0.95),
+    _rows.flatmap(lambda n: st.lists(
+        st.tuples(
+            st.lists(st.booleans(), min_size=n, max_size=n),
+            st.integers(1, n),
+            st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n),
+        ),
+        min_size=1, max_size=8,
+    )),
+)
+def test_excursion_batch_matches_pushtasep_clock(t, runs):
+    """Each run of the batched excursion equals the t-PushTASEP clock ring at
+    the same row, fed coin column z at each empty row z it reaches."""
+    occ = np.array([o for o, _, _ in runs])
+    level = np.array([k for _, k, _ in runs])
+    coins = np.array([c for _, _, c in runs])
+    before = occ.copy()
+    sv._excursion_batch(occ, level, coins, t)
+    for r, (o, k, c) in enumerate(runs):
+        state = rsk.PushTASEPState(len(o), list(o))
+        reached = [c[z] for z in range(k, len(o)) if not o[z]]
+        rsk.pushtasep_apply_clock(state, k, t, iter(reached).__next__)
+        assert occ[r].tolist() == state.occupied, (before[r], k)
 
 
 def test_seeded_sampler_streams_are_pinned():

@@ -24,10 +24,10 @@ def test_exact_law_widens_the_cap_to_the_realized_deficit():
     # the tail bound's cap falls short: its realized deficit is near 1e-7
     assert hl.minimal_row_cap(spec) <= 8
     assert hl.exact_marginal_distribution(spec, 2, 8).mass_deficit > 1e-8
-    law, cap = vf._exact_law(hl.exact_marginal_distribution, spec, 2)
-    assert cap == 16
-    assert law.mass_deficit <= 1e-12
-    assert vf._exact_law(hl.exact_marginal_distribution, spec, 2, row_cap=8)[1] == 8
+    assert hl.row_cap(spec) == 16
+    assert hl.exact_marginal_distribution(spec, 2, 16).mass_deficit <= 1e-12
+    report = vf.check_support_match(1, 1, "+-", 0.5, (0.4,), (0.4,), row_cap=8)
+    assert report.details["row_cap"] == 8
 
 
 def test_chi_square_exact_proportional_counts():
@@ -127,6 +127,13 @@ def test_check_plancherel_small():
     )
     assert r.passed, r.details
     assert r.details["tv_2K"] < r.details["tv_K"]
+
+
+@pytest.mark.parametrize("level", [0, 3])
+def test_check_plancherel_rejects_a_level_without_a_rate(level):
+    with pytest.raises(ValueError, match=r"level .* outside 1\.\.2"):
+        vf.check_plancherel_marginal((1.0, 0.8), 0.5, 0.6, level=level, K=64,
+                                     samples=100, seed=3)
 
 
 @settings(max_examples=200, deadline=None)
