@@ -1,16 +1,17 @@
 """Hot numeric kernels in plain Python/numpy: the interlacing-lattice edge
-builder and its scatter-accumulate step, and the level clock with the lockstep
-driver of the Monte Carlo ensembles.
+builder and the step that applies its sparse operators, and the level clock
+with the lockstep driver of the Monte Carlo ensembles.
 
 The lattice builder is vectorized and works for any number of rows.  It
 enumerates each state's interlacing partners as a mixed-radix product of row
 ranges and sorts the edges into classes of equal |lam| - |mu| and equal skew
 Hall-Littlewood factors, each factor given by the multiset of its (1 - t^e)
-exponents; hl_process turns the classes into edge weights for given x and t.
-scatter_accumulate is the one sum over a step's edges: hl_process's DP step
-`_Lattice.apply` and its sequence count both call it.  It is one
-`np.bincount`, which adds the edges in order, so its sums are the same bit
-for bit on every run.
+exponents; hl_process stores the edges as cached CSR structures and gathers
+the class weights of one step, for given x and t, into a sparse operator.
+scatter_accumulate applies one: every step of hl_process's DP, and its
+sequence count, call it.  A CSR or CSC matrix product adds each target's
+terms from 0 in stored order, so its sums are the same bit for bit on every
+run.
 
 Every continuous-time dynamics is driven by one Poisson clock that rings
 level k at rate c_k: _level_clock checks its inputs, _clock_rings rings it
@@ -30,10 +31,11 @@ from math import comb
 import numpy as np
 
 
-def scatter_accumulate(src, dst, data, vec_in, size):
-    """The vector of length size whose entry d sums vec_in[src] * data over
-    the edges with dst = d, added in edge order."""
-    return np.bincount(dst, weights=vec_in[src] * data, minlength=size)
+def scatter_accumulate(op, vecs):
+    """op @ vecs for a scipy CSR or CSC matrix op and one vector or a matrix
+    of column vectors: each entry adds its terms from 0 in op's stored
+    order."""
+    return op @ vecs
 
 
 def _level_clock(rates, t):

@@ -9,7 +9,11 @@ Exact computations run on a cached interlacing lattice (partitions with at
 most min(M,N) rows, for any number of rows, and parts <= row_cap) whose
 edges carry the skew-factor structure; parts above row_cap carry total mass
 below a geometric tail bound, and the realized truncation deficit is reported
-against the closed-form normalization constant.
+against the closed-form normalization constant.  The lattice keeps its edges
+as CSR structures, and each law gathers the weights of each of its distinct
+steps into a sparse operator once, then applies it with
+_kernels.scatter_accumulate.  Every step adds a target's terms in lattice
+edge order, so the exact laws are the same bit for bit on every run.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+from scipy import sparse
 
 from . import _kernels, partitions as pt
 from .distributions import DiscreteDistribution
@@ -160,8 +165,8 @@ def _forward_mass(spec: HLProcessSpec, row_cap: int) -> float:
     empty = lat.index[pt.EMPTY]
     vec = np.zeros(len(lat.states))
     vec[empty] = 1.0
-    for kind, param in spec.steps():
-        vec = lat.apply(vec, kind, param, spec.t)
+    for op in _operators(lat, spec.steps(), spec.t):
+        vec = lat.apply(op, vec)
     return vec[empty]
 
 
@@ -183,49 +188,81 @@ def _factor_table(factors, t):
 
 @dataclass
 class _Lattice:
+    """The edges mu < lam, stored in lattice edge order: the colinc-0 edges
+    (lam has as many rows as mu), then the colinc-1 edges, each run sorted by
+    lam and then by mu.  mu_idx and edge_class are one CSR structure with 2n
+    rows (colinc, lam): the edges of lam in run c are
+    [indptr[c*n + lam]:indptr[c*n + lam + 1]].  up_indptr, up_mu and up_class
+    hold the same edges with n rows lam, each lam's colinc-0 edges before its
+    colinc-1 edges, the order in which the full up step adds them."""
+
     rows: int
     cap: int
     states: list
     index: dict
-    mu_idx: np.ndarray
-    lam_idx: np.ndarray
-    edge_class: np.ndarray  # edges of one class share |lam| - |mu| and skew factors
+    indptr: np.ndarray
+    mu_idx: np.ndarray  # int32, per edge
+    edge_class: np.ndarray  # int32; edges of one class share |lam| - |mu| and skew factors
+    up_indptr: np.ndarray
+    up_mu: np.ndarray
+    up_class: np.ndarray
     class_delta: np.ndarray  # |lam| - |mu| per class
     class_pkey: np.ndarray  # per class, the entry of pfactors
     class_qkey: np.ndarray
     pfactors: list  # per key, the count of (1 - t^e) factors for e = 1..rows
     qfactors: list
-    split: int  # edges [0:split] have colinc 0, [split:] have colinc 1
 
-    def _slice(self, colinc):
-        if colinc is None:
-            return slice(0, len(self.mu_idx))
-        return slice(0, self.split) if colinc == 0 else slice(self.split, len(self.mu_idx))
-
-    def _step_edges(self, kind, param, t, colinc=None):
-        """(src, dst, weight) per edge of one step: kind '+' goes up the
-        lattice, '-' down; colinc keeps the edges of that first-column
-        increment."""
-        sl = self._slice(colinc)
+    def class_weights(self, kind, param, t):
+        """Weight x^(|lam| - |mu|) times the skew factor of each edge class:
+        P factors for kind '+', Q factors for '-'."""
         powtab = float(param) ** np.arange(self.cap + 1, dtype=np.float64)
         if kind == "+":
             factor = _factor_table(self.pfactors, t)[self.class_pkey]
-            src, dst = self.mu_idx[sl], self.lam_idx[sl]
         else:
             factor = _factor_table(self.qfactors, t)[self.class_qkey]
-            src, dst = self.lam_idx[sl], self.mu_idx[sl]
-        return src, dst, (powtab[self.class_delta] * factor)[self.edge_class[sl]]
+        return powtab[self.class_delta] * factor
 
-    def apply(self, vec, kind, param, t, colinc=None, backward=False):
-        """One process step: kind '+' moves mass up the lattice, '-' down.
+    def operator(self, kind, param, t, colinc=None, backward=False):
+        """The sparse matrix of one process step, for apply: kind '+' moves
+        mass up the lattice, '-' down; colinc keeps the edges of that
+        first-column increment; backward is the transpose (for backward mass
+        tables).  Each target adds its terms from 0 in lattice edge order.
+        Building one costs a gather over the edges and a scipy matrix
+        construction, so a caller builds each distinct step once."""
+        n = len(self.states)
+        weights = self.class_weights(kind, param, t)
+        to_lam = (kind == "+") != backward
+        if colinc is None and to_lam:
+            return sparse.csr_matrix(
+                (weights[self.up_class], self.up_mu, self.up_indptr), shape=(n, n)
+            )
+        indptr = self.indptr
+        if colinc is not None:
+            indptr = indptr[colinc * n:(colinc + 1) * n + 1]
+        lo, hi = indptr[0], indptr[-1]
+        rows = sparse.csr_matrix(
+            (weights[self.edge_class[lo:hi]], self.mu_idx[lo:hi], indptr - lo),
+            shape=(len(indptr) - 1, n),
+        )
+        # toward mu, a target adds its terms run by run, each run by lam
+        return rows if to_lam else rows.T
 
-        colinc restricts to transitions whose first-column increment matches;
-        backward applies the transpose (for backward mass tables).
-        """
-        src, dst, data = self._step_edges(kind, param, t, colinc)
-        if backward:
-            src, dst = dst, src
-        return _kernels.scatter_accumulate(src, dst, data, vec, len(vec))
+    def apply(self, op, vecs):
+        """op applied to one vector, or to each column of vecs.  The full
+        step toward mu reads the vector once per colinc run."""
+        if op.shape[1] > len(vecs):
+            vecs = np.concatenate((vecs, vecs))
+        return _kernels.scatter_accumulate(op, vecs)
+
+
+def _operators(lat: _Lattice, steps, t, colinc=None, backward=False) -> list:
+    """lat.operator of each (kind, param) in steps, each distinct one built
+    once."""
+    built: dict = {}
+    for step in steps:
+        if step not in built:
+            built[step] = lat.operator(*step, t, colinc=colinc, backward=backward)
+    return [built[step] for step in steps]
 
 
 class LatticeTooLarge(ValueError):
@@ -235,14 +272,20 @@ class LatticeTooLarge(ValueError):
 # Largest edge count get_lattice builds: 5.8 times the 2.76M edges of rows 3,
 # cap 32, the largest lattice the exact checks reach, admitting rows 3 up to
 # cap 44, rows 4 up to cap 25 and rows 5 up to cap 18.  The build peaks near
-# 80 bytes per edge and the finished lattice keeps three intp arrays (24 bytes
-# per edge), so the largest lattice allowed peaks near 1.3 GB and keeps
-# 0.4 GB.  A cap from minimal_row_cap's range up to 400 (rows 3, cap 400:
-# 6.0e12 edges) is refused at once.
+# 80 bytes per edge and the finished lattice keeps four int32 arrays (16 bytes
+# per edge: mu and class, in lattice edge order and in up-step order), so the
+# largest lattice allowed peaks near 1.3 GB and keeps 0.26 GB.  A cap from
+# minimal_row_cap's range up to 400 (rows 3, cap 400: 6.0e12 edges) is
+# refused at once.
 MAX_LATTICE_EDGES = 16_000_000
 
 
 _LATTICES: dict = {}
+
+
+def _indptr(counts):
+    """The int32 CSR row pointer of rows holding counts entries each."""
+    return np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
 
 
 def get_lattice(rows: int, cap: int) -> _Lattice:
@@ -265,26 +308,39 @@ def get_lattice(rows: int, cap: int) -> _Lattice:
     index = {lam: i for i, lam in enumerate(states)}
     (mu_idx, lam_idx, colinc, edge_class, class_delta,
      (class_pkey, pfactors), (class_qkey, qfactors)) = _kernels.build_interlacing_edges(parts)
+    # the builder lists the edges by lam, then mu; convert and reorder one
+    # array at a time, so that at most one extra copy is alive
+    n = len(states)
+    mu_idx = mu_idx.astype(np.int32)
+    edge_class = edge_class.astype(np.int32)
+    up = np.argsort(2 * lam_idx + colinc, kind="stable")
+    up_mu = mu_idx[up]
+    up_class = edge_class[up]
+    del up
+    per_lam = np.bincount(lam_idx, minlength=n)
+    colinc1 = np.bincount(lam_idx[colinc == 1], minlength=n)
+    up_indptr = _indptr(per_lam)
+    indptr = _indptr(np.concatenate((per_lam - colinc1, colinc1)))
+    del lam_idx
     order = np.argsort(colinc, kind="stable")
-    split = int(np.searchsorted(colinc[order], 1))
-    # reorder one array at a time, so that at most one extra copy is alive
     mu_idx = mu_idx[order]
-    lam_idx = lam_idx[order]
     edge_class = edge_class[order]
     lat = _Lattice(
         rows=rows,
         cap=cap,
         states=states,
         index=index,
+        indptr=indptr,
         mu_idx=mu_idx,
-        lam_idx=lam_idx,
         edge_class=edge_class,
+        up_indptr=up_indptr,
+        up_mu=up_mu,
+        up_class=up_class,
         class_delta=class_delta,
         class_pkey=class_pkey,
         class_qkey=class_qkey,
         pfactors=pfactors,
         qfactors=qfactors,
-        split=split,
     )
     _LATTICES[key] = lat
     return lat
@@ -321,22 +377,25 @@ def _row_bound(spec: HLProcessSpec, i: int) -> int:
     return min(p, spec.N - m)
 
 
-def _step_tables(spec: HLProcessSpec, lat: _Lattice) -> list:
+def _step_tables(spec: HLProcessSpec, lat: _Lattice, ops) -> list:
     """Per step i, the lattice edges of nonzero weight whose target keeps the
     row bound _row_bound(spec, i+1) (0 after the last step), grouped by source
     state as (indptr, dst, weight): the edges out of state s are
-    [indptr[s]:indptr[s+1]], in lattice edge order."""
+    [indptr[s]:indptr[s+1]], in lattice edge order.  ops are the backward
+    operators of the steps, whose rows are the sources; the '+' one reads
+    each colinc run as its own block of columns."""
     n_rows = np.array([len(lam) for lam in lat.states])
+    n_states = len(lat.states)
     n = spec.M + spec.N
     tables = []
-    for i, (kind, param) in enumerate(spec.steps()):
-        src, dst, weight = lat._step_edges(kind, param, spec.t)
+    for i, op in enumerate(ops):
+        op = op.tocsr()
+        src = np.repeat(np.arange(n_states), np.diff(op.indptr))
+        dst = op.indices % n_states
         bound = _row_bound(spec, i + 1) if i + 1 < n else 0
-        keep = (weight != 0.0) & (n_rows[dst] <= bound)
-        src, dst, weight = src[keep], dst[keep], weight[keep]
-        order = np.argsort(src, kind="stable")
-        indptr = np.searchsorted(src[order], np.arange(len(lat.states) + 1))
-        tables.append((indptr, dst[order], weight[order]))
+        keep = (op.data != 0.0) & (n_rows[dst] <= bound)
+        indptr = np.searchsorted(src[keep], np.arange(n_states + 1))
+        tables.append((indptr, dst[keep], op.data[keep]))
     return tables
 
 
@@ -344,7 +403,8 @@ def _enumerate_sequences(spec: HLProcessSpec, row_cap: int):
     """All admissible sequences with parts <= row_cap, with their weights:
     the paths through _step_tables from the empty partition back to it."""
     lat = get_lattice(min(spec.M, spec.N), row_cap)
-    tables = [tuple(a.tolist() for a in tab) for tab in _step_tables(spec, lat)]
+    ops = _operators(lat, spec.steps(), spec.t, backward=True)
+    tables = [tuple(a.tolist() for a in tab) for tab in _step_tables(spec, lat, ops)]
     yield from _paths(tables, lat.states, 0, lat.index[pt.EMPTY], [], 1.0)
 
 
@@ -369,11 +429,14 @@ def _count_sequences(spec: HLProcessSpec, row_cap: int) -> int:
     cannot be built raises LatticeTooLarge at once."""
     lat = get_lattice(min(spec.M, spec.N), row_cap)
     empty = lat.index[pt.EMPTY]
-    paths = np.zeros(len(lat.states))
+    n = len(lat.states)
+    paths = np.zeros(n)
     paths[empty] = 1.0
-    for indptr, dst, _ in _step_tables(spec, lat):
-        src = np.repeat(np.arange(len(paths)), np.diff(indptr))
-        paths = _kernels.scatter_accumulate(src, dst, 1.0, paths, len(paths))
+    ops = _operators(lat, spec.steps(), spec.t, backward=True)
+    for indptr, dst, _ in _step_tables(spec, lat, ops):
+        # columns are sources: each edge adds its source's path count to dst
+        edges = sparse.csc_matrix((np.ones(len(dst)), dst, indptr), shape=(n, n))
+        paths = _kernels.scatter_accumulate(edges, paths)
     return int(paths[empty])
 
 
@@ -464,50 +527,46 @@ def exact_support_distribution(
 ) -> DiscreteDistribution:
     """Exact law of the support nu(T)/mu(S) via per-T constrained DP.
 
-    Walks the binary tree of T-prefixes; at step i only transitions whose
-    first-column increment matches T(i) are applied.  Probabilities are
-    normalized by the total enumerated mass; the deficit against Pi^S is
+    Steps every T-prefix one level at a time: at step i the two colinc
+    operators of that step map the mass vectors of all live prefixes at once,
+    the child with T(i) = +1 (no first-column increment on a plus, a decrement
+    on a minus) before the child with T(i) = -1, and prefixes left without
+    mass are dropped.  The support strings thus come in depth-first order,
+    +1 before -1, the order in which their masses are summed.  Probabilities
+    are normalized by the total enumerated mass; the deficit against Pi^S is
     reported.
     """
     lat = get_lattice(min(spec.M, spec.N), row_cap)
-    mu = spec.mu()
-    vec0 = np.zeros(len(lat.states))
-    vec0[lat.index[pt.EMPTY]] = 1.0
-    masses: dict = {}
-    _support_masses(lat, spec.steps(), spec.t, 0, vec0, [], masses)
+    empty = lat.index[pt.EMPTY]
+    n = len(lat.states)
+    vecs = np.zeros((n, 1))  # one column per live T-prefix
+    vecs[empty] = 1.0
+    tbits = np.zeros((1, 0), dtype=np.int8)
+    steps = spec.steps()
+    for (kind, _), op0, op1 in zip(steps, _operators(lat, steps, spec.t, colinc=0),
+                                   _operators(lat, steps, spec.t, colinc=1)):
+        plus, minus = (op0, op1) if kind == "+" else (op1, op0)
+        out = np.empty((n, 2 * vecs.shape[1]))
+        out[:, 0::2] = lat.apply(plus, vecs)
+        out[:, 1::2] = lat.apply(minus, vecs)
+        live = out.any(axis=0)
+        vecs = out[:, live]
+        tbits = np.column_stack(
+            (np.repeat(tbits, 2, axis=0), np.tile((1, -1), len(tbits)))
+        )[live]
+    masses = {
+        tuple(T): m for T, m in zip(tbits.tolist(), vecs[empty].tolist()) if m > 0.0
+    }
     total = sum(masses.values())
     if total <= 0:
         raise TruncationError("no admissible sequences under row_cap")
     pi = normalization_pi(spec)
+    mu = spec.mu()
     outcomes = {
         (pt.partition_from_string(T, spec.M, spec.N), mu): m / total
         for T, m in masses.items()
     }
     return DiscreteDistribution(outcomes, mass_deficit=1.0 - total / pi)
-
-
-def _support_masses(lat, steps, t, i, vec, tbits, masses):
-    """masses[T] = the mass that returns to the empty partition, for each
-    support string T that extends tbits, from the mass vec after i steps.  A
-    module-level function, so that no closure cycle keeps a lattice alive
-    after the cache lets it go."""
-    if i == len(steps):
-        m = vec[lat.index[pt.EMPTY]]
-        if m > 0.0:
-            masses[tuple(tbits)] = m
-        return
-    kind, param = steps[i]
-    for tbit in (1, -1):
-        if kind == "+":
-            inc = 0 if tbit == 1 else 1
-            out = lat.apply(vec, "+", param, t, colinc=inc)
-        else:
-            dec = 1 if tbit == 1 else 0
-            out = lat.apply(vec, "-", param, t, colinc=dec)
-        if np.any(out):
-            tbits.append(tbit)
-            _support_masses(lat, steps, t, i + 1, out, tbits, masses)
-            tbits.pop()
 
 
 def exact_support_string_distribution(
@@ -543,12 +602,12 @@ def exact_marginal_distribution(
     empty = lat.index[pt.EMPTY]
     fwd = np.zeros(len(lat.states))
     fwd[empty] = 1.0
-    for kind, param in steps[:position]:
-        fwd = lat.apply(fwd, kind, param, spec.t)
+    for op in _operators(lat, steps[:position], spec.t):
+        fwd = lat.apply(op, fwd)
     bwd = np.zeros(len(lat.states))
     bwd[empty] = 1.0
-    for kind, param in reversed(steps[position:]):
-        bwd = lat.apply(bwd, kind, param, spec.t, backward=True)
+    for op in reversed(_operators(lat, steps[position:], spec.t, backward=True)):
+        bwd = lat.apply(op, bwd)
     mass = fwd * bwd
     total = mass.sum()
     if total <= 0:
@@ -583,14 +642,12 @@ class SequenceSampler:
         bwd[empty] = 1.0
         self.bwd = [None] * (n + 1)
         self.bwd[n] = bwd
+        ops = _operators(self.lat, self.steps, spec.t, backward=True)
         for i in range(n - 1, -1, -1):
-            kind, param = self.steps[i]
-            self.bwd[i] = self.lat.apply(
-                self.bwd[i + 1], kind, param, spec.t, backward=True
-            )
+            self.bwd[i] = self.lat.apply(ops[i], self.bwd[i + 1])
         if self.bwd[0][empty] <= 0:
             raise TruncationError("no admissible sequences under row_cap")
-        self._edges = _step_tables(spec, self.lat)
+        self._edges = _step_tables(spec, self.lat, ops)
         self._tables: dict = {}
 
     def _conditional(self, i, src):

@@ -424,7 +424,9 @@ def sets_apply_signal(sets: SetSystem, k: int, t: float, uniform,
     unchanged (mirroring the array-side row increments one for one).
     """
     _check_level(k, sets.n_max)
-    out = sets.copy()
+    # the event changes levels k..n only, so the levels below share their sets
+    extras = sets._extras[:k - 1] + [set(e) for e in sets._extras[k - 1:]]
+    out = SetSystem._from_parts(sets.n_max, list(sets._floors), extras)
     _sets_signal_inplace(out, k, t, _as_uniform(uniform), record)
     return out
 

@@ -281,23 +281,118 @@ def test_lattice_matches_interlacing_oracle(rows, cap):
     box = list(pt.partitions_in_box(rows, cap))
     assert sorted(lat.states) == sorted(box)
     expected = {(mu, lam) for lam in box for mu in box if pt.interlaces(lam, mu)}
-    edges = [(lat.states[m], lat.states[l]) for m, l in zip(lat.mu_idx, lat.lam_idx)]
+    lam_idx, colinc = _edge_lams(lat)
+    edges = [(lat.states[m], lat.states[l]) for m, l in zip(lat.mu_idx, lam_idx)]
     # lam_1 >= mu_1 >= ... >= mu_rows is one non-increasing sequence in [0, cap]
     assert len(edges) == len(expected) == comb(cap + 2 * rows, 2 * rows)
     assert set(edges) == expected
-    for k, (mu, lam) in enumerate(edges):
-        assert pt.num_rows(lam) - pt.num_rows(mu) == (0 if k < lat.split else 1)
+    for (mu, lam), inc in zip(edges, colinc):
+        assert pt.num_rows(lam) - pt.num_rows(mu) == inc
     a, t = 0.37, 0.3
+    # column i of each image is the step applied to the unit vector at state i
+    units = np.eye(len(lat.states))
+    up = lat.apply(lat.operator("+", a, t), units)
+    down = lat.apply(lat.operator("-", a, t), units)
     for i, src in enumerate(lat.states):
-        unit = np.zeros(len(lat.states))
-        unit[i] = 1.0
-        up = lat.apply(unit, "+", a, t)
-        down = lat.apply(unit, "-", a, t)
         for j, dst in enumerate(lat.states):
             p = pt.skew_p_one(dst, src, a, t)
             q = pt.skew_q_one(src, dst, a, t)
-            assert abs(up[j] - p) <= 1e-15 * abs(p)
-            assert abs(down[j] - q) <= 1e-15 * abs(q)
+            assert abs(up[j, i] - p) <= 1e-15 * abs(p)
+            assert abs(down[j, i] - q) <= 1e-15 * abs(q)
+
+
+def _edge_lams(lat):
+    """lam and the first-column increment of each edge, in lattice edge
+    order: the rows of lat.indptr are (colinc, lam)."""
+    n = len(lat.states)
+    counts = np.diff(lat.indptr)
+    return (np.repeat(np.tile(np.arange(n), 2), counts),
+            np.repeat(np.arange(2 * n) // n, counts))
+
+
+def _bincount_step(lat, vec, kind, x, t, colinc=None, backward=False):
+    """The reference step: one weighted np.bincount over the edge list, which
+    adds each target's terms in lattice edge order."""
+    n = len(lat.states)
+    lam_idx, inc = _edge_lams(lat)
+    keep = np.ones(len(inc), dtype=bool) if colinc is None else inc == colinc
+    mu, lam = lat.mu_idx[keep], lam_idx[keep]
+    weight = lat.class_weights(kind, x, t)[lat.edge_class[keep]]
+    src, dst = (mu, lam) if kind == "+" else (lam, mu)
+    if backward:
+        src, dst = dst, src
+    return np.bincount(dst, weights=vec[src] * weight, minlength=n)
+
+
+@pytest.mark.parametrize("rows,cap", [(1, 9), (2, 6), (3, 5), (4, 3)])
+def test_operator_step_equals_bincount_reference(rows, cap):
+    lat = hl.get_lattice(rows, cap)
+    n = len(lat.states)
+    lam_idx, inc = _edge_lams(lat)
+    # lattice edge order: colinc, then lam, then mu, each edge once
+    key = (inc * n + lam_idx) * n + lat.mu_idx
+    assert np.all(np.diff(key) > 0)
+    rng = np.random.default_rng(rows * 100 + cap)
+    for _ in range(3):
+        x, t = rng.uniform(0.05, 0.95, size=2)
+        vecs = rng.random((n, 4))
+        vecs[rng.random((n, 4)) < 0.3] = 0.0
+        for kind, colinc, backward in product("+-", (None, 0, 1), (False, True)):
+            op = lat.operator(kind, x, t, colinc=colinc, backward=backward)
+            block = lat.apply(op, vecs)
+            for j in range(vecs.shape[1]):
+                ref = _bincount_step(lat, vecs[:, j], kind, x, t, colinc, backward)
+                assert np.array_equal(lat.apply(op, vecs[:, j]), ref)
+                assert np.array_equal(block[:, j], ref)
+
+
+def _recursive_support_masses(lat, steps, t, i, vec, tbits, masses):
+    """The support masses by a depth-first walk of the T-prefix tree, T bit
+    +1 before -1, one reference step per node."""
+    if i == len(steps):
+        m = vec[lat.index[pt.EMPTY]]
+        if m > 0.0:
+            masses[tuple(tbits)] = m
+        return
+    kind, param = steps[i]
+    for tbit in (1, -1):
+        # T bit +1: no first-column increment on a plus, a decrement on a minus
+        colinc = (tbit == 1) == (kind == "-")
+        out = _bincount_step(lat, vec, kind, param, t, colinc=int(colinc))
+        if np.any(out):
+            _recursive_support_masses(lat, steps, t, i + 1, out, tbits + [tbit], masses)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data(), st.floats(0.05, 0.9))
+def test_level_walk_sums_the_support_masses_in_depth_first_order(M, N, data, t):
+    S = data.draw(st.sampled_from(sorted(pt.enumerate_sign_class(M, N, +1))))
+    a = data.draw(st.lists(st.floats(0.05, 0.6), min_size=M, max_size=M))
+    b = data.draw(st.lists(st.floats(0.05, 0.6), min_size=N, max_size=N))
+    spec = hl.HLProcessSpec(t=t, a=a, b=b, S=S)
+    cap = 6
+    lat = hl.get_lattice(min(M, N), cap)
+    vec = np.zeros(len(lat.states))
+    vec[lat.index[pt.EMPTY]] = 1.0
+    masses = {}
+    _recursive_support_masses(lat, spec.steps(), t, 0, vec, [], masses)
+    total = sum(masses.values())
+    expected = [((pt.partition_from_string(T, M, N), spec.mu()), m / total)
+                for T, m in masses.items()]
+    dist = hl.exact_support_distribution(spec, cap)
+    assert list(dist.items()) == expected
+    assert dist.mass_deficit == 1.0 - total / hl.normalization_pi(spec)
+
+
+def test_lattice_keeps_at_most_24_bytes_per_edge():
+    """mu and class per edge in lattice edge order and in up-step order, as
+    int32; no step applied leaves an operator on the lattice."""
+    lat = hl.get_lattice(3, 16)
+    vec = np.ones(len(lat.states))
+    for kind, colinc, backward in product("+-", (None, 0, 1), (False, True)):
+        lat.apply(lat.operator(kind, 0.3, 0.4, colinc=colinc, backward=backward), vec)
+    held = sum(v.nbytes for v in vars(lat).values() if isinstance(v, np.ndarray))
+    assert held <= 24 * len(lat.mu_idx)
 
 
 def test_lattice_too_large_fails_before_building():

@@ -336,6 +336,29 @@ def test_set_system_equality_is_canonical(comps, data):
         rsk.SetSystem(n + 1, comps)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.floats(0.0, 0.95),
+    st.lists(st.tuples(st.integers(1, 6), _coins), min_size=2, max_size=60),
+)
+def test_set_step_leaves_its_input_unchanged(n, t, signals):
+    """sets_apply_signal equals the in-place step on a full copy, and neither
+    it nor a later step on its output changes the system it was given."""
+    sets = rsk.SetSystem(n)
+    for k, buf in signals[:-2]:
+        rsk._sets_signal_inplace(sets, min(k, n), t, iter(buf).__next__)
+    before = sets.copy()
+    (k, buf), (k2, buf2) = signals[-2:]
+    out = rsk.sets_apply_signal(sets, min(k, n), t, iter(buf).__next__)
+    ref = sets.copy()
+    rsk._sets_signal_inplace(ref, min(k, n), t, iter(buf).__next__)
+    assert out == ref
+    rsk.sets_apply_signal(out, min(k2, n), t, iter(buf2).__next__)
+    assert out == ref
+    assert sets == before
+
+
 def _reference_sets_signal(comps, k, t, uniform, record):
     """The set rule on plain complement sets, with a snapshot of the pre-event
     sets for the rule-4b count."""
