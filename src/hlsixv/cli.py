@@ -446,7 +446,7 @@ def parse_and_dispatch(argv) -> int:
             setattr(args, key, val)
     try:
         code, payload = args.func(args)
-    except (ValueError, mo.ContourError, hl.TruncationError) as exc:
+    except (ValueError, mo.QuadratureError, hl.TruncationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     _emit(payload, args)

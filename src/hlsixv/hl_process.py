@@ -401,26 +401,32 @@ def _step_tables(spec: HLProcessSpec, lat: _Lattice, ops) -> list:
 
 def _enumerate_sequences(spec: HLProcessSpec, row_cap: int):
     """All admissible sequences with parts <= row_cap, with their weights:
-    the paths through _step_tables from the empty partition back to it."""
+    the paths through _step_tables from the empty partition back to it.
+
+    All paths advance one step at a time: each is repeated once per edge out
+    of its current state, in edge order, so they come in depth-first order,
+    and each weight is the product of its edge weights from left to right."""
     lat = get_lattice(min(spec.M, spec.N), row_cap)
     ops = _operators(lat, spec.steps(), spec.t, backward=True)
-    tables = [tuple(a.tolist() for a in tab) for tab in _step_tables(spec, lat, ops)]
-    yield from _paths(tables, lat.states, 0, lat.index[pt.EMPTY], [], 1.0)
-
-
-def _paths(tables, states, i, src, acc, w):
-    """Each path through tables[i:] from state src, as the states acc plus
-    those it visits before its last step, and w times its edge weights.  A
-    module-level generator, so that no closure cycle keeps a lattice alive
-    after the cache lets it go."""
-    indptr, dst, weight = tables[i]
-    for e in range(indptr[src], indptr[src + 1]):
-        if i + 1 == len(tables):
-            yield tuple(acc), w * weight[e]
-        else:
-            acc.append(states[dst[e]])
-            yield from _paths(tables, states, i + 1, dst[e], acc, w * weight[e])
-            acc.pop()
+    tables = _step_tables(spec, lat, ops)
+    at = np.array([lat.index[pt.EMPTY]])
+    paths = np.empty((1, 0), dtype=np.int32)  # states visited before `at`
+    w = np.ones(1)
+    for i, (indptr, dst, weight) in enumerate(tables):
+        first = indptr[at]
+        deg = indptr[at + 1] - first
+        parent = np.repeat(np.arange(len(at)), deg)
+        # the copies of a path, numbered from np.cumsum(deg) - deg, take
+        # the edges numbered from first
+        edge = np.arange(len(parent)) + np.repeat(first - np.cumsum(deg) + deg, deg)
+        w = w[parent] * weight[edge]
+        at = dst[edge]
+        paths = paths[parent]
+        if i + 1 < len(tables):
+            paths = np.column_stack((paths, at))
+    states = lat.states
+    seqs = [tuple(map(states.__getitem__, row)) for row in paths.tolist()]
+    return zip(seqs, w.tolist())
 
 
 def _count_sequences(spec: HLProcessSpec, row_cap: int) -> int:

@@ -8,12 +8,23 @@ and the a-parameters and exclude the points 1/(t b_j); the six-vertex side
 uses the z -> 1/w image of the same family.  Infeasible parameter regimes
 (the direct integral requires roughly a b < t^{k-1}) raise ContourError with
 the violated inequality spelled out rather than silently continuing.
+
+Both integrands are a prefactor times one factor per variable times one
+factor per pair of variables, and each pair factor depends only on the
+ratio of its two variables: (1 - rho)/(t - rho) on the Hall-Littlewood side
+and (1 - rho)/(1 - Q rho) on the six-vertex side.  With n equally spaced
+nodes on every circle a pair factor is therefore a circulant in the two
+node indices, and the grid sum is a circular correlation: the mean of the
+one-variable factor at k = 1, three FFTs at k = 2, and two FFTs per node of
+the outer circle at k = 3, so O(n^(k-1) log n) work in place of the n^k
+tensor grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -74,7 +85,58 @@ def select_contours(side: str, k: int, ms, t: float, a, b,
 
 
 # ---------------------------------------------------------------------------
-# integrands (exposed for the change-of-variables identity test)
+# integrands: a prefactor, one factor per variable and one per pair
+
+
+class _Integrand(NamedTuple):
+    """prefactor * prod_l single(l, z_l) * prod_{i<j} pair(z_j / z_i)."""
+
+    prefactor: float
+    single: Callable
+    pair: Callable
+
+    def __call__(self, zs):
+        val = self.prefactor
+        for l, z in enumerate(zs):
+            val = val * self.single(l, z)
+        for i in range(len(zs)):
+            for j in range(i + 1, len(zs)):
+                val = val * self.pair(zs[j] / zs[i])
+        return val
+
+
+def _hl_factors(ms, N, t, a, b) -> _Integrand:
+    def single(l, z):
+        f = np.ones_like(z)
+        for by in b[:N]:
+            f = f * (1.0 - z * by) / (1.0 - t * z * by)
+        for ai in a[: ms[l]]:
+            f = f * (t * z - ai) / (z - ai)
+        return f
+
+    def pair(rho):  # (z_i - z_j) / (t z_i - z_j)
+        return (1.0 - rho) / (t - rho)
+
+    k = len(ms)
+    return _Integrand(t ** (k * (k - 1) // 2), single, pair)
+
+
+def _sixv_factors(ms, N, Q, xi, u) -> _Integrand:
+    rq = math.sqrt(Q)
+
+    def single(l, w):
+        f = np.ones_like(w)
+        for uy in u[:N]:
+            f = f * (1.0 - Q * w * uy) / (1.0 - w * uy)
+        for xx in xi[: ms[l]]:
+            f = f * (xx - w / rq) / (xx - rq * w)
+        return f
+
+    def pair(rho):  # (w_i - w_j) / (w_i - Q w_j)
+        return (1.0 - rho) / (1.0 - Q * rho)
+
+    k = len(ms)
+    return _Integrand(Q ** (k * (k - 1) // 2), single, pair)
 
 
 def hl_integrand(zs, ms, N, t, a, b):
@@ -83,37 +145,20 @@ def hl_integrand(zs, ms, N, t, a, b):
     zs is a sequence of k broadcastable complex arrays; includes the
     t^{k(k-1)/2} prefactor, excludes the node weights 1/(2 pi i) dz/z.
     """
-    k = len(zs)
-    val = t ** (k * (k - 1) // 2)
-    for l, z in enumerate(zs):
-        f = np.ones_like(z)
-        for by in b[:N]:
-            f = f * (1.0 - z * by) / (1.0 - t * z * by)
-        for ai in a[: ms[l]]:
-            f = f * (t * z - ai) / (z - ai)
-        val = val * f
-    for i in range(k):
-        for j in range(i + 1, k):
-            val = val * (zs[i] - zs[j]) / (t * zs[i] - zs[j])
-    return val
+    return _hl_factors(ms, N, t, a, b)(zs)
 
 
 def sixv_integrand(ws, ms, N, Q, xi, u):
     """Full integrand of the six-vertex Q-moment formula (native parameters)."""
-    k = len(ws)
-    rq = math.sqrt(Q)
-    val = Q ** (k * (k - 1) // 2)
-    for l, w in enumerate(ws):
-        f = np.ones_like(w)
-        for uy in u[:N]:
-            f = f * (1.0 - Q * w * uy) / (1.0 - w * uy)
-        for xx in xi[: ms[l]]:
-            f = f * (xx - w / rq) / (xx - rq * w)
-        val = val * f
-    for i in range(k):
-        for j in range(i + 1, k):
-            val = val * (ws[i] - ws[j]) / (ws[i] - Q * ws[j])
-    return val
+    return _sixv_factors(ms, N, Q, xi, u)(ws)
+
+
+# ---------------------------------------------------------------------------
+# quadrature
+
+# rows of outer nodes summed per block at k = 3, so that no temporary holds
+# more than about this many complex numbers
+_BLOCK = 1 << 15
 
 
 def _nodes(radius, n):
@@ -121,24 +166,41 @@ def _nodes(radius, n):
     return radius * np.exp(1j * ang)
 
 
-def _quad(integrand, radii, n):
-    """Mean of the integrand over the tensor grid of n nodes per circle."""
+def _circulant(pair, r_outer, r_inner, n):
+    """c[d] = pair(rho) for inner node q = outer node p + d (mod n)."""
+    return pair(_nodes(r_inner / r_outer, n))
+
+
+def _quad(integrand: _Integrand, radii, n):
+    """Mean of the integrand over the tensor grid of n nodes per circle.
+
+    Each pair factor is a circulant c[(q - p) mod n] of the node indices,
+    and sum_{p,q} g[p] h[q] c[q - p] = sum_j fft(c)[j] fft(g)[j] ifft(h)[j],
+    so k = 2 costs three FFTs and k = 3 two FFTs per outer node.
+    """
     k = len(radii)
+    if k > 3:
+        raise ValueError("k > 3 not supported")
+    f = [integrand.single(l, _nodes(r, n)) for l, r in enumerate(radii)]
     if k == 1:
-        z = _nodes(radii[0], n)
-        return np.mean(integrand([z]))
+        return integrand.prefactor * np.mean(f[0])
+    # fft of the pair circulant of the two innermost variables
+    c_hat = np.fft.fft(_circulant(integrand.pair, radii[-2], radii[-1], n))
     if k == 2:
-        z1 = _nodes(radii[0], n)[:, None]
-        z2 = _nodes(radii[1], n)[None, :]
-        return np.mean(integrand([z1, z2]))
-    if k == 3:
-        z2 = _nodes(radii[1], n)[:, None]
-        z3 = _nodes(radii[2], n)[None, :]
+        acc = np.sum(c_hat * np.fft.fft(f[0]) * np.fft.ifft(f[1]))
+    else:
+        c12 = _circulant(integrand.pair, radii[0], radii[1], n)
+        c13 = _circulant(integrand.pair, radii[0], radii[2], n)
         acc = 0.0
-        for z1 in _nodes(radii[0], n):
-            acc = acc + np.mean(integrand([np.asarray(z1), z2, z3]))
-        return acc / n
-    raise ValueError("k > 3 not supported")
+        step = max(1, _BLOCK // n)
+        q = np.arange(n)
+        for p0 in range(0, n, step):
+            p = np.arange(p0, min(p0 + step, n))
+            d = (q[None, :] - p[:, None]) % n  # row p is c rolled by +p
+            g = np.fft.fft(f[1] * c12[d], axis=1)
+            h = np.fft.ifft(f[2] * c13[d], axis=1)
+            acc = acc + f[0][p] @ ((g * h) @ c_hat)
+    return integrand.prefactor * acc / n**k
 
 
 def _converge(integrand, radii, tol, start_nodes, max_nodes):
@@ -153,6 +215,15 @@ def _converge(integrand, radii, tol, start_nodes, max_nodes):
     raise QuadratureError(f"no convergence to {tol} within {max_nodes} nodes")
 
 
+def _check_inputs(N, t, b, tol):
+    if not 0.0 < t < 1.0:
+        raise ValueError(f"need 0 < t < 1, got {t}")
+    if len(b) < N:
+        raise ValueError(f"need b_1..b_N for N = {N}, got {len(b)} b values")
+    if not tol > 0.0:
+        raise ValueError(f"need tol > 0, got {tol}")
+
+
 def hl_moment(k, ms, N, t, a, b, tol: float = 1e-9, start_nodes: int = 256,
               max_nodes: int = 4096, radii=None, full: bool = False):
     """E[prod_i t^{m_i - lambda'_1(m_i, N)}] for the ascending process.
@@ -161,10 +232,11 @@ def hl_moment(k, ms, N, t, a, b, tol: float = 1e-9, start_nodes: int = 256,
     to satisfy the nesting conditions by the caller).
     """
     ms = [int(m) for m in ms]
+    _check_inputs(N, t, b, tol)
     if radii is None:
         radii = select_contours("hl", k, ms, t, a, b).radii
-    val, n = _converge(lambda zs: hl_integrand(zs, ms, N, t, a, b), radii,
-                       tol, start_nodes, max_nodes)
+    val, n = _converge(_hl_factors(ms, N, t, a, b), radii, tol, start_nodes,
+                       max_nodes)
     if abs(val.imag) > 100 * tol:
         raise QuadratureError(f"imaginary residue {val.imag} in moment value")
     if full:
@@ -177,11 +249,12 @@ def sixv_moment(k, ms, N, params: SixVertexParams, tol: float = 1e-9,
                 full: bool = False):
     """E[prod_i Q^{h(m_i + 1, N)}] for the quadrant six vertex model."""
     ms = [int(m) for m in ms]
+    _check_inputs(N, params.t, params.b, tol)
     Q, xi, u = params.to_native()
     if radii is None:
         radii = select_contours("sixv", k, ms, params.t, params.a, params.b).radii
-    val, n = _converge(lambda ws: sixv_integrand(ws, ms, N, Q, xi, u), radii,
-                       tol, start_nodes, max_nodes)
+    val, n = _converge(_sixv_factors(ms, N, Q, xi, u), radii, tol, start_nodes,
+                       max_nodes)
     if abs(val.imag) > 100 * tol:
         raise QuadratureError(f"imaginary residue {val.imag} in moment value")
     if full:

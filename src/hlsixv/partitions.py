@@ -8,6 +8,7 @@ counts and strips only at its boundaries).  Sign strings are tuples over
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations
 
 Partition = tuple  # tuple[int, ...], non-increasing
@@ -18,10 +19,10 @@ EMPTY: Partition = ()
 
 def as_partition(parts) -> Partition:
     """Validate and canonicalize: non-increasing, >= 0, trailing zeros stripped."""
-    parts = tuple(int(p) for p in parts)
-    if any(p < 0 for p in parts):
+    parts = tuple(map(int, parts))
+    if parts and min(parts) < 0:
         raise ValueError(f"negative part in {parts}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+    if any(map(operator.lt, parts, parts[1:])):
         raise ValueError(f"parts not sorted non-increasing: {parts}")
     return strip_zeros(parts)
 
@@ -81,20 +82,19 @@ def interlaces(lam: Partition, mu: Partition) -> bool:
 # sign strings and the partition <-> string bijection
 
 
+_SIGN_OF = {"+": 1, "-": -1}
+_SIGNS = frozenset((1, -1))
+
+
 def parse_signs(s) -> SignString:
     """Accept '+-' strings or iterables of +/-1."""
     if isinstance(s, str):
-        out = []
-        for ch in s:
-            if ch == "+":
-                out.append(1)
-            elif ch == "-":
-                out.append(-1)
-            else:
-                raise ValueError(f"bad sign character {ch!r}")
-        return tuple(out)
-    out = tuple(int(x) for x in s)
-    if any(x not in (1, -1) for x in out):
+        try:
+            return tuple(map(_SIGN_OF.__getitem__, s))
+        except KeyError as exc:
+            raise ValueError(f"bad sign character {exc.args[0]!r}") from None
+    out = tuple(map(int, s))
+    if not _SIGNS.issuperset(out):
         raise ValueError(f"signs must be +1/-1, got {out}")
     return out
 

@@ -430,3 +430,18 @@ def test_hl_support_widens_the_cap_to_the_realized_deficit(capsys):
     payload = json.loads(out)
     assert payload["row_cap"] == 16
     assert payload["mass_deficit"] <= 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ("match", "--m", "1", "--N", "3", "--t", "0.5", "--a", "0.4", "--b", "0.4"),
+    ("hl", "--m", "1", "--N", "1", "--t", "1.5", "--a", "0.4", "--b", "0.4"),
+    ("hl", "--m", "1", "--N", "1", "--t", "0.5", "--a", "0.4", "--b", "0.4",
+     "--tol", "-1"),
+    ("hl", "--m", "1", "--N", "1", "--t", "0.5", "--a", "0.4", "--b", "0.4",
+     "--tol", "1e-20"),
+])
+def test_moments_inputs_that_cannot_run_exit_2(capsys, argv):
+    code, out, err = run(capsys, "moments", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")

@@ -121,3 +121,54 @@ def test_quadrature_cap_error():
     with pytest.raises(mo.QuadratureError):
         mo.hl_moment(1, [1], 1, 0.5, (0.4,), (0.4,), tol=1e-16, start_nodes=8,
                      max_nodes=16)
+
+
+def _grid_mean(integrand, radii, n):
+    """Mean of the full integrand over the n^k tensor grid of nodes."""
+    zs = [mo._nodes(r, n) for r in radii]
+    if len(zs) == 1:
+        return np.mean(integrand(zs))
+    if len(zs) == 2:
+        return np.mean(integrand([zs[0][:, None], zs[1][None, :]]))
+    return np.mean([np.mean(integrand([z1, zs[1][:, None], zs[2][None, :]]))
+                    for z1 in zs[0]])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_circulant_sum_equals_direct_grid(k):
+    rng = np.random.default_rng(180 + k)
+    for _ in range(4):
+        ms = sorted((int(v) for v in rng.integers(1, 4, size=k)), reverse=True)
+        N = int(rng.integers(1, 3))
+        t = float(rng.uniform(0.3, 0.8))
+        a = tuple(rng.uniform(0.05, 0.15, size=max(ms)))
+        b = tuple(rng.uniform(0.05, 0.15, size=N))
+        Q, xi, u = sv.SixVertexParams(t=t, a=a, b=b).to_native()
+        # nested circles: r_1 in [2, 5], then r_{j+1} / r_j in t * [0.5, 0.9]
+        radii = np.cumprod(np.r_[rng.uniform(2.0, 5.0),
+                                 t * rng.uniform(0.5, 0.9, size=k - 1)])
+        sides = [
+            (mo._hl_factors(ms, N, t, a, b),
+             lambda zs: mo.hl_integrand(zs, ms, N, t, a, b), tuple(radii)),
+            (mo._sixv_factors(ms, N, Q, xi, u),
+             lambda ws: mo.sixv_integrand(ws, ms, N, Q, xi, u), tuple(1 / radii)),
+        ]
+        for n in (8, 16, 32):
+            for factors, integrand, rr in sides:
+                ref = _grid_mean(integrand, rr, n)
+                assert abs(mo._quad(factors, rr, n) - ref) <= 1e-13 * abs(ref)
+
+
+def test_k3_moments_match_exact_distribution():
+    rng = np.random.default_rng(183)
+    for _ in range(6):
+        ms = sorted((int(v) for v in rng.integers(1, 4, size=3)), reverse=True)
+        N = 1 + int(rng.integers(0, 2))
+        t = float(rng.uniform(0.5, 0.75))
+        a = tuple(float(v) for v in rng.uniform(0.05, 0.15, size=max(ms)))
+        b = tuple(float(v) for v in rng.uniform(0.05, 0.15, size=N))
+        lhs, rhs, diff = mo.moment_match_check(3, ms, N, t, a, b)
+        assert diff < 1e-7
+        exact = vf.hl_exact_moment(3, ms, N, t, a, b)
+        exact6 = vf.sixv_exact_moment(3, ms, N, t, a, b)
+        assert max(abs(lhs - exact), abs(rhs - exact6)) < 1e-8
