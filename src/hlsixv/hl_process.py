@@ -14,12 +14,17 @@ as CSR structures, and each law gathers the weights of each of its distinct
 steps into a sparse operator once, then applies it with
 _kernels.scatter_accumulate.  Every step adds a target's terms in lattice
 edge order, so the exact laws are the same bit for bit on every run.
+The support pushforward of a sequence validates each distinct partition,
+and traces each distinct (row counts, S), once per process in bounded
+caches, so pushing a whole sequence law costs a few dictionary hits per
+sequence.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -234,14 +239,14 @@ class _Lattice:
         to_lam = (kind == "+") != backward
         if colinc is None and to_lam:
             return sparse.csr_matrix(
-                (weights[self.up_class], self.up_mu, self.up_indptr), shape=(n, n)
+                (weights.take(self.up_class), self.up_mu, self.up_indptr), shape=(n, n)
             )
         indptr = self.indptr
         if colinc is not None:
             indptr = indptr[colinc * n:(colinc + 1) * n + 1]
         lo, hi = indptr[0], indptr[-1]
         rows = sparse.csr_matrix(
-            (weights[self.edge_class[lo:hi]], self.mu_idx[lo:hi], indptr - lo),
+            (weights.take(self.edge_class[lo:hi]), self.mu_idx[lo:hi], indptr - lo),
             shape=(len(indptr) - 1, n),
         )
         # toward mu, a target adds its terms run by run, each run by lam
@@ -399,16 +404,22 @@ def _step_tables(spec: HLProcessSpec, lat: _Lattice, ops) -> list:
     return tables
 
 
-def _enumerate_sequences(spec: HLProcessSpec, row_cap: int):
-    """All admissible sequences with parts <= row_cap, with their weights:
-    the paths through _step_tables from the empty partition back to it.
+def _sequence_tables(spec: HLProcessSpec, row_cap: int) -> tuple:
+    """(lattice, _step_tables) of spec at row_cap, from the backward
+    operators of its steps, for _count_sequences and _enumerate_sequences."""
+    lat = get_lattice(min(spec.M, spec.N), row_cap)
+    ops = _operators(lat, spec.steps(), spec.t, backward=True)
+    return lat, _step_tables(spec, lat, ops)
+
+
+def _enumerate_sequences(lat: _Lattice, tables):
+    """All admissible sequences with parts <= the lattice cap, with their
+    weights: the paths through the step tables from the empty partition back
+    to it.
 
     All paths advance one step at a time: each is repeated once per edge out
     of its current state, in edge order, so they come in depth-first order,
     and each weight is the product of its edge weights from left to right."""
-    lat = get_lattice(min(spec.M, spec.N), row_cap)
-    ops = _operators(lat, spec.steps(), spec.t, backward=True)
-    tables = _step_tables(spec, lat, ops)
     at = np.array([lat.index[pt.EMPTY]])
     paths = np.empty((1, 0), dtype=np.int32)  # states visited before `at`
     w = np.ones(1)
@@ -429,17 +440,14 @@ def _enumerate_sequences(spec: HLProcessSpec, row_cap: int):
     return zip(seqs, w.tolist())
 
 
-def _count_sequences(spec: HLProcessSpec, row_cap: int) -> int:
+def _count_sequences(lat: _Lattice, tables) -> int:
     """How many sequences _enumerate_sequences yields, counted by one
-    unit-weight pass per step over _step_tables, so a row cap whose lattice
-    cannot be built raises LatticeTooLarge at once."""
-    lat = get_lattice(min(spec.M, spec.N), row_cap)
+    unit-weight pass per step over the step tables."""
     empty = lat.index[pt.EMPTY]
     n = len(lat.states)
     paths = np.zeros(n)
     paths[empty] = 1.0
-    ops = _operators(lat, spec.steps(), spec.t, backward=True)
-    for indptr, dst, _ in _step_tables(spec, lat, ops):
+    for indptr, dst, _ in tables:
         # columns are sources: each edge adds its source's path count to dst
         edges = sparse.csc_matrix((np.ones(len(dst)), dst, indptr), shape=(n, n))
         paths = _kernels.scatter_accumulate(edges, paths)
@@ -455,9 +463,11 @@ def exact_sequence_distribution(spec: HLProcessSpec, row_cap: int,
     This is the exponential reference enumerator: it walks the lattice's
     step tables path by path, where the support/marginal laws sum them by
     DP.  The sequences are counted first, and more than max_sequences of
-    them raise ValueError before any is enumerated.
+    them raise ValueError before any is enumerated; a row cap whose lattice
+    cannot be built raises LatticeTooLarge at once.
     """
-    count = _count_sequences(spec, row_cap)
+    lat, tables = _sequence_tables(spec, row_cap)
+    count = _count_sequences(lat, tables)
     if count > max_sequences:
         raise ValueError(
             f"{count} sequences, more than {max_sequences}; use the DP-backed "
@@ -466,7 +476,7 @@ def exact_sequence_distribution(spec: HLProcessSpec, row_cap: int,
     pi = normalization_pi(spec)
     outcomes: dict = {}
     total = 0.0
-    for seq, w in _enumerate_sequences(spec, row_cap):
+    for seq, w in _enumerate_sequences(lat, tables):
         outcomes[seq] = outcomes.get(seq, 0.0) + w
         total += w
     if total <= 0:
@@ -483,14 +493,46 @@ def exact_sequence_distribution(spec: HLProcessSpec, row_cap: int,
 
 def support_string(seq, S) -> tuple:
     """The outgoing string T built from first-column increments along seq."""
-    return _support_string(seq, pt.parse_signs(S))
+    return _support(seq, S)[0]
 
 
-def _support_string(seq, S) -> tuple:
-    """support_string for parsed signs S, counting each partition's rows once."""
-    if len(seq) != len(S) - 1:
-        raise ValueError(f"{len(seq)} partitions for {len(S)} signs")
-    rows = [0] + [len(pt.as_partition(lam)) for lam in seq] + [0]
+def support_of_sequence(seq, S) -> SkewDiagram:
+    """The skew diagram nu(T)/mu(S) supporting the sequence."""
+    return _support(seq, S)[1]
+
+
+def first_columns(seq) -> tuple:
+    """(lambda^(i)'_1) along the sequence."""
+    return _rows(seq)
+
+
+@lru_cache(maxsize=1 << 14)
+def _rows_of(lam) -> int:
+    """lambda'_1 of lam, validated by as_partition once per distinct value."""
+    return len(pt.as_partition(lam))
+
+
+def _rows(seq) -> tuple:
+    """_rows_of of each partition of seq, in order."""
+    seq = tuple(seq)
+    try:
+        return tuple(map(_rows_of, seq))
+    except TypeError:
+        # a list partition cannot be a cache key: the same rule uncached,
+        # which also raises again whatever as_partition raised
+        return tuple(map(_rows_of.__wrapped__, seq))
+
+
+@lru_cache(maxsize=1 << 12)
+def _support_of_rows(rows, S) -> tuple:
+    """(T, nu(T)/mu(S)) of a sequence whose partitions have these row counts:
+    T(i) = +1 where step i leaves the first column alone on a plus or
+    shortens it on a minus, -1 where it grows it on a plus or keeps it on a
+    minus."""
+    S = pt.parse_signs(S)
+    if len(rows) != len(S) - 1:
+        raise ValueError(f"{len(rows)} partitions for {len(S)} signs")
+    rows = (0,) + rows + (0,)
     T = []
     for i, si in enumerate(S):
         step = rows[i + 1] - rows[i]
@@ -502,20 +544,19 @@ def _support_string(seq, S) -> tuple:
             if step not in (0, -1):
                 raise ValueError(f"first-column decrement {-step} at step {i+1}")
             T.append(1 if step == -1 else -1)
-    return tuple(T)
-
-
-def support_of_sequence(seq, S) -> SkewDiagram:
-    """The skew diagram nu(T)/mu(S) supporting the sequence."""
-    S = pt.parse_signs(S)
     # a sequence from and back to the empty partition gives T the counts of S
-    T = _support_string(seq, S)
-    return SkewDiagram(outer=pt._traced_partition(T), inner=pt._traced_partition(S))
+    T = tuple(T)
+    return T, SkewDiagram(outer=pt._traced_partition(T), inner=pt._traced_partition(S))
 
 
-def first_columns(seq) -> tuple:
-    """(lambda^(i)'_1) along the sequence."""
-    return tuple(pt.num_rows(pt.as_partition(lam)) for lam in seq)
+def _support(seq, S) -> tuple:
+    """(T, nu(T)/mu(S)) of seq: one cache hit per partition and one per
+    (row counts, S) once each value has been seen."""
+    rows = _rows(seq)
+    try:
+        return _support_of_rows(rows, S)
+    except TypeError:  # a list S, or signs parse_signs rejects: uncached
+        return _support_of_rows.__wrapped__(rows, S)
 
 
 def first_columns_from_strings(S, T) -> tuple:

@@ -56,7 +56,8 @@ def select_contours(side: str, k: int, ms, t: float, a, b,
     """Geometric radii r_j = r_1 (t * safety)^{j-1} when feasible.
 
     ms must be non-increasing; contour j must enclose a_1..a_{m_j} and
-    exclude every 1/(t b_y).
+    exclude every 1/(t b_y) of the b given, which the moments pass as
+    b_1..b_N.
     """
     ms = [int(m) for m in ms]
     if len(ms) != k or any(ms[i] < ms[i + 1] for i in range(k - 1)) or ms[-1] < 1:
@@ -234,7 +235,7 @@ def hl_moment(k, ms, N, t, a, b, tol: float = 1e-9, start_nodes: int = 256,
     ms = [int(m) for m in ms]
     _check_inputs(N, t, b, tol)
     if radii is None:
-        radii = select_contours("hl", k, ms, t, a, b).radii
+        radii = select_contours("hl", k, ms, t, a, b[:N]).radii
     val, n = _converge(_hl_factors(ms, N, t, a, b), radii, tol, start_nodes,
                        max_nodes)
     if abs(val.imag) > 100 * tol:
@@ -252,7 +253,8 @@ def sixv_moment(k, ms, N, params: SixVertexParams, tol: float = 1e-9,
     _check_inputs(N, params.t, params.b, tol)
     Q, xi, u = params.to_native()
     if radii is None:
-        radii = select_contours("sixv", k, ms, params.t, params.a, params.b).radii
+        radii = select_contours("sixv", k, ms, params.t, params.a,
+                                 params.b[:N]).radii
     val, n = _converge(_sixv_factors(ms, N, Q, xi, u), radii, tol, start_nodes,
                        max_nodes)
     if abs(val.imag) > 100 * tol:

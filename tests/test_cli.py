@@ -445,3 +445,18 @@ def test_moments_inputs_that_cannot_run_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("side, argv", [
+    ("hl", ("--t", "0.5", "--a", "0.4", "--b", "0.4")),
+    ("sixv", ("--t", "0.9", "--a", "0.4", "--b", "0.4")),
+])
+def test_moments_ignore_the_b_beyond_N(capsys, side, argv):
+    """A b past b_N leaves the contours, and so the moment, unchanged."""
+    base = ("moments", side, "--m", "1", "--N", "1") + argv
+    code, ref, _ = run(capsys, *base)
+    assert code == 0
+    unused = "5" if side == "hl" else "2.4"  # 1/(t b) inside the contour
+    code, out, _ = run(capsys, *base[:-1], argv[-1] + "," + unused)
+    assert code == 0
+    assert json.loads(out) == json.loads(ref)

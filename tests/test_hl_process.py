@@ -77,8 +77,9 @@ def test_sequence_count_matches_enumeration():
                 for a in ((0.4, 0.3)[:M], (0.0, 0.3)[:M]):
                     spec = hl.HLProcessSpec(t=0.35, a=a, b=(0.45, 0.3)[:N], S=S)
                     for cap in (3, 8):
-                        n = sum(1 for _ in hl._enumerate_sequences(spec, cap))
-                        assert hl._count_sequences(spec, cap) == n
+                        tables = hl._sequence_tables(spec, cap)
+                        n = sum(1 for _ in hl._enumerate_sequences(*tables))
+                        assert hl._count_sequences(*tables) == n
 
 
 SIGNS_UP_TO_2 = [(M, N, S) for M in (1, 2) for N in (1, 2)
@@ -105,7 +106,7 @@ def test_enumeration_matches_partition_reference(M, N, S, cap, t, a, b):
         w = hl.sequence_weight(seq, spec)
         if w > 0:
             expected[seq] = w
-    got = list(hl._enumerate_sequences(spec, cap))
+    got = list(hl._enumerate_sequences(*hl._sequence_tables(spec, cap)))
     assert len(got) == len(dict(got))
     got = dict(got)
     assert got.keys() == expected.keys()
@@ -115,7 +116,7 @@ def test_enumeration_matches_partition_reference(M, N, S, cap, t, a, b):
 
 def test_exact_sequence_distribution_refuses_before_enumerating():
     spec = hl.HLProcessSpec(t=0.3, a=(0.3, 0.3), b=(0.3, 0.3), S="++--")
-    assert hl._count_sequences(spec, 40) == 259161
+    assert hl._count_sequences(*hl._sequence_tables(spec, 40)) == 259161
     with pytest.raises(ValueError, match="259161 sequences, more than 1000"):
         hl.exact_sequence_distribution(spec, 40, max_sequences=1000)
     spec3 = hl.HLProcessSpec(t=0.3, a=(0.3,) * 3, b=(0.3,) * 3, S="+++---")
@@ -221,6 +222,78 @@ def test_support_simple_cases():
 def test_support_corrupt_sequence_rejected():
     with pytest.raises(ValueError):
         hl.support_string(((2, 2),), "+-")  # column jump of 2 in one step
+
+
+def _per_call_support(seq, S):
+    """(T, nu(T)/mu(S)) the way support_string and support_of_sequence
+    computed it on every call before their caches."""
+    S = pt.parse_signs(S)
+    if len(seq) != len(S) - 1:
+        raise ValueError(f"{len(seq)} partitions for {len(S)} signs")
+    rows = [0] + [len(pt.as_partition(lam)) for lam in seq] + [0]
+    T = []
+    for i, si in enumerate(S):
+        step = rows[i + 1] - rows[i]
+        if si == 1:
+            if step not in (0, 1):
+                raise ValueError(f"first-column increment {step} at step {i+1}")
+            T.append(1 if step == 0 else -1)
+        else:
+            if step not in (0, -1):
+                raise ValueError(f"first-column decrement {-step} at step {i+1}")
+            T.append(1 if step == -1 else -1)
+    T = tuple(T)
+    return T, hl.SkewDiagram(pt._traced_partition(T), pt._traced_partition(S))
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+@st.composite
+def _pushforward_inputs(draw):
+    """A sign string and a sequence whose row counts follow it step by step
+    (valid when they end at 0), sometimes corrupted, with tuple or list
+    partitions and a str, tuple or list S."""
+    S = draw(st.lists(st.sampled_from((1, -1)), min_size=1, max_size=7))
+    seq, r = [], 0
+    for s in S[:-1]:
+        r = max(0, r + draw(st.sampled_from((0, s))))
+        parts = draw(st.lists(st.integers(1, 4), min_size=r, max_size=r))
+        seq.append(tuple(sorted(parts, reverse=True)) + (0,) * draw(st.integers(0, 1)))
+    corrupt = draw(st.sampled_from((None, "length", "negative", "unsorted", "jump")))
+    i = draw(st.integers(0, max(0, len(seq) - 1)))
+    if corrupt == "length":
+        seq = seq[:-1] if seq and draw(st.booleans()) else seq + [()]
+    elif corrupt and seq:
+        seq[i] = {"negative": (2, -1), "unsorted": (1, 2),
+                  "jump": seq[i] + (1, 1)}[corrupt]
+    if draw(st.booleans()):
+        seq = [list(lam) for lam in seq]
+    S = draw(st.sampled_from((pt.signs_to_str(S), tuple(S), list(S))))
+    return seq, S
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pushforward_inputs())
+def test_cached_pushforward_equals_the_per_call_rule(inputs):
+    seq, S = inputs
+    ref = _outcome(_per_call_support, seq, S)
+    ref_rows = _outcome(lambda: tuple(pt.num_rows(pt.as_partition(lam)) for lam in seq))
+    for _ in range(2):  # a repeated call, cached or not, gives the same
+        if isinstance(ref, type):
+            assert _outcome(hl.support_string, seq, S) is ref
+            assert _outcome(hl.support_of_sequence, seq, S) is ref
+        else:
+            assert hl.support_string(seq, S) == ref[0]
+            assert hl.support_of_sequence(seq, S) == ref[1]
+        assert _outcome(hl.first_columns, seq) == ref_rows
+    assert hl._rows_of.cache_parameters()["maxsize"] is not None
+    assert hl._support_of_rows.cache_parameters()["maxsize"] is not None
 
 
 def test_exact_support_distribution_closed_form():
@@ -344,6 +417,25 @@ def test_operator_step_equals_bincount_reference(rows, cap):
                 ref = _bincount_step(lat, vecs[:, j], kind, x, t, colinc, backward)
                 assert np.array_equal(lat.apply(op, vecs[:, j]), ref)
                 assert np.array_equal(block[:, j], ref)
+
+
+@pytest.mark.parametrize("rows,cap", [(1, 9), (2, 6), (3, 5)])
+def test_operator_data_is_the_gathered_class_weights(rows, cap):
+    """The stored values of every step operator are its class weights
+    gathered by edge class, bit for bit."""
+    lat = hl.get_lattice(rows, cap)
+    n = len(lat.states)
+    for kind, colinc, backward in product("+-", (None, 0, 1), (False, True)):
+        weights = lat.class_weights(kind, 0.37, 0.3)
+        if colinc is None and (kind == "+") != backward:
+            expect = weights[lat.up_class]
+        else:
+            lo, hi = (0, len(lat.edge_class)) if colinc is None else (
+                lat.indptr[colinc * n], lat.indptr[(colinc + 1) * n])
+            expect = weights[lat.edge_class[lo:hi]]
+        data = lat.operator(kind, 0.37, 0.3, colinc=colinc, backward=backward).data
+        assert data.dtype == expect.dtype
+        assert data.tobytes() == expect.tobytes()
 
 
 def _recursive_support_masses(lat, steps, t, i, vec, tbits, masses):
