@@ -1,0 +1,101 @@
+"""Print SHA-256 digests of every exact law and seeded output of hlsixv.
+
+    python3 benchmarks/digest.py
+
+Imports hlsixv from the src directory next to this script, so a copy of the
+script inside another checkout digests that checkout.  Two checkouts whose
+lines agree compute the same outputs bit for bit:
+
+- laws: for one draw of `verify.draw_matched_params` per sign string S with
+  M, N <= 3 (seed SEED), the Hall-Littlewood support, string, first-column
+  and every marginal law, the sequence law when M N <= 4, and the six-vertex
+  outgoing, string and cut-column laws: outcomes in order with their
+  probabilities, and the mass deficit, at `hl_process.row_cap`;
+- samplers: five `SequenceSampler` draws, `sample_outgoing_counts` and
+  `sample_state` at fixed seeds;
+- verify: the `verify.run_all(seed=42)` reports without `runtime`;
+- all: one digest over the three.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from hlsixv import hl_process as hl  # noqa: E402
+from hlsixv import partitions as pt  # noqa: E402
+from hlsixv import six_vertex as sv  # noqa: E402
+from hlsixv import verify as vf  # noqa: E402
+
+SEED = 20
+
+
+def _law(dist) -> str:
+    return repr((list(dist.items()), dist.mass_deficit))
+
+
+def _domains():
+    rng = np.random.default_rng(SEED)
+    for M in (1, 2, 3):
+        for N in (1, 2, 3):
+            for S in pt.enumerate_sign_class(M, N, +1):
+                t, a, b = vf.draw_matched_params(rng, M, N)
+                yield M, N, S, t, a, b
+
+
+def laws():
+    for M, N, S, t, a, b in _domains():
+        spec = hl.HLProcessSpec(t=t, a=a, b=b, S=S)
+        cap = hl.row_cap(spec)
+        yield repr((M, N, S, t, a, b, cap))
+        yield _law(hl.exact_support_distribution(spec, cap))
+        yield _law(hl.exact_support_string_distribution(spec, cap))
+        yield _law(hl.exact_first_column_distribution(spec, cap))
+        for pos in range(1, M + N):
+            yield _law(hl.exact_marginal_distribution(spec, pos, cap))
+        if M * N <= 4:
+            yield _law(hl.exact_sequence_distribution(spec, cap))
+        params = sv.SixVertexParams(t=t, a=a, b=b)
+        domain = sv.JaggedDomain(M, N, S)
+        yield _law(sv.exact_outgoing_distribution(params, domain))
+        yield _law(sv.exact_outgoing_string_distribution(params, domain))
+        yield _law(sv.exact_cut_column_distribution(params, domain))
+
+
+def samplers():
+    spec = hl.HLProcessSpec(t=0.4, a=(0.3, 0.5), b=(0.4, 0.2), S="+-+-")
+    sampler = hl.SequenceSampler(spec, hl.row_cap(spec), seed=5)
+    yield repr([sampler.sample() for _ in range(5)])
+    params = sv.SixVertexParams(t=0.35, a=(0.5, 0.3, 0.4), b=(0.6, 0.2, 0.5))
+    domain = sv.JaggedDomain(3, 3, "++-+--")
+    yield repr(sorted(sv.sample_outgoing_counts(params, domain, 5000, seed=7).items()))
+    state = sv.sample_state(params, domain, seed=9)
+    yield repr((sorted(state.vert.items()), sorted(state.horiz.items())))
+
+
+def verify():
+    for report in vf.run_all(seed=42):
+        d = report.to_json_dict()
+        del d["runtime"]
+        yield json.dumps(d, sort_keys=True)
+
+
+def main() -> None:
+    total = hashlib.sha256()
+    for name, part in (("laws", laws), ("samplers", samplers), ("verify", verify)):
+        h = hashlib.sha256()
+        for line in part():
+            h.update(line.encode() + b"\n")
+        total.update(h.digest())
+        print(f"{name} {h.hexdigest()}")
+    print(f"all {total.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

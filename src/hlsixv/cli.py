@@ -70,14 +70,9 @@ def _emit(payload, args) -> None:
         sys.stdout.write(text)
 
 
-def _dist_json(dist) -> dict:
-    return dist.to_json_dict()
-
-
-def _default_signs(args) -> tuple:
-    if getattr(args, "S", None):
-        return pt.parse_signs(args.S)
-    return tuple([1] * args.M + [-1] * args.N)
+def _signs(S, M, N) -> tuple:
+    """The sign string --S, or the rectangular one of M pluses then N minuses."""
+    return pt.parse_signs(S) if S else tuple([1] * M + [-1] * N)
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +96,7 @@ def _cmd_partition(args):
 
 def _hl_spec(args) -> hl.HLProcessSpec:
     a, b = _floats(args.a), _floats(args.b)
-    S = getattr(args, "S", None)
-    signs = pt.parse_signs(S) if S else tuple([1] * len(a) + [-1] * len(b))
-    return hl.HLProcessSpec(t=args.t, a=a, b=b, S=signs)
+    return hl.HLProcessSpec(t=args.t, a=a, b=b, S=_signs(args.S, len(a), len(b)))
 
 
 def _cmd_hl(args):
@@ -122,7 +115,7 @@ def _cmd_hl(args):
             "row_cap": cap,
         }
     if args.action == "support":
-        out = _dist_json(hl.exact_support_distribution(spec, cap))
+        out = hl.exact_support_distribution(spec, cap).to_json_dict()
         out["row_cap"] = cap
         return 0, out
     sampler = hl.SequenceSampler(spec, cap, split_seed(args.seed, "hl.sample"))
@@ -168,14 +161,14 @@ def _cmd_sixv(args):
         raise ValueError(f"--M {args.M} disagrees with {M} column parameters")
     if args.N is not None and args.N != N:
         raise ValueError(f"--N {args.N} disagrees with {N} row parameters")
-    domain = sv.JaggedDomain(M, N, _default_signs(argparse.Namespace(S=getattr(args, "S", None), M=M, N=N)))
+    domain = sv.JaggedDomain(M, N, _signs(args.S, M, N))
     if args.action == "exact":
-        out = _dist_json(sv.exact_outgoing_distribution(params, domain))
+        out = sv.exact_outgoing_distribution(params, domain).to_json_dict()
         out.update(meta)
         return 0, out
     if args.action == "heights":
         points = _points(args.points)
-        out = _dist_json(sv.exact_joint_height_distribution(params, domain, points))
+        out = sv.exact_joint_height_distribution(params, domain, points).to_json_dict()
         out.update(meta)
         return 0, out
     # sample
@@ -273,20 +266,10 @@ def _cmd_verify(args):
     seed = args.seed
     if args.action == "all":
         reports = vf.run_all(level=args.level, seed=split_seed(seed, "verify.all"))
-    elif args.action == "support":
-        reports = [
-            vf.check_support_match(
-                len(_floats(args.a)), len(_floats(args.b)), args.S, args.t,
-                _floats(args.a), _floats(args.b),
-            )
-        ]
-    elif args.action == "height":
-        reports = [
-            vf.check_height_match(
-                len(_floats(args.a)), len(_floats(args.b)), args.S, args.t,
-                _floats(args.a), _floats(args.b),
-            )
-        ]
+    elif args.action in ("support", "height"):
+        check = vf.check_support_match if args.action == "support" else vf.check_height_match
+        a, b = _floats(args.a), _floats(args.b)
+        reports = [check(len(a), len(b), args.S, args.t, a, b)]
     elif args.action == "moments":
         ms = _ints(args.m)
         reports = [

@@ -35,15 +35,10 @@ def str_to_key(s: str):
 class DiscreteDistribution:
     """Finite map outcome -> probability, with an optional truncation deficit."""
 
-    def __init__(self, outcomes: dict, mass_deficit: float = 0.0, normalize: bool = False):
+    def __init__(self, outcomes: dict, mass_deficit: float = 0.0):
         outcomes = {k: float(v) for k, v in outcomes.items() if v != 0.0}
         if any(v < 0 for v in outcomes.values()):
             raise ValueError("negative probability")
-        if normalize:
-            total = sum(outcomes.values())
-            if total <= 0:
-                raise ValueError("cannot normalize zero mass")
-            outcomes = {k: v / total for k, v in outcomes.items()}
         self.outcomes = outcomes
         self.mass_deficit = float(mass_deficit)
 

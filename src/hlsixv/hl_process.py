@@ -13,7 +13,9 @@ against the closed-form normalization constant.  The lattice keeps its edges
 as CSR structures, and each law gathers the weights of each of its distinct
 steps into a sparse operator once, then applies it with
 _kernels.scatter_accumulate.  Every step adds a target's terms in lattice
-edge order, so the exact laws are the same bit for bit on every run.
+edge order, so the exact laws are the same bit for bit on every run.  The
+DP sums the law of the outgoing string T; the support law nu(T)/mu(S) and
+the first-column law are its pushforwards.
 The support pushforward of a sequence validates each distinct partition,
 and traces each distinct (row counts, S), once per process in bounded
 caches, so pushing a whole sequence law costs a few dictionary hits per
@@ -107,34 +109,28 @@ class HLProcessSpec:
 
 def normalization_pi(spec: HLProcessSpec) -> float:
     """Pi^S = prod over pairs i<j with (S(i),S(j))=(+,-) of (1-t a b)/(1-a b)."""
-    t = spec.t
     pi = 1.0
-    p = 0
-    m_seen = [0] * (spec.M + spec.N + 1)
-    m = 0
-    for i, si in enumerate(spec.S):
-        m_seen[i] = m
-        if si == -1:
-            m += 1
-    for i, si in enumerate(spec.S):
-        if si != 1:
-            continue
-        p += 1
-        ai = spec.a[p - 1]
-        for j in range(i + 1, len(spec.S)):
-            if spec.S[j] == -1:
-                bj = spec.b[spec.N - m_seen[j] - 1]
-                pi *= (1.0 - t * ai * bj) / (1.0 - ai * bj)
+    steps = spec.steps()
+    for i, (kind, ai) in enumerate(steps):
+        if kind == "+":
+            for kind_j, bj in steps[i + 1:]:
+                if kind_j == "-":
+                    pi *= (1.0 - spec.t * ai * bj) / (1.0 - ai * bj)
     return pi
 
 
-def minimal_row_cap(spec: HLProcessSpec, tol: float = 1e-12, cap_max: int = 400) -> int:
-    """Smallest cap R whose geometric tail bound falls below tol.
+# The largest truncation deficit 1 - Z/Pi^S row_cap admits, and the target of
+# minimal_row_cap's tail bound.
+DEFICIT_TOL = 1e-12
+
+
+def minimal_row_cap(spec: HLProcessSpec, cap_max: int = 400) -> int:
+    """Smallest cap R whose geometric tail bound falls below DEFICIT_TOL.
 
     Sequences containing a part > R carry unnormalized mass at most
     K rho^{R+1}/(1-rho) with rho = max a_i b_j, K counting the (step, pair)
     combinations.  row_cap widens it until the realized deficit against Pi^S
-    is within 1e-12.
+    is within DEFICIT_TOL.
     """
     rho = max((ai * bj for ai in spec.a for bj in spec.b), default=0.0)
     if rho == 0.0:
@@ -142,11 +138,12 @@ def minimal_row_cap(spec: HLProcessSpec, tol: float = 1e-12, cap_max: int = 400)
     K = (spec.M + spec.N) * spec.M * spec.N * max(1.0, normalization_pi(spec))
     bound = K / (1.0 - rho)
     cap = 1
-    while bound * rho ** (cap + 1) >= tol:
+    while bound * rho ** (cap + 1) >= DEFICIT_TOL:
         cap += 1
         if cap > cap_max:
             raise TruncationError(
-                f"tail ratio {rho} too close to 1: cap {cap_max} insufficient for tol {tol}"
+                f"tail ratio {rho} too close to 1: cap {cap_max} insufficient for "
+                f"tol {DEFICIT_TOL}"
             )
     return max(cap, 4)
 
@@ -154,12 +151,12 @@ def minimal_row_cap(spec: HLProcessSpec, tol: float = 1e-12, cap_max: int = 400)
 def row_cap(spec: HLProcessSpec) -> int:
     """The row cap of spec's exact laws: minimal_row_cap rounded up to a
     multiple of 8, widened by 8 until the realized deficit 1 - Z/Pi^S of the
-    forward DP is at most 1e-12.  The tail bound alone undercounts the paths
+    forward DP is at most DEFICIT_TOL.  The tail bound alone undercounts the paths
     through many small parameters (at plancherel_spec(K=128) its cap 8 leaves
     1e-7).  LatticeTooLarge when no buildable cap gets there."""
     pi = normalization_pi(spec)
     cap = -(-minimal_row_cap(spec) // 8) * 8
-    while 1.0 - _forward_mass(spec, cap) / pi > 1e-12:
+    while 1.0 - _forward_mass(spec, cap) / pi > DEFICIT_TOL:
         cap += 8
     return cap
 
@@ -167,12 +164,7 @@ def row_cap(spec: HLProcessSpec) -> int:
 def _forward_mass(spec: HLProcessSpec, row_cap: int) -> float:
     """Z: the mass of the sequences with parts <= row_cap, by the forward DP."""
     lat = get_lattice(min(spec.M, spec.N), row_cap)
-    empty = lat.index[pt.EMPTY]
-    vec = np.zeros(len(lat.states))
-    vec[empty] = 1.0
-    for op in _operators(lat, spec.steps(), spec.t):
-        vec = lat.apply(op, vec)
-    return vec[empty]
+    return _sweep(lat, _operators(lat, spec.steps(), spec.t))[-1][lat.empty]
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +208,11 @@ class _Lattice:
     class_qkey: np.ndarray
     pfactors: list  # per key, the count of (1 - t^e) factors for e = 1..rows
     qfactors: list
+
+    @property
+    def empty(self) -> int:
+        """The index of the empty partition."""
+        return self.index[pt.EMPTY]
 
     def class_weights(self, kind, param, t):
         """Weight x^(|lam| - |mu|) times the skew factor of each edge class:
@@ -268,6 +265,17 @@ def _operators(lat: _Lattice, steps, t, colinc=None, backward=False) -> list:
         if step not in built:
             built[step] = lat.operator(*step, t, colinc=colinc, backward=backward)
     return [built[step] for step in steps]
+
+
+def _sweep(lat: _Lattice, ops) -> list:
+    """The unit mass at the empty partition, then the vector after each of
+    ops applied in turn."""
+    vec = np.zeros(len(lat.states))
+    vec[lat.empty] = 1.0
+    vecs = [vec]
+    for op in ops:
+        vecs.append(lat.apply(op, vecs[-1]))
+    return vecs
 
 
 class LatticeTooLarge(ValueError):
@@ -420,7 +428,7 @@ def _enumerate_sequences(lat: _Lattice, tables):
     All paths advance one step at a time: each is repeated once per edge out
     of its current state, in edge order, so they come in depth-first order,
     and each weight is the product of its edge weights from left to right."""
-    at = np.array([lat.index[pt.EMPTY]])
+    at = np.array([lat.empty])
     paths = np.empty((1, 0), dtype=np.int32)  # states visited before `at`
     w = np.ones(1)
     for i, (indptr, dst, weight) in enumerate(tables):
@@ -443,15 +451,14 @@ def _enumerate_sequences(lat: _Lattice, tables):
 def _count_sequences(lat: _Lattice, tables) -> int:
     """How many sequences _enumerate_sequences yields, counted by one
     unit-weight pass per step over the step tables."""
-    empty = lat.index[pt.EMPTY]
     n = len(lat.states)
     paths = np.zeros(n)
-    paths[empty] = 1.0
+    paths[lat.empty] = 1.0
     for indptr, dst, _ in tables:
         # columns are sources: each edge adds its source's path count to dst
         edges = sparse.csc_matrix((np.ones(len(dst)), dst, indptr), shape=(n, n))
         paths = _kernels.scatter_accumulate(edges, paths)
-    return int(paths[empty])
+    return int(paths[lat.empty])
 
 
 def exact_sequence_distribution(spec: HLProcessSpec, row_cap: int,
@@ -473,17 +480,22 @@ def exact_sequence_distribution(spec: HLProcessSpec, row_cap: int,
             f"{count} sequences, more than {max_sequences}; use the DP-backed "
             "laws or lower row_cap"
         )
-    pi = normalization_pi(spec)
     outcomes: dict = {}
     total = 0.0
     for seq, w in _enumerate_sequences(lat, tables):
         outcomes[seq] = outcomes.get(seq, 0.0) + w
         total += w
+    return _law(spec, outcomes, total)
+
+
+def _law(spec: HLProcessSpec, masses: dict, total) -> DiscreteDistribution:
+    """The law of the outcomes of masses, each normalized by total, with the
+    deficit 1 - total/Pi^S; TruncationError when there is no mass."""
     if total <= 0:
         raise TruncationError("no admissible sequences under row_cap")
-    deficit = 1.0 - total / pi
     return DiscreteDistribution(
-        {k: v / total for k, v in outcomes.items()}, mass_deficit=deficit
+        {k: m / total for k, m in masses.items()},
+        mass_deficit=1.0 - total / normalization_pi(spec),
     )
 
 
@@ -513,14 +525,9 @@ def _rows_of(lam) -> int:
 
 
 def _rows(seq) -> tuple:
-    """_rows_of of each partition of seq, in order."""
-    seq = tuple(seq)
-    try:
-        return tuple(map(_rows_of, seq))
-    except TypeError:
-        # a list partition cannot be a cache key: the same rule uncached,
-        # which also raises again whatever as_partition raised
-        return tuple(map(_rows_of.__wrapped__, seq))
+    """_rows_of of each partition of seq, in order, each made a tuple so that
+    it can be a cache key."""
+    return tuple(map(_rows_of, map(tuple, seq)))
 
 
 @lru_cache(maxsize=1 << 12)
@@ -553,10 +560,7 @@ def _support(seq, S) -> tuple:
     """(T, nu(T)/mu(S)) of seq: one cache hit per partition and one per
     (row counts, S) once each value has been seen."""
     rows = _rows(seq)
-    try:
-        return _support_of_rows(rows, S)
-    except TypeError:  # a list S, or signs parse_signs rejects: uncached
-        return _support_of_rows.__wrapped__(rows, S)
+    return _support_of_rows(rows, S if isinstance(S, str) else tuple(S))
 
 
 def first_columns_from_strings(S, T) -> tuple:
@@ -569,25 +573,24 @@ def first_columns_from_strings(S, T) -> tuple:
     return tuple(out)
 
 
-def exact_support_distribution(
+def exact_support_string_distribution(
     spec: HLProcessSpec, row_cap: int
 ) -> DiscreteDistribution:
-    """Exact law of the support nu(T)/mu(S) via per-T constrained DP.
+    """Exact law of the outgoing string T via per-T constrained DP.
 
     Steps every T-prefix one level at a time: at step i the two colinc
     operators of that step map the mass vectors of all live prefixes at once,
     the child with T(i) = +1 (no first-column increment on a plus, a decrement
     on a minus) before the child with T(i) = -1, and prefixes left without
-    mass are dropped.  The support strings thus come in depth-first order,
-    +1 before -1, the order in which their masses are summed.  Probabilities
-    are normalized by the total enumerated mass; the deficit against Pi^S is
+    mass are dropped.  The strings thus come in depth-first order, +1 before
+    -1, the order in which their masses are summed.  Probabilities are
+    normalized by the total enumerated mass; the deficit against Pi^S is
     reported.
     """
     lat = get_lattice(min(spec.M, spec.N), row_cap)
-    empty = lat.index[pt.EMPTY]
     n = len(lat.states)
     vecs = np.zeros((n, 1))  # one column per live T-prefix
-    vecs[empty] = 1.0
+    vecs[lat.empty] = 1.0
     tbits = np.zeros((1, 0), dtype=np.int8)
     steps = spec.steps()
     for (kind, _), op0, op1 in zip(steps, _operators(lat, steps, spec.t, colinc=0),
@@ -602,27 +605,18 @@ def exact_support_distribution(
             (np.repeat(tbits, 2, axis=0), np.tile((1, -1), len(tbits)))
         )[live]
     masses = {
-        tuple(T): m for T, m in zip(tbits.tolist(), vecs[empty].tolist()) if m > 0.0
+        tuple(T): m for T, m in zip(tbits.tolist(), vecs[lat.empty].tolist()) if m > 0.0
     }
-    total = sum(masses.values())
-    if total <= 0:
-        raise TruncationError("no admissible sequences under row_cap")
-    pi = normalization_pi(spec)
-    mu = spec.mu()
-    outcomes = {
-        (pt.partition_from_string(T, spec.M, spec.N), mu): m / total
-        for T, m in masses.items()
-    }
-    return DiscreteDistribution(outcomes, mass_deficit=1.0 - total / pi)
+    return _law(spec, masses, sum(masses.values()))
 
 
-def exact_support_string_distribution(
+def exact_support_distribution(
     spec: HLProcessSpec, row_cap: int
 ) -> DiscreteDistribution:
-    """Same law keyed by the string T (for pushforwards onto column vectors)."""
-    dist = exact_support_distribution(spec, row_cap)
-    return dist.map_keys(
-        lambda key: pt.string_from_partition(key[0], spec.M, spec.N)
+    """Exact law of the support nu(T)/mu(S): the string law pushed forward."""
+    mu = spec.mu()
+    return exact_support_string_distribution(spec, row_cap).map_keys(
+        lambda T: (pt.partition_from_string(T, spec.M, spec.N), mu)
     )
 
 
@@ -631,11 +625,12 @@ def exact_first_column_distribution(
 ) -> DiscreteDistribution:
     """Joint law of (lambda'_1(1), ..., lambda'_1(M+N-1)).
 
-    Pushforward of the support law under the column/support duality; the
+    Pushforward of the string law under the column/support duality; the
     duality itself is verified pathwise by tests on sampled sequences.
     """
-    sdist = exact_support_string_distribution(spec, row_cap)
-    return sdist.map_keys(lambda T: first_columns_from_strings(spec.S, T))
+    return exact_support_string_distribution(spec, row_cap).map_keys(
+        lambda T: first_columns_from_strings(spec.S, T)
+    )
 
 
 def exact_marginal_distribution(
@@ -646,24 +641,10 @@ def exact_marginal_distribution(
         raise ValueError("position out of range")
     lat = get_lattice(min(spec.M, spec.N), row_cap)
     steps = spec.steps()
-    empty = lat.index[pt.EMPTY]
-    fwd = np.zeros(len(lat.states))
-    fwd[empty] = 1.0
-    for op in _operators(lat, steps[:position], spec.t):
-        fwd = lat.apply(op, fwd)
-    bwd = np.zeros(len(lat.states))
-    bwd[empty] = 1.0
-    for op in reversed(_operators(lat, steps[position:], spec.t, backward=True)):
-        bwd = lat.apply(op, bwd)
+    fwd = _sweep(lat, _operators(lat, steps[:position], spec.t))[-1]
+    bwd = _sweep(lat, _operators(lat, steps[position:], spec.t, backward=True)[::-1])[-1]
     mass = fwd * bwd
-    total = mass.sum()
-    if total <= 0:
-        raise TruncationError("no admissible sequences under row_cap")
-    pi = normalization_pi(spec)
-    outcomes = {
-        lat.states[i]: mass[i] / total for i in np.nonzero(mass)[0]
-    }
-    return DiscreteDistribution(outcomes, mass_deficit=1.0 - total / pi)
+    return _law(spec, {lat.states[i]: mass[i] for i in np.nonzero(mass)[0]}, mass.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -678,21 +659,13 @@ class SequenceSampler:
     """
 
     def __init__(self, spec: HLProcessSpec, row_cap: int, seed: int):
-        self.spec = spec
-        self.cap = row_cap
         self.rng = np.random.default_rng(seed)
         self.lat = get_lattice(min(spec.M, spec.N), row_cap)
         self.steps = spec.steps()
-        n = len(self.steps)
-        empty = self.lat.index[pt.EMPTY]
-        bwd = np.zeros(len(self.lat.states))
-        bwd[empty] = 1.0
-        self.bwd = [None] * (n + 1)
-        self.bwd[n] = bwd
         ops = _operators(self.lat, self.steps, spec.t, backward=True)
-        for i in range(n - 1, -1, -1):
-            self.bwd[i] = self.lat.apply(ops[i], self.bwd[i + 1])
-        if self.bwd[0][empty] <= 0:
+        # bwd[i][s]: the mass of the completions of state s by steps i+1..M+N
+        self.bwd = _sweep(self.lat, ops[::-1])[::-1]
+        if self.bwd[0][self.lat.empty] <= 0:
             raise TruncationError("no admissible sequences under row_cap")
         self._edges = _step_tables(spec, self.lat, ops)
         self._tables: dict = {}
@@ -716,7 +689,7 @@ class SequenceSampler:
         return tab
 
     def sample(self):
-        src = self.lat.index[pt.EMPTY]
+        src = self.lat.empty
         seq = []
         for i in range(len(self.steps) - 1):
             targets, cum = self._conditional(i, src)

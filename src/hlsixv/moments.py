@@ -51,9 +51,8 @@ class ContourFamily:
 _SAFETY = 0.9
 
 
-def select_contours(side: str, k: int, ms, t: float, a, b,
-                    safety: float = _SAFETY) -> ContourFamily:
-    """Geometric radii r_j = r_1 (t * safety)^{j-1} when feasible.
+def select_contours(side: str, k: int, ms, t: float, a, b) -> ContourFamily:
+    """Geometric radii r_j = r_1 (t * _SAFETY)^{j-1} when feasible.
 
     ms must be non-increasing; contour j must enclose a_1..a_{m_j} and
     exclude every 1/(t b_y) of the b given, which the moments pass as
@@ -67,11 +66,11 @@ def select_contours(side: str, k: int, ms, t: float, a, b,
     if len(a) < ms[0]:
         raise ValueError("need a_1..a_{m_1}")
     excl = min(1.0 / (t * by) for by in b)
-    r1 = safety * excl
-    radii = [r1 * (t * safety) ** j for j in range(k)]
+    r1 = _SAFETY * excl
+    radii = [r1 * (t * _SAFETY) ** j for j in range(k)]
     for j, r in enumerate(radii):
         amax = max(a[: ms[j]], default=0.0)
-        if r <= amax / safety:
+        if r <= amax / _SAFETY:
             raise ContourError(
                 f"contour {j+1} of radius {r:.6g} cannot enclose "
                 f"max(a_1..a_{ms[j]}) = {amax:.6g} while excluding "
@@ -204,16 +203,25 @@ def _quad(integrand: _Integrand, radii, n):
     return integrand.prefactor * acc / n**k
 
 
-def _converge(integrand, radii, tol, start_nodes, max_nodes):
+def _moment(integrand, radii, tol, start_nodes, max_nodes, full):
+    """The real value of the integrand's mean over the contours, doubling the
+    nodes from start_nodes until two successive values agree to tol; with
+    full, a dict that also gives the nodes and radii."""
     n = start_nodes
     prev = _quad(integrand, radii, n)
     while n < max_nodes:
         n *= 2
-        cur = _quad(integrand, radii, n)
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return cur, n
-        prev = cur
-    raise QuadratureError(f"no convergence to {tol} within {max_nodes} nodes")
+        val = _quad(integrand, radii, n)
+        if abs(val - prev) <= tol * max(1.0, abs(val)):
+            break
+        prev = val
+    else:
+        raise QuadratureError(f"no convergence to {tol} within {max_nodes} nodes")
+    if abs(val.imag) > 100 * tol:
+        raise QuadratureError(f"imaginary residue {val.imag} in moment value")
+    if full:
+        return {"value": float(val.real), "nodes": n, "radii": tuple(radii)}
+    return float(val.real)
 
 
 def _check_inputs(N, t, b, tol):
@@ -236,13 +244,7 @@ def hl_moment(k, ms, N, t, a, b, tol: float = 1e-9, start_nodes: int = 256,
     _check_inputs(N, t, b, tol)
     if radii is None:
         radii = select_contours("hl", k, ms, t, a, b[:N]).radii
-    val, n = _converge(_hl_factors(ms, N, t, a, b), radii, tol, start_nodes,
-                       max_nodes)
-    if abs(val.imag) > 100 * tol:
-        raise QuadratureError(f"imaginary residue {val.imag} in moment value")
-    if full:
-        return {"value": float(val.real), "nodes": n, "radii": tuple(radii)}
-    return float(val.real)
+    return _moment(_hl_factors(ms, N, t, a, b), radii, tol, start_nodes, max_nodes, full)
 
 
 def sixv_moment(k, ms, N, params: SixVertexParams, tol: float = 1e-9,
@@ -255,13 +257,8 @@ def sixv_moment(k, ms, N, params: SixVertexParams, tol: float = 1e-9,
     if radii is None:
         radii = select_contours("sixv", k, ms, params.t, params.a,
                                  params.b[:N]).radii
-    val, n = _converge(_sixv_factors(ms, N, Q, xi, u), radii, tol, start_nodes,
-                       max_nodes)
-    if abs(val.imag) > 100 * tol:
-        raise QuadratureError(f"imaginary residue {val.imag} in moment value")
-    if full:
-        return {"value": float(val.real), "nodes": n, "radii": tuple(radii)}
-    return float(val.real)
+    return _moment(_sixv_factors(ms, N, Q, xi, u), radii, tol, start_nodes, max_nodes,
+                   full)
 
 
 def moment_match_check(k, ms, N, t, a, b, tol: float = 1e-9) -> tuple:

@@ -68,9 +68,6 @@ class PartitionArray:
     def copy(self) -> "PartitionArray":
         return PartitionArray(self.n_max, [list(l) for l in self.levels], self.tau)
 
-    def as_tuples(self) -> tuple:
-        return tuple(tuple(lv) for lv in self.levels)
-
     def first_columns(self) -> tuple:
         """lambda^(k)'_1 for k = 1..n_max."""
         return tuple(sum(1 for v in lv if v > 0) for lv in self.levels)

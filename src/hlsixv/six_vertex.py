@@ -308,39 +308,36 @@ def _sweep(params, domain, update, init):
     return out
 
 
-def exact_outgoing_distribution(
-    params: SixVertexParams, domain: JaggedDomain, max_size: int = 14
-) -> DiscreteDistribution:
-    """Exact law of the outgoing skew diagram nu(T)/mu(S)."""
-    if domain.M + domain.N > max_size:
-        raise ValueError("domain too large for exact enumeration")
-    H = domain.column_heights()
-
-    def update(trk, x, vert_bits, out_h):
-        hx = H[x - 1]
-        hnext = H[x] if x < domain.M else 0
-        bits = [vert_bits[-1]] + [out_h[y - 1] for y in range(hx, hnext, -1)]
-        return trk + tuple(bits)
-
-    raw = _sweep(params, domain, update, ())
-    mu = domain.mu
-    outcomes: dict = {}
-    for bits, prob in raw.items():
-        T = tuple(-1 if b else 1 for b in bits)
-        key = (pt.partition_from_string(T, domain.M, domain.N), mu)
-        outcomes[key] = outcomes.get(key, 0.0) + prob
-    dist = DiscreteDistribution(outcomes)
-    dist.check_normalized(1e-12)
-    return dist
+MAX_EXACT_SIZE = 14  # largest M + N of an exact outgoing law: the sweep keeps ~2^(M+N) states
 
 
 def exact_outgoing_string_distribution(
     params: SixVertexParams, domain: JaggedDomain
 ) -> DiscreteDistribution:
-    """Same law keyed by the sign string T."""
-    dist = exact_outgoing_distribution(params, domain)
-    return dist.map_keys(
-        lambda key: pt.string_from_partition(key[0], domain.M, domain.N)
+    """Exact law of the outgoing string T, T(i) = -1 where cut edge i is
+    occupied."""
+    if domain.M + domain.N > MAX_EXACT_SIZE:
+        raise ValueError("domain too large for exact enumeration")
+    H = domain.column_heights()
+
+    def update(T, x, vert_bits, out_h):
+        hnext = H[x] if x < domain.M else 0
+        bits = [vert_bits[-1]] + [out_h[y - 1] for y in range(H[x - 1], hnext, -1)]
+        return T + tuple(-1 if b else 1 for b in bits)
+
+    dist = DiscreteDistribution(_sweep(params, domain, update, ()))
+    dist.check_normalized(1e-12)
+    return dist
+
+
+def exact_outgoing_distribution(
+    params: SixVertexParams, domain: JaggedDomain
+) -> DiscreteDistribution:
+    """Exact law of the outgoing skew diagram nu(T)/mu(S): the string law
+    pushed forward."""
+    mu = domain.mu
+    return exact_outgoing_string_distribution(params, domain).map_keys(
+        lambda T: (pt.partition_from_string(T, domain.M, domain.N), mu)
     )
 
 

@@ -107,9 +107,9 @@ def row_operator_element(kind: str, spectral: float, lam, mu, L: int, t: float) 
 # finite-volume operator matrices
 
 
-def operator_matrix(kind: str, spectral: float, L: int, n_occ: int, t: float,
-                    norm: str = "black") -> np.ndarray:
-    """Dense T(i|j) on the basis of occupancy vectors in {0..n_occ}^L.
+def operator_matrix(kind: str, spectral: float, L: int, n_occ: int, t: float) -> np.ndarray:
+    """Dense black-normalized T(i|j) on the basis of occupancy vectors in
+    {0..n_occ}^L.
 
     M[bot, top] = row weight with the bottom/top occupancies decoded in walk
     order (site L most significant).  kind in 'A','B','C','D'.
@@ -123,7 +123,7 @@ def operator_matrix(kind: str, spectral: float, L: int, n_occ: int, t: float,
             for hp in range(2):
                 n = m + h - hp
                 if 0 <= n < C:
-                    W[h, m, hp, n] = boson_weight(h, m, hp, n, spectral, t, norm)
+                    W[h, m, hp, n] = boson_weight(h, m, hp, n, spectral, t)
     part = np.zeros((2, 1, 1))
     part[ij[0], 0, 0] = 1.0
     for _ in range(L):
@@ -190,13 +190,13 @@ def verify_yang_baxter(i1, i2, j1, j2, m, n, a, b, t) -> float:
     return abs(lhs - rhs)
 
 
-def yang_baxter_max_residual(trials: int, seed: int, m_max: int = 4) -> float:
-    """Max residual over random (bits, occupancies, a, b, t) draws."""
+def yang_baxter_max_residual(trials: int, seed: int) -> float:
+    """Max residual over random (bits, occupancies 0..4, a, b, t) draws."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         i1, i2, j1, j2 = (int(v) for v in rng.integers(0, 2, size=4))
-        m, n = (int(v) for v in rng.integers(0, m_max + 1, size=2))
+        m, n = (int(v) for v in rng.integers(0, 5, size=2))
         a = float(rng.uniform(0.05, 0.95))
         b = float(rng.uniform(0.05, 0.95))
         t = float(rng.uniform(0.05, 0.95))

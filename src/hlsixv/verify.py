@@ -21,6 +21,18 @@ from . import six_vertex as sv
 from . import tboson as tb
 from .distributions import DiscreteDistribution, tv_distance
 
+# pass thresholds of the checks
+EXACT_TV = 1e-9  # TV between the two exact laws of a domain
+MOMENT_GAP = 1e-7  # between the two contour-integral moments
+MOMENT_ORACLE = 1e-8  # between a contour moment and its exact-law value
+YANG_BAXTER_RESIDUAL = 1e-12
+EXCHANGE_RESIDUAL = 1e-11
+P_FLOOR = 1e-3  # chi-square p-value a seed of the 3-seed majority must beat
+PLANCHEREL_TV = 0.02  # empirical law against the K-fold law
+PLANCHEREL_RATIO = 0.7  # most of the TV at K left at 2K, beyond sampling noise
+MIN_EXPECTED = 5.0  # least expected count of a pooled cell against an exact law
+MIN_COMBINED = 10.0  # least count of a pooled cell of two samples together
+
 
 @dataclass
 class ComparisonReport:
@@ -52,11 +64,10 @@ class ComparisonReport:
 # statistics
 
 
-def chi_square_gof(counts: dict, expected: DiscreteDistribution,
-                   min_expected: float = 5.0) -> tuple:
+def chi_square_gof(counts: dict, expected: DiscreteDistribution) -> tuple:
     """(statistic, dof, p_value) for observed counts against an exact law.
 
-    Cells with expected count below min_expected are pooled smallest-first.
+    Cells with expected count below MIN_EXPECTED are pooled smallest-first.
     Observing an outcome of zero expected probability is an error.
     """
     n = sum(counts.values())
@@ -69,7 +80,7 @@ def chi_square_gof(counts: dict, expected: DiscreteDistribution,
     for k, p in cells:
         acc_obs += counts.get(k, 0)
         acc_exp += n * p
-        if acc_exp >= min_expected:
+        if acc_exp >= MIN_EXPECTED:
             pooled.append((acc_obs, acc_exp))
             acc_obs, acc_exp = 0.0, 0.0
     if acc_exp > 0:
@@ -83,8 +94,7 @@ def chi_square_gof(counts: dict, expected: DiscreteDistribution,
     return stat, dof, float(_chi2.sf(stat, dof))
 
 
-def two_sample_chi_square(counts1: dict, counts2: dict,
-                          min_combined: float = 10.0) -> tuple:
+def two_sample_chi_square(counts1: dict, counts2: dict) -> tuple:
     """(statistic, dof, p_value) comparing two multinomial samples."""
     n1 = sum(counts1.values())
     n2 = sum(counts2.values())
@@ -96,7 +106,7 @@ def two_sample_chi_square(counts1: dict, counts2: dict,
     for o1, o2 in raw:
         a1 += o1
         a2 += o2
-        if a1 + a2 >= min_combined:
+        if a1 + a2 >= MIN_COMBINED:
             pooled.append((a1, a2))
             a1 = a2 = 0
     if (a1 or a2) and pooled:
@@ -129,55 +139,47 @@ def draw_matched_params(rng, M: int, N: int, max_ab: float = 0.30,
 # exact checks
 
 
-def check_support_match(M, N, S, t, a, b, row_cap=None,
-                        threshold: float = 1e-9) -> ComparisonReport:
-    """TV between the HL support law and the 6v outgoing-edge law."""
+def _exact_match(label, M, N, S, t, a, b, row_cap, hl_law, sv_law) -> ComparisonReport:
+    """TV between hl_law(spec, row_cap) and sv_law(params, domain) on the
+    domain of S, at row_cap or else hl.row_cap(spec)."""
     start = time.perf_counter()
     spec = hl.HLProcessSpec(t=t, a=tuple(a), b=tuple(b), S=pt.parse_signs(S))
     row_cap = row_cap or hl.row_cap(spec)
-    hdist = hl.exact_support_distribution(spec, row_cap)
+    hdist = hl_law(spec, row_cap)
     params = sv.SixVertexParams(t=t, a=tuple(a), b=tuple(b))
-    vdist = sv.exact_outgoing_distribution(params, sv.JaggedDomain(M, N, spec.S))
+    vdist = sv_law(params, sv.JaggedDomain(M, N, spec.S))
     tv = tv_distance(hdist, vdist)
     return ComparisonReport(
-        name=f"support-match M={M} N={N} S={pt.signs_to_str(spec.S)}",
+        name=f"{label} M={M} N={N} S={pt.signs_to_str(spec.S)}",
         mode="exact",
         statistic=tv,
-        threshold=threshold,
-        passed=tv < threshold,
+        threshold=EXACT_TV,
+        passed=tv < EXACT_TV,
         runtime=time.perf_counter() - start,
         details={"row_cap": row_cap, "mass_deficit": hdist.mass_deficit},
     )
 
 
-def check_height_match(M, N, S, t, a, b, row_cap=None,
-                       threshold: float = 1e-9) -> ComparisonReport:
+def check_support_match(M, N, S, t, a, b, row_cap=None) -> ComparisonReport:
+    """TV between the HL support law and the 6v outgoing-edge law."""
+    return _exact_match("support-match", M, N, S, t, a, b, row_cap,
+                        hl.exact_support_distribution, sv.exact_outgoing_distribution)
+
+
+def check_height_match(M, N, S, t, a, b, row_cap=None) -> ComparisonReport:
     """TV between the joint first-column law and the cut-path height law."""
-    start = time.perf_counter()
-    spec = hl.HLProcessSpec(t=t, a=tuple(a), b=tuple(b), S=pt.parse_signs(S))
-    row_cap = row_cap or hl.row_cap(spec)
-    hdist = hl.exact_first_column_distribution(spec, row_cap)
-    params = sv.SixVertexParams(t=t, a=tuple(a), b=tuple(b))
-    vdist = sv.exact_cut_column_distribution(params, sv.JaggedDomain(M, N, spec.S))
-    tv = tv_distance(hdist, vdist)
-    return ComparisonReport(
-        name=f"height-match M={M} N={N} S={pt.signs_to_str(spec.S)}",
-        mode="exact",
-        statistic=tv,
-        threshold=threshold,
-        passed=tv < threshold,
-        runtime=time.perf_counter() - start,
-        details={"row_cap": row_cap},
-    )
+    return _exact_match("height-match", M, N, S, t, a, b, row_cap,
+                        hl.exact_first_column_distribution,
+                        sv.exact_cut_column_distribution)
 
 
-def hl_exact_moment(k, ms, N, t, a, b, row_cap=None) -> float:
+def hl_exact_moment(k, ms, N, t, a, b) -> float:
     """E[t^{sum (N - lambda'_1(m_i))}] from the exact first-column law."""
     ms = [int(m) for m in ms]
     M = max(ms)
     S = tuple([1] * M + [-1] * N)
     spec = hl.HLProcessSpec(t=t, a=tuple(a)[:M], b=tuple(b), S=S)
-    dist = hl.exact_first_column_distribution(spec, row_cap or hl.row_cap(spec))
+    dist = hl.exact_first_column_distribution(spec, hl.row_cap(spec))
     return dist.expectation(
         lambda cols: t ** sum(N - cols[m - 1] for m in ms)
     )
@@ -191,8 +193,7 @@ def sixv_exact_moment(k, ms, N, t, a, b) -> float:
     return dist.expectation(lambda hs: t ** sum(hs))
 
 
-def check_moment_match(k, ms, N, t, a, b, threshold: float = 1e-7,
-                       oracle_threshold: float = 1e-8) -> ComparisonReport:
+def check_moment_match(k, ms, N, t, a, b) -> ComparisonReport:
     """Contour-integral moments of both models against each other and the
     exact-distribution values."""
     start = time.perf_counter()
@@ -200,12 +201,12 @@ def check_moment_match(k, ms, N, t, a, b, threshold: float = 1e-7,
     exact = hl_exact_moment(k, ms, N, t, a, b)
     exact6 = sixv_exact_moment(k, ms, N, t, a, b)
     worst_oracle = max(abs(lhs - exact), abs(rhs - exact6), abs(exact - exact6))
-    passed = diff < threshold and worst_oracle < oracle_threshold
+    passed = diff < MOMENT_GAP and worst_oracle < MOMENT_ORACLE
     return ComparisonReport(
         name=f"moment-match k={k} ms={list(ms)} N={N}",
         mode="exact",
         statistic=max(diff, worst_oracle),
-        threshold=threshold,
+        threshold=MOMENT_GAP,
         passed=passed,
         runtime=time.perf_counter() - start,
         details={"hl": lhs, "sixv": rhs, "exact": exact, "exact_6v": exact6},
@@ -251,8 +252,7 @@ def _vector_counts(arr: np.ndarray, key=tuple) -> dict:
     return out
 
 
-def check_rsk_field(rates, t, taus, samples: int, seed: int,
-                    p_floor: float = 1e-3) -> ComparisonReport:
+def check_rsk_field(rates, t, taus, samples: int, seed: int) -> ComparisonReport:
     """Joint law of {y - first_column(level y)} on the (tau, y) grid against
     the half-continuous height field, with identification b_y = c_y.
 
@@ -273,12 +273,12 @@ def check_rsk_field(rates, t, taus, samples: int, seed: int,
             _vector_counts(gaps), _vector_counts(heights)
         )
         pvals.append(p)
-    passes = sum(1 for p in pvals if p > p_floor)
+    passes = sum(1 for p in pvals if p > P_FLOOR)
     return ComparisonReport(
         name=f"rsk-field rates={rates} taus={taus}",
         mode="chi-square",
         statistic=float(np.median(pvals)),
-        threshold=p_floor,
+        threshold=P_FLOOR,
         passed=passes >= 2,
         sample_sizes=(samples, samples),
         seeds=seeds,
@@ -288,8 +288,7 @@ def check_rsk_field(rates, t, taus, samples: int, seed: int,
 
 
 def check_plancherel_marginal(rates, t, tau, level: int, K: int, samples: int,
-                              seed: int, tv_threshold: float = 0.02,
-                              ratio_threshold: float = 0.7) -> ComparisonReport:
+                              seed: int) -> ComparisonReport:
     """Empirical top-level law against the K-fold discretized Plancherel law.
 
     Reports TV at K and 2K (the O(1/K) trend) plus a chi-square at 2K for
@@ -322,14 +321,14 @@ def check_plancherel_marginal(rates, t, tau, level: int, K: int, samples: int,
         np.sqrt(2.0 * p * (1.0 - p) / (np.pi * samples))
         for p in law_2k.outcomes.values()
     )
-    ratio_ok = tv_2k < ratio_threshold * tv_k + 2 * noise
+    ratio_ok = tv_2k < PLANCHEREL_RATIO * tv_k + 2 * noise
     _, _, p2k = chi_square_gof(counts, law_2k)
-    passed = tv_k < tv_threshold and ratio_ok
+    passed = tv_k < PLANCHEREL_TV and ratio_ok
     return ComparisonReport(
         name=f"plancherel level={level} K={K} tau={tau}",
         mode="TV",
         statistic=tv_k,
-        threshold=tv_threshold,
+        threshold=PLANCHEREL_TV,
         passed=bool(passed),
         sample_sizes=(samples,),
         seeds=(seed,),
@@ -343,12 +342,10 @@ def check_plancherel_marginal(rates, t, tau, level: int, K: int, samples: int,
     )
 
 
-def check_yang_baxter(trials: int, seed: int,
-                      threshold: float = 1e-12) -> ComparisonReport:
-    start = time.perf_counter()
-    worst = tb.yang_baxter_max_residual(trials, seed)
+def _residual_report(name, worst, threshold, seed, start) -> ComparisonReport:
+    """An exact check that passes when its worst residual is below threshold."""
     return ComparisonReport(
-        name=f"yang-baxter trials={trials}",
+        name=name,
         mode="exact",
         statistic=worst,
         threshold=threshold,
@@ -358,8 +355,15 @@ def check_yang_baxter(trials: int, seed: int,
     )
 
 
-def check_exchange_relations(draws: int, seed: int, L: int = 3, cap: int = 3,
-                             threshold: float = 1e-11) -> ComparisonReport:
+def check_yang_baxter(trials: int, seed: int) -> ComparisonReport:
+    start = time.perf_counter()
+    worst = tb.yang_baxter_max_residual(trials, seed)
+    return _residual_report(f"yang-baxter trials={trials}", worst,
+                            YANG_BAXTER_RESIDUAL, seed, start)
+
+
+def check_exchange_relations(draws: int, seed: int, L: int = 3,
+                             cap: int = 3) -> ComparisonReport:
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -369,15 +373,8 @@ def check_exchange_relations(draws: int, seed: int, L: int = 3, cap: int = 3,
         t = float(rng.uniform(0.1, 0.9))
         for which in ("CA", "CB", "DA", "DB"):
             worst = max(worst, tb.verify_exchange_relation(which, L, cap, a, b, t))
-    return ComparisonReport(
-        name=f"exchange-relations L={L} cap={cap} draws={draws}",
-        mode="exact",
-        statistic=worst,
-        threshold=threshold,
-        passed=worst < threshold,
-        seeds=(seed,),
-        runtime=time.perf_counter() - start,
-    )
+    return _residual_report(f"exchange-relations L={L} cap={cap} draws={draws}",
+                            worst, EXCHANGE_RESIDUAL, seed, start)
 
 
 # ---------------------------------------------------------------------------

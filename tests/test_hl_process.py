@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hlsixv import hl_process as hl
 from hlsixv import partitions as pt
+from hlsixv import six_vertex as sv
 from hlsixv.distributions import tv_distance
 
 
@@ -294,6 +295,38 @@ def test_cached_pushforward_equals_the_per_call_rule(inputs):
         assert _outcome(hl.first_columns, seq) == ref_rows
     assert hl._rows_of.cache_parameters()["maxsize"] is not None
     assert hl._support_of_rows.cache_parameters()["maxsize"] is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_support_and_column_laws_push_the_string_law_forward(data):
+    """Both models' support laws, and the first-column law, are their string
+    laws with each T mapped, entry for entry and bit for bit."""
+    M, N = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    S = data.draw(st.sampled_from(list(pt.enumerate_sign_class(M, N, +1))))
+    t = data.draw(st.floats(0.1, 0.9))
+    a = tuple(data.draw(st.floats(0.05, 0.6)) for _ in range(M))
+    b = tuple(data.draw(st.floats(0.05, 0.6)) for _ in range(N))
+    spec = hl.HLProcessSpec(t=t, a=a, b=b, S=S)
+    params = sv.SixVertexParams(t=t, a=a, b=b)
+    domain = sv.JaggedDomain(M, N, S)
+
+    def nu_mu(T):
+        return pt.partition_from_string(T, M, N), spec.mu()
+
+    strings = hl.exact_support_string_distribution(spec, 8)
+    six_strings = sv.exact_outgoing_string_distribution(params, domain)
+    for law, string_law, f in (
+        (hl.exact_support_distribution(spec, 8), strings, nu_mu),
+        (hl.exact_first_column_distribution(spec, 8), strings,
+         lambda T: hl.first_columns_from_strings(S, T)),
+        (sv.exact_outgoing_distribution(params, domain), six_strings, nu_mu),
+    ):
+        assert list(law.items()) == [(f(T), p) for T, p in string_law.items()]
+        assert law.mass_deficit == string_law.mass_deficit
+        assert abs(law.total_mass() - 1.0) <= 1e-12
+    assert abs(strings.total_mass() - 1.0) <= 1e-12
+    assert abs(six_strings.total_mass() - 1.0) <= 1e-12
 
 
 def test_exact_support_distribution_closed_form():
