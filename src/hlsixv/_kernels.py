@@ -20,8 +20,10 @@ for one run and _lockstep_ensemble for blocks of runs.
 The Monte Carlo ensembles step blocks of ENSEMBLE_BLOCK runs together with
 numpy: the half-continuous ensemble of six_vertex and the RSK ensembles of
 rsk through _lockstep_ensemble, one clock event per step across the runs of
-a block.  Each draws from `np.random.RandomState(seed)` in a fixed order, so
-a seed fixes its output.
+a block.  Their states keep the runs on the last axis, so a reduction over
+a level's rows adds whole contiguous rows of runs.  The driver makes every
+draw from `np.random.RandomState(seed)`, in a fixed order, so a seed fixes
+the output.
 """
 
 from __future__ import annotations
@@ -73,13 +75,15 @@ def _lockstep_ensemble(rates, t, taus, n_runs, seed, start, observe, step):
     """Records of n_runs runs driven by the level clock of rates, at the
     sorted times taus: an int32 array [n_runs, len(taus), ...].
 
-    start(runs) gives the initial state of a block of runs (first axis runs),
-    observe(state) the record of each run, and step(state, level, rs) applies
-    one event to every run of state, run r at level[r] in 1..n, drawing from
-    rs.  The runs of a block step in lockstep.  Each step draws the waiting
-    times of the block's live runs at once, records every tau a run passes,
-    drops the runs whose next event falls past the last tau, and steps the
-    others after one level uniform each.
+    start(runs) gives the initial state of a block of runs, runs on its last
+    axis; observe(state) gives the record of each run of a state, runs on
+    its first axis; and step(state, level, coins) applies one event to every
+    run of state, run r at level[r] in 1..n reading the coin row coins[r] of
+    a [runs, n] matrix.  The runs of a block step in lockstep.  Each step
+    draws the waiting times of the block's live runs at once, records every
+    tau a run passes in one scatter, drops the runs whose next event falls
+    past the last tau, and steps the others after one level uniform and one
+    row of n coins each, in that order.
     """
     n, cum, total = _level_clock(rates, t)
     rs = np.random.RandomState(seed)
@@ -93,15 +97,18 @@ def _lockstep_ensemble(rates, t, taus, n_runs, seed, start, observe, step):
         while len(ids):
             nxt = time + rs.exponential(1.0 / total, size=len(ids))
             now = np.searchsorted(taus, nxt)  # the taus before the next event
-            seen = observe(state)
-            for p in range(passed.min(), now.max()):
-                hit = (passed <= p) & (p < now)
-                out[ids[hit], p] = seen[hit]
-            live = now < len(taus)
-            ids, state, time, passed = ids[live], state[live], nxt[live], now[live]
+            rec = np.flatnonzero(passed < now)
+            if len(rec):
+                owner, offset = _repeat_ranges(now[rec] - passed[rec])
+                seen = observe(state.take(rec, axis=-1))
+                out[ids[rec[owner]], passed[rec[owner]] + offset] = seen[owner]
+            live = np.flatnonzero(now < len(taus))
+            ids, state, time, passed = (ids[live], state.take(live, axis=-1),
+                                        nxt[live], now[live])
             if len(ids):
                 u = rs.random_sample(len(ids))
-                step(state, np.minimum(1 + np.searchsorted(cum, u * total), n), rs)
+                level = np.minimum(1 + np.searchsorted(cum, u * total), n)
+                step(state, level, rs.random_sample((len(ids), n)))
     return out
 
 

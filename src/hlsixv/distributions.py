@@ -57,7 +57,7 @@ class DiscreteDistribution:
     def total_mass(self) -> float:
         return sum(self.outcomes.values())
 
-    def check_normalized(self, tol: float = 1e-10) -> None:
+    def check_normalized(self, tol: float) -> None:
         total = self.total_mass()
         if abs(total - 1.0) > tol:
             raise ValueError(f"distribution mass {total} deviates from 1 by > {tol}")

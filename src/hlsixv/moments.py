@@ -233,8 +233,14 @@ def _check_inputs(N, t, b, tol):
         raise ValueError(f"need tol > 0, got {tol}")
 
 
-def hl_moment(k, ms, N, t, a, b, tol: float = 1e-9, start_nodes: int = 256,
-              max_nodes: int = 4096, radii=None, full: bool = False):
+# the node counts of the quadrature: it starts at START_NODES and doubles
+# until two values agree or MAX_NODES is reached
+START_NODES = 256
+MAX_NODES = 4096
+
+
+def hl_moment(k, ms, N, t, a, b, tol: float = 1e-9, start_nodes: int = START_NODES,
+              max_nodes: int = MAX_NODES, radii=None, full: bool = False):
     """E[prod_i t^{m_i - lambda'_1(m_i, N)}] for the ascending process.
 
     radii overrides the automatic contour selection (they are still required
@@ -248,16 +254,13 @@ def hl_moment(k, ms, N, t, a, b, tol: float = 1e-9, start_nodes: int = 256,
 
 
 def sixv_moment(k, ms, N, params: SixVertexParams, tol: float = 1e-9,
-                start_nodes: int = 256, max_nodes: int = 4096, radii=None,
                 full: bool = False):
     """E[prod_i Q^{h(m_i + 1, N)}] for the quadrant six vertex model."""
     ms = [int(m) for m in ms]
     _check_inputs(N, params.t, params.b, tol)
     Q, xi, u = params.to_native()
-    if radii is None:
-        radii = select_contours("sixv", k, ms, params.t, params.a,
-                                 params.b[:N]).radii
-    return _moment(_sixv_factors(ms, N, Q, xi, u), radii, tol, start_nodes, max_nodes,
+    radii = select_contours("sixv", k, ms, params.t, params.a, params.b[:N]).radii
+    return _moment(_sixv_factors(ms, N, Q, xi, u), radii, tol, START_NODES, MAX_NODES,
                    full)
 
 

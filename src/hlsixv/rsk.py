@@ -31,9 +31,10 @@ bijection no longer grows with the number of events so far.
 
 The single-trajectory steppers draw lazily from a `uniform()` callable (one
 draw per random branch); coupled runs share draws per event.  The ensembles
-step blocks of runs in lockstep with numpy and draw in batches: per event a
-row of coins for each run, read in the order `_apply_signal_inplace` would
-draw them.
+step blocks of runs in lockstep with numpy on an int32 block L[level, row,
+run], runs on the last axis, and get their draws in batches from the
+driver: per event a row of coins for each run, read in the order
+`_apply_signal_inplace` would draw them.
 """
 
 from __future__ import annotations
@@ -244,79 +245,87 @@ def run_rsk(rates, t: float, tau_max: float, seed: int, snapshot_times=(),
     return out
 
 
-def _first_free_values(upper, lower, lo):
-    """_first_free_value for a block of runs: upper [runs, m] and lower
-    [runs, m-1] hold two neighbouring levels per run, unused slots negative,
-    and lo [runs] the per-run start.  Every run jumps from row value to row
-    value as in the reference, so the loop takes at most 2m - 1 passes."""
-    vals = np.concatenate([upper, lower], axis=1)
-    sign = np.where(np.arange(vals.shape[1]) < upper.shape[1], 1, -1)
-    v = lo
-    while True:
-        above = vals > v[:, None]
-        busy = above @ sign != 0
-        if not busy.any():
-            return v
-        nxt = np.where(above, vals, np.iinfo(vals.dtype).max).min(axis=1)
-        v = np.where(busy, nxt, v)
+def _first_free_rows(upper, lower, lo):
+    """_first_free_value for a block of runs in one pass: upper [m, runs] and
+    lower [m-1, runs] hold two neighbouring levels, runs on the last axis,
+    and lo [runs] the per-run start.
+
+    The free values of two interlacing levels are [upper[0], inf) and the
+    gaps [upper[i], lower[i-1]) for i >= 1: row 0 is always free, and row i
+    is free when upper[i] < lower[i-1].  The answer is the smallest free row
+    value >= lo, or lo when no row qualifies (lo > upper[0], which is free).
+    This equals _first_free_value unless lo lies strictly inside a gap,
+    upper[i] < lo < lower[i-1], where the answer would be lo itself; the
+    event rule never searches from such a lo: it starts at 0 on the
+    signalled level and at ival+1 after a push.
+    """
+    free = upper >= lo
+    free[1:] &= upper[1:] < lower
+    return np.where(free, upper, np.maximum(upper[0], lo)).min(axis=0)
 
 
 def _apply_signal_batch(L, k, t, U):
     """_apply_signal_inplace on a block of runs at once.
 
-    L [runs, n, n] holds level m of run r in L[r, m-1, :m] and -1 in the
-    other slots.  Run r gets a signal at level k[r] and reads its coins from
-    the row U[r] in order, one per level whose move is not forced.  The tests,
-    the free-value scan, the R formula and the push target are those of the
-    reference, applied level by level across the runs.
+    L [n, n, runs] holds row i of level m of run r in L[m-1, i, r] for
+    i < m, and -1 in the other slots: runs on the last axis, so the counts
+    of a level are sums over its rows (axis 0 of L[m-1, :m]).  Run r gets a
+    signal at level k[r] and reads its coins from the row U[r] in order, one
+    per level whose move is not forced.  The tests, the free-value search
+    (`_first_free_rows` at the two starts the rule uses), the R formula and
+    the push target are those of the reference, applied level by level
+    across the runs.
     """
-    runs, n = L.shape[0], L.shape[1]
+    n, runs = L.shape[0], L.shape[2]
     run_ids = np.arange(runs)
+    # entry E <= n is R for a tie with E rows at ival, entry n + 1 is 1 - t
+    r_table = np.append((1.0 - t) / (1.0 - t ** (np.arange(n + 1) + 1)), 1.0 - t)
     coin = np.zeros(runs, dtype=np.intp)
     ival = np.zeros(runs, dtype=L.dtype)
     for m in range(int(k.min()), n + 1):
-        upper = L[:, m - 1, :m]
-        lower = L[:, m - 2, :m - 1] if m > 1 else L[:, 0, :0]
+        upper = L[m - 1, :m]
+        lower = L[m - 2, :m - 1] if m > 1 else upper[:0]
         begin = k == m
         # the level below already moved a row from ival to ival+1, so its
         # pre-event column ival+1 is one less than the current count
-        col_up = (upper > ival[:, None]).sum(axis=1)
-        col_low = (lower > ival[:, None]).sum(axis=1)
+        col_up = (upper > ival).sum(axis=0)
+        col_low = (lower > ival).sum(axis=0)
         draws = (k < m) & (col_up != col_low - 1)
-        e_rows = (upper == ival[:, None]).sum(axis=1)
-        tie = (ival >= 1) & ((upper >= ival[:, None]).sum(axis=1)
-                             == (lower >= ival[:, None]).sum(axis=1))
-        r_prob = np.where(tie, (1.0 - t) / (1.0 - t ** (e_rows + 1)), 1.0 - t)
+        ge_up = (upper >= ival).sum(axis=0)
+        tie = (ival >= 1) & (ge_up == (lower >= ival).sum(axis=0))
+        r_prob = r_table[np.where(tie, ge_up - col_up, n + 1)]
         push = draws & (U[run_ids, coin] < r_prob)
         coin += draws
         w = ival.copy()
         # the push search starts at ival+1, where the row of level m-1 that
         # moved from ival to ival+1 counts as it did before
         search = np.flatnonzero(begin | push)
-        w[search] = _first_free_values(
-            upper[search], lower[search], np.where(begin[search], 0, ival[search] + 1)
+        w[search] = _first_free_rows(
+            upper[:, search], lower[:, search],
+            np.where(begin[search], 0, ival[search] + 1),
         )
         moving = np.flatnonzero(k <= m)
-        first_row = np.argmax(upper[moving] == w[moving, None], axis=1)
-        L[moving, m - 1, first_row] += 1
+        first_row = np.argmax(upper[:, moving] == w[moving], axis=0)
+        L[m - 1, first_row, moving] += 1
         ival = w
 
 
 def _rsk_ensemble(rates, t, taus, n_runs, seed, observe):
     """Records observe(L) of RSK runs from the empty array at the sorted taus.
 
-    Runs step in lockstep (`_kernels._lockstep_ensemble`).  After the waiting
-    times and the level uniforms, each step draws a [runs, levels] matrix of
-    coins, row r feeding run r's event.
+    Runs step in lockstep (`_kernels._lockstep_ensemble`) on the int32 block
+    L [level, row, run] of `_apply_signal_batch`; after the waiting times
+    and the level uniforms, each step reads the driver's [runs, levels]
+    matrix of coins, row r feeding run r's event.
     """
     n = len(rates)
-    empty = np.where(np.tri(n, dtype=bool), 0, -1)
+    empty = np.where(np.tri(n, dtype=bool), 0, -1).astype(np.int32)
 
     def start(runs):
-        return np.repeat(empty[None], runs, axis=0)
+        return np.repeat(empty[:, :, None], runs, axis=2)
 
-    def step(L, k, rs):
-        _apply_signal_batch(L, k, t, rs.random_sample((len(L), n)))
+    def step(L, k, U):
+        _apply_signal_batch(L, k, t, U)
 
     return _kernels._lockstep_ensemble(
         rates, t, np.asarray(taus, dtype=float), n_runs, seed, start, observe, step
@@ -332,7 +341,7 @@ def rsk_first_column_ensemble(rates, t, taus, n_runs, seed) -> np.ndarray:
     """
     taus = sorted(float(x) for x in taus)
     return _rsk_ensemble(rates, t, taus, n_runs, seed,
-                         lambda L: (L > 0).sum(axis=2))
+                         lambda L: (L > 0).sum(axis=1).T)
 
 
 def rsk_top_level_ensemble(rates, t, tau, n_runs, seed) -> np.ndarray:
@@ -340,7 +349,7 @@ def rsk_top_level_ensemble(rates, t, tau, n_runs, seed) -> np.ndarray:
 
     Same stepping and stream as `rsk_first_column_ensemble`.
     """
-    out = _rsk_ensemble(rates, t, [float(tau)], n_runs, seed, lambda L: L[:, -1])
+    out = _rsk_ensemble(rates, t, [float(tau)], n_runs, seed, lambda L: L[-1].T)
     return out[:, 0]
 
 

@@ -449,21 +449,21 @@ def sample_outgoing_counts(
 def _excursion_batch(occ, level, coins, t):
     """One ring of the half-continuous dynamics in each run of a block.
 
-    occ [runs, rows] holds the occupied rows; run r is rung at row level[r]
-    (1-based).  A ring on an empty row does nothing.  A ring on an occupied
-    row empties it and sends an excursion up the rows: it crosses occupied
-    rows surely and, at each empty row z (0-based), stops there and fills it
-    when coins[r, z] < 1 - t, or else carries on; past the last row it
-    leaves.  This is the rule of `rsk.pushtasep_apply_clock`, which reads the
-    same coin at the same row.
+    occ [rows, runs] holds the occupied rows, runs on the last axis; run r
+    is rung at row level[r] (1-based).  A ring on an empty row does nothing.
+    A ring on an occupied row empties it and sends an excursion up the rows:
+    it crosses occupied rows surely and, at each empty row z (0-based),
+    stops there and fills it when coins[r, z] < 1 - t, or else carries on;
+    past the last row it leaves.  This is the rule of
+    `rsk.pushtasep_apply_clock`, which reads the same coin at the same row.
     """
-    runs = np.arange(len(occ))
+    runs = np.arange(occ.shape[1])
     row = level - 1
-    climbing = occ[runs, row]
-    occ[runs, row] = False
-    for z in range(1, occ.shape[1]):
-        stop = climbing & (row < z) & ~occ[:, z] & (coins[:, z] < 1.0 - t)
-        occ[stop, z] = True
+    climbing = occ[row, runs]
+    occ[row, runs] = False
+    for z in range(1, occ.shape[0]):
+        stop = climbing & (row < z) & ~occ[z] & (coins[:, z] < 1.0 - t)
+        occ[z] |= stop
         climbing &= ~stop
 
 
@@ -479,19 +479,19 @@ def half_continuous_height_ensemble(
     uniformized (Jensen 1953): the level clock of the rates rings row y with
     probability b_y / sum_y b_y, and a ring on an empty row does nothing,
     which keeps the law of the process with rate b_y on each occupied row.
-    Runs step in lockstep (`_kernels._lockstep_ensemble`).  After the waiting
-    times and the level uniforms, each step draws a [runs, rows] matrix of
-    coins, row r feeding run r's excursion.
+    Runs step in lockstep (`_kernels._lockstep_ensemble`) on occ [row, run];
+    after the waiting times and the level uniforms, each step reads the
+    driver's [runs, rows] matrix of coins, row r feeding run r's excursion.
     """
     n_rows = len(rates)
 
     def start(runs):
-        return np.ones((runs, n_rows), dtype=bool)
+        return np.ones((n_rows, runs), dtype=bool)
 
-    def step(occ, level, rs):
-        _excursion_batch(occ, level, rs.random_sample(occ.shape), t)
+    def step(occ, level, coins):
+        _excursion_batch(occ, level, coins, t)
 
     taus = np.asarray(sorted(float(q) for q in query_times))
     return _kernels._lockstep_ensemble(
-        rates, t, taus, n_runs, seed, start, lambda occ: np.cumsum(occ, axis=1), step
+        rates, t, taus, n_runs, seed, start, lambda occ: np.cumsum(occ, axis=0).T, step
     )

@@ -33,6 +33,10 @@ PLANCHEREL_RATIO = 0.7  # most of the TV at K left at 2K, beyond sampling noise
 MIN_EXPECTED = 5.0  # least expected count of a pooled cell against an exact law
 MIN_COMBINED = 10.0  # least count of a pooled cell of two samples together
 
+# the finite-L exchange relations are checked on L sites with occupations <= cap
+EXCHANGE_L = 2
+EXCHANGE_CAP = 2
+
 
 @dataclass
 class ComparisonReport:
@@ -362,8 +366,7 @@ def check_yang_baxter(trials: int, seed: int) -> ComparisonReport:
                             YANG_BAXTER_RESIDUAL, seed, start)
 
 
-def check_exchange_relations(draws: int, seed: int, L: int = 3,
-                             cap: int = 3) -> ComparisonReport:
+def check_exchange_relations(draws: int, seed: int) -> ComparisonReport:
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -372,9 +375,10 @@ def check_exchange_relations(draws: int, seed: int, L: int = 3,
         b = float(rng.uniform(0.1, 0.9))
         t = float(rng.uniform(0.1, 0.9))
         for which in ("CA", "CB", "DA", "DB"):
-            worst = max(worst, tb.verify_exchange_relation(which, L, cap, a, b, t))
-    return _residual_report(f"exchange-relations L={L} cap={cap} draws={draws}",
-                            worst, EXCHANGE_RESIDUAL, seed, start)
+            worst = max(worst, tb.verify_exchange_relation(
+                which, EXCHANGE_L, EXCHANGE_CAP, a, b, t))
+    name = f"exchange-relations L={EXCHANGE_L} cap={EXCHANGE_CAP} draws={draws}"
+    return _residual_report(name, worst, EXCHANGE_RESIDUAL, seed, start)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +390,7 @@ def run_all(level: str = "desk", seed: int = 0) -> list:
     if level != "desk":
         raise ValueError("only the 'desk' level is defined")
     rng = np.random.default_rng(seed)
-    reports = [check_yang_baxter(300, seed), check_exchange_relations(10, seed + 1, L=2, cap=2)]
+    reports = [check_yang_baxter(300, seed), check_exchange_relations(10, seed + 1)]
     for M in (1, 2):
         for N in (1, 2):
             for S in pt.enumerate_sign_class(M, N, +1):

@@ -1,11 +1,13 @@
+import itertools
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from hlsixv import rsk
+from hlsixv import _kernels, rsk, six_vertex as sv
 
 
 def fixed(*us):
@@ -193,12 +195,12 @@ def test_pushtasep_matches_set_zero_marginal():
 
 
 def _packed(arrays):
-    """Runs of PartitionArray as the [runs, n, n] block of the ensembles."""
+    """Runs of PartitionArray as the [n, n, runs] block of the ensembles."""
     n = arrays[0].n_max
-    L = np.full((len(arrays), n, n), -1, dtype=np.int64)
+    L = np.full((n, n, len(arrays)), -1, dtype=np.int32)
     for r, arr in enumerate(arrays):
         for m, lv in enumerate(arr.levels):
-            L[r, m, : m + 1] = lv
+            L[m, : m + 1, r] = lv
     return L
 
 
@@ -242,6 +244,90 @@ def test_seeded_ensemble_streams_are_pinned():
     ]
     top = rsk.rsk_top_level_ensemble(rates, t, 1.7, 200, 99)
     assert top.sum(axis=0).tolist() == [488, 186, 32]
+
+
+_ENSEMBLES = {
+    "first-column": lambda taus, runs: rsk.rsk_first_column_ensemble(
+        [1.0, 0.7, 0.4], 0.42, taus, runs, 5),
+    "top-level": lambda taus, runs: rsk.rsk_top_level_ensemble(
+        [1.0, 0.7, 0.4], 0.42, taus[-1], runs, 5),
+    "half-continuous": lambda taus, runs: sv.half_continuous_height_ensemble(
+        0.42, [1.0, 0.7, 0.4], taus, runs, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENSEMBLES))
+def test_ensemble_runs_do_not_depend_on_later_blocks(name):
+    """Runs of the first block are the same whatever number of runs follows."""
+    block = _kernels.ENSEMBLE_BLOCK
+    taus = [0.2, 0.5]
+    whole = _ENSEMBLES[name](taus, block)
+    longer = _ENSEMBLES[name](taus, block + 5)
+    assert longer.shape[0] == block + 5
+    assert np.array_equal(longer[:block], whole)
+
+
+@pytest.mark.parametrize("name", ["first-column", "half-continuous"])
+def test_ensemble_records_every_tau_passed_in_one_wait(name):
+    """Taus 1e-9 apart fall in one waiting time of every run here, which then
+    records its one state at each of them."""
+    taus = [0.3, 0.3 + 1e-9, 0.3 + 2e-9, 0.9]
+    out = _ENSEMBLES[name](taus, 500)
+    assert np.array_equal(out[:, 0], out[:, 1])
+    assert np.array_equal(out[:, 0], out[:, 2])
+    assert not np.array_equal(out[:, 0], out[:, 3])  # the runs did move
+
+
+def _free_search_sites(n, events):
+    """(upper, lower, lo) of every _first_free_value call the event rule makes
+    on the arrays reachable from the empty array within `events` events, over
+    every signalled level and every coin branch."""
+    sites = set()
+    scan = rsk._first_free_value
+
+    def spy(upper, lower, lo):
+        sites.add((tuple(upper), tuple(lower), lo))
+        return scan(upper, lower, lo)
+
+    frontier = seen = {tuple((0,) * m for m in range(1, n + 1))}
+    # a coin of 0 always pushes; one just below 1 pushes only when R = 1
+    branches = (0.0, 1.0 - 1e-12)
+    with mock.patch.object(rsk, "_first_free_value", spy):
+        for _ in range(events):
+            reached = set()
+            for levels in frontier:
+                for k in range(1, n + 1):
+                    for coins in itertools.product(branches, repeat=n - k):
+                        lv = [list(x) for x in levels]
+                        rsk._apply_signal_inplace(lv, n, k, 0.5, iter(coins).__next__)
+                        reached.add(tuple(map(tuple, lv)))
+            frontier = reached - seen
+            seen = seen | reached
+    return sites
+
+
+@pytest.mark.parametrize("n, events", [(2, 14), (3, 9), (4, 6), (5, 5)])
+def test_first_free_rows_matches_value_scan_where_the_rule_searches(n, events):
+    """The one-pass row search of the batched rule equals _first_free_value
+    at every search the event rule makes (lo = 0 on the signalled level,
+    lo = ival+1 after a push) on every reachable array."""
+    sites = _free_search_sites(n, events)
+    assert len(sites) > 150
+    for upper, lower, lo in sites:
+        got = rsk._first_free_rows(np.array(upper)[:, None],
+                                   np.array(lower, dtype=int)[:, None], np.array([lo]))
+        assert got.tolist() == [rsk._first_free_value(upper, lower, lo)], (upper, lower, lo)
+
+
+def test_first_free_rows_skips_a_start_inside_a_gap():
+    """Free values of upper (5, 1) over lower (4,) are [1, 4) and [5, inf):
+    from lo = 2, inside the gap, the value scan answers 2 but the row search
+    answers the next free row value, 5.  The event rule never starts there."""
+    upper, lower = np.array([[5], [1]]), np.array([[4]])
+    assert rsk._first_free_value([5, 1], [4], 2) == 2
+    assert rsk._first_free_rows(upper, lower, np.array([2])).tolist() == [5]
+    assert rsk._first_free_rows(upper, lower, np.array([1])).tolist() == [1]
+    assert rsk._first_free_rows(upper, lower, np.array([7])).tolist() == [7]
 
 
 @st.composite
@@ -413,7 +499,9 @@ def test_set_stepper_matches_plain_set_reference_and_array(n, t, signals):
 
 def test_set_step_cost_stays_flat_in_event_count():
     """The set side's time per event over events 9000-10000 stays within 2x
-    of its time over events 1000-2000 (best of 3, windows interleaved)."""
+    of its time over events 1000-2000 (best of 3, windows interleaved).
+    Windows are timed in process CPU time, which other processes on the
+    machine do not inflate the way they do wall time."""
     rng = np.random.default_rng(108)
     events = [(int(rng.integers(1, 7)), list(rng.random(6))) for _ in range(10_000)]
     sets = rsk.SetSystem(6)
@@ -425,10 +513,10 @@ def test_set_step_cost_stays_flat_in_event_count():
 
     def window(start):
         s = starts[start]
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         for k, buf in events[start:start + 1000]:
             s = rsk.sets_apply_signal(s, k, 0.38, iter(buf).__next__)
-        return time.perf_counter() - t0
+        return time.process_time() - t0
 
     early, late = float("inf"), float("inf")
     for _ in range(3):

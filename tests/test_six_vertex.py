@@ -291,7 +291,7 @@ _rows = st.integers(1, 6)
 def test_excursion_batch_matches_pushtasep_clock(t, runs):
     """Each run of the batched excursion equals the t-PushTASEP clock ring at
     the same row, fed coin column z at each empty row z it reaches."""
-    occ = np.array([o for o, _, _ in runs])
+    occ = np.array([o for o, _, _ in runs]).T
     level = np.array([k for _, k, _ in runs])
     coins = np.array([c for _, _, c in runs])
     before = occ.copy()
@@ -300,7 +300,7 @@ def test_excursion_batch_matches_pushtasep_clock(t, runs):
         state = rsk.PushTASEPState(len(o), list(o))
         reached = [c[z] for z in range(k, len(o)) if not o[z]]
         rsk.pushtasep_apply_clock(state, k, t, iter(reached).__next__)
-        assert occ[r].tolist() == state.occupied, (before[r], k)
+        assert occ[:, r].tolist() == state.occupied, (before[:, r], k)
 
 
 def test_seeded_sampler_streams_are_pinned():
