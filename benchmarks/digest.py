@@ -14,7 +14,11 @@ lines agree compute the same outputs bit for bit:
 - samplers: five `SequenceSampler` draws, `sample_outgoing_counts` and
   `sample_state` at fixed seeds;
 - verify: the `verify.run_all(seed=42)` reports without `runtime`;
-- all: one digest over the three.
+- trajectories: at seeds TRAJECTORY_SEEDS, `rsk.run_rsk` on 6 levels with
+  snapshots and its `events`, the `rsk.run_sets` complements, and the
+  `rsk.run_pushtasep` events and final state on 60 sites; the rows reach
+  the hundreds;
+- all: one digest over the four.
 """
 
 from __future__ import annotations
@@ -30,10 +34,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hlsixv import hl_process as hl  # noqa: E402
 from hlsixv import partitions as pt  # noqa: E402
+from hlsixv import rsk  # noqa: E402
 from hlsixv import six_vertex as sv  # noqa: E402
 from hlsixv import verify as vf  # noqa: E402
 
 SEED = 20
+TRAJECTORY_SEEDS = (4, 17)
+RSK_RATES = (1.0, 0.9, 0.8, 0.7, 0.6, 0.5)
+RSK_T = 0.38
+RSK_HORIZON = 400.0
+PUSH_RATES = tuple(0.5 + (i % 7) / 6 for i in range(60))
+PUSH_HORIZON = 10.0
 
 
 def _law(dist) -> str:
@@ -86,9 +97,23 @@ def verify():
         yield json.dumps(d, sort_keys=True)
 
 
+def trajectories():
+    for seed in TRAJECTORY_SEEDS:
+        events: list = []
+        traj = rsk.run_rsk(RSK_RATES, RSK_T, RSK_HORIZON, seed,
+                           snapshot_times=(50.0, 200.0, RSK_HORIZON), events=events)
+        yield repr([(tau, arr.levels) for tau, arr in traj])
+        yield repr(events)
+        sets = rsk.run_sets(RSK_RATES, RSK_T, RSK_HORIZON, seed)
+        yield repr([sorted(c) for c in sets.complements])
+        events, state = rsk.run_pushtasep(PUSH_RATES, RSK_T, PUSH_HORIZON, seed)
+        yield repr((events, state.occupied))
+
+
 def main() -> None:
     total = hashlib.sha256()
-    for name, part in (("laws", laws), ("samplers", samplers), ("verify", verify)):
+    for name, part in (("laws", laws), ("samplers", samplers), ("verify", verify),
+                       ("trajectories", trajectories)):
         h = hashlib.sha256()
         for line in part():
             h.update(line.encode() + b"\n")

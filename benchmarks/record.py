@@ -7,8 +7,9 @@ parent commit as "parent") the record holds:
 
 - the result line of every deskbench workload of BENCHMARK.json at seed 3,
   run for BENCHMARK.json's run_seconds, with --trace 0 and with --trace 1;
-- the wall time and the pass/fail counts of the tier-1 suite
-  (`python -m pytest -q --continue-on-collection-errors` with src on the path);
+- the wall time, the pass/fail counts and the id of each failed test of the
+  tier-1 suite (`python -m pytest -q --continue-on-collection-errors` with
+  src on the path, and `-rf` for the `FAILED <id>` lines);
 - each acceptance criterion's time against its budget, read from the line
   tests/test_acceptance.py prints for it during that tier-1 run.
 
@@ -39,6 +40,7 @@ CRITERION = re.compile(
     r"([0-9.]+)s \(budget ([0-9.]+)s\)"
 )
 COUNT = re.compile(r"(\d+) (passed|failed|error)")
+FAILED = re.compile(r"^FAILED (.+?)(?: - .*)?$")
 
 
 def machine() -> dict:
@@ -95,7 +97,7 @@ def tier1(side: Path) -> dict:
     )
     t0 = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+        [sys.executable, "-m", "pytest", "-q", "-s", "-rf", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"],
         cwd=side, env=env, capture_output=True, text=True, timeout=3600,
     )
@@ -116,6 +118,7 @@ def tier1(side: Path) -> dict:
         "passed": counts.get("passed", 0),
         "failed": counts.get("failed", 0),
         "errors": counts.get("error", 0),
+        "failed_tests": [m[1] for m in map(FAILED.match, lines) if m],
         "criteria": sorted(criteria, key=lambda c: c["criterion"]),
     }
 

@@ -14,8 +14,9 @@ terms from 0 in stored order, so its sums are the same bit for bit on every
 run.
 
 Every continuous-time dynamics is driven by one Poisson clock that rings
-level k at rate c_k: _level_clock checks its inputs, _clock_rings rings it
-for one run and _lockstep_ensemble for blocks of runs.
+level k at rate c_k: _level_clock checks its inputs, _check_horizon how
+long it may ring, _clock_rings rings it for one run and _lockstep_ensemble
+for blocks of runs.
 
 The Monte Carlo ensembles step blocks of ENSEMBLE_BLOCK runs together with
 numpy: the half-continuous ensemble of six_vertex and the RSK ensembles of
@@ -28,7 +29,8 @@ the output.
 
 from __future__ import annotations
 
-from math import comb
+from bisect import bisect_left
+from math import comb, isfinite
 
 import numpy as np
 
@@ -52,18 +54,42 @@ def _level_clock(rates, t):
     return len(rates), cum, float(cum[-1])
 
 
+# The most clock rings a run or an ensemble may expect (total rate x horizon,
+# times the number of runs): far above every caller, far below a run that
+# would not end.
+MAX_EXPECTED_RINGS = 10**7
+
+
+def _check_horizon(total, horizon, runs=1):
+    """ValueError unless horizon is finite and runs runs of a clock of total
+    rate expect at most MAX_EXPECTED_RINGS rings before it."""
+    if not isfinite(horizon):
+        raise ValueError(f"need a finite time horizon, got {horizon}")
+    expected = total * horizon * runs
+    if expected > MAX_EXPECTED_RINGS:
+        raise ValueError(
+            f"horizon {horizon} expects about {expected:.3g} clock rings, "
+            f"more than {MAX_EXPECTED_RINGS}"
+        )
+
+
 def _clock_rings(rates, t, horizon, rng):
     """(time, level) of each ring of the level clock before horizon: per
     ring one exponential waiting time at the total rate from the Generator
-    rng, then one uniform for the level.  Inputs are checked at the first
-    ring."""
+    rng, then one uniform for the level.  Inputs and the horizon are checked
+    at the first ring, before any draw."""
     n, cum, total = _level_clock(rates, t)
+    _check_horizon(total, horizon)
+    # bisect_left is searchsorted's default side, on the same float64 values
+    cum = cum.tolist()
+    exponential, random = rng.exponential, rng.random
+    scale = 1.0 / total
     time = 0.0
     while True:
-        time += rng.exponential(1.0 / total)
+        time += exponential(scale)
         if time >= horizon:
             return
-        yield time, min(1 + int(np.searchsorted(cum, rng.random() * total)), n)
+        yield time, min(1 + bisect_left(cum, random() * total), n)
 
 
 # Runs of a Monte Carlo ensemble are stepped together in blocks of this many,
@@ -79,13 +105,16 @@ def _lockstep_ensemble(rates, t, taus, n_runs, seed, start, observe, step):
     axis; observe(state) gives the record of each run of a state, runs on
     its first axis; and step(state, level, coins) applies one event to every
     run of state, run r at level[r] in 1..n reading the coin row coins[r] of
-    a [runs, n] matrix.  The runs of a block step in lockstep.  Each step
+    a [runs, n] matrix.  Times that are not finite, or more expected rings
+    than MAX_EXPECTED_RINGS over all runs, raise ValueError before any draw.
+    The runs of a block step in lockstep.  Each step
     draws the waiting times of the block's live runs at once, records every
     tau a run passes in one scatter, drops the runs whose next event falls
     past the last tau, and steps the others after one level uniform and one
     row of n coins each, in that order.
     """
     n, cum, total = _level_clock(rates, t)
+    _check_horizon(total, float(np.max(taus, initial=0.0)), n_runs)
     rs = np.random.RandomState(seed)
     record_shape = observe(start(0)).shape[1:]
     out = np.zeros((n_runs, len(taus)) + record_shape, dtype=np.int32)

@@ -13,7 +13,11 @@ the v-cluster moves instead.  R = 1-t when the count of v-rows matches the
 level below (minus the mover), and (1-t)/(1-t^{E+1}) with E = #v-rows
 otherwise.  The propagation is expressed through free-value sets
 V_m = {v : col_{v+1}(level m) = col_{v+1}(level m-1)}, which is also the
-bridge to the set-valued dynamics below.
+bridge to the set-valued dynamics below.  Both searches of the rule, from 0
+on the signalled level and from v+1 after a push, read one row rule: the
+free values are [row 0, inf) and the gaps [row i, row i-1 of the level
+below) that are not empty, so the search returns the smallest free row
+value >= its start (`_first_free_row`, batched as `_first_free_rows`).
 
 Set dynamics.  V_i starts as all of Z>=0; a signal at level k removes
 min V_k, and the removed element i scans upward: levels containing i are
@@ -67,40 +71,35 @@ class PartitionArray:
         return self.levels[k - 1]
 
     def copy(self) -> "PartitionArray":
-        return PartitionArray(self.n_max, [list(l) for l in self.levels], self.tau)
+        # the levels are already int lists of the right lengths: skip __init__
+        out = PartitionArray.__new__(PartitionArray)
+        out.n_max, out.levels, out.tau = self.n_max, [lv[:] for lv in self.levels], self.tau
+        return out
 
     def first_columns(self) -> tuple:
         """lambda^(k)'_1 for k = 1..n_max."""
         return tuple(sum(1 for v in lv if v > 0) for lv in self.levels)
 
     def validate(self):
-        for k, lv in enumerate(self.levels, start=1):
-            if any(lv[i] < lv[i + 1] for i in range(k - 1)):
-                raise AssertionError(f"level {k} not sorted: {lv}")
-            if k > 1:
-                below = self.levels[k - 2]
-                for i in range(k - 1):
-                    if not (lv[i] >= below[i] >= lv[i + 1]):
-                        raise AssertionError(
-                            f"interlacing broken between levels {k-1}, {k}"
-                        )
+        """AssertionError unless every level is sorted and interlaces with the
+        one below.  Levels k-1 and k pass when the chain lv[0] >= below[0] >=
+        lv[1] >= ... >= lv[k-1] holds, which also sorts level k; which of
+        the two failed is worked out only when the chain breaks."""
+        for k in range(2, self.n_max + 1):
+            lv, below = self.levels[k - 1], self.levels[k - 2]
+            for x, y, z in zip(lv, below, lv[1:]):
+                if not x >= y >= z:
+                    if any(a < b for a, b in zip(lv, lv[1:])):
+                        raise AssertionError(f"level {k} not sorted: {lv}")
+                    raise AssertionError(
+                        f"interlacing broken between levels {k-1}, {k}"
+                    )
 
     def __eq__(self, other):
         return isinstance(other, PartitionArray) and self.levels == other.levels
 
     def __repr__(self):
         return f"PartitionArray({self.levels}, tau={self.tau})"
-
-
-def _rows_above_at(level, v) -> tuple:
-    """(#rows > v, #rows == v) of a level, in one pass."""
-    above = at = 0
-    for x in level:
-        if x > v:
-            above += 1
-        elif x == v:
-            at += 1
-    return above, at
 
 
 def is_blocked(array: PartitionArray, k: int, i: int) -> bool:
@@ -145,45 +144,55 @@ def _as_uniform(u):
     return u.random  # numpy Generator
 
 
-def _first_free_value(upper, lower, lo):
-    """Smallest v >= lo with #{x in upper : x > v} == #{x in lower : x > v}.
+def _first_free_row(upper, lower, lo):
+    """Smallest free value >= lo of two neighbouring levels, found by rows.
 
-    These are the column counts col_{v+1} of two neighbouring levels, so v
-    is the first value >= lo that is free between them.  Both counts stay
-    constant between consecutive row values, so the answer is lo or a row
-    value above lo: the scan jumps from one row value to the next instead
-    of stepping v by one, and costs O(rows) per candidate whatever the
-    values are.
+    The free values of two interlacing levels are [upper[0], inf) and the
+    gaps [upper[i], lower[i-1]) for i >= 1: row 0 is always free, and row i
+    is free when upper[i] < lower[i-1].  The answer is lo when lo > upper[0],
+    and otherwise the smallest free row value >= lo.  This is the one free
+    search of the event rule, and `_first_free_rows` is its batched form.
+    A start strictly inside a gap, upper[i] < lo < lower[i-1], would be free
+    itself, but the rule never searches from there: it starts at 0 on the
+    signalled level and at ival+1 after a push.
     """
-    v = lo
-    while True:
-        diff = 0
-        nxt = -1
-        for x in upper:
-            if x > v:
-                diff += 1
-                if nxt < 0 or x < nxt:
-                    nxt = x
-        for x in lower:
-            if x > v:
-                diff -= 1
-                if nxt < 0 or x < nxt:
-                    nxt = x
-        if diff == 0:
-            return v
-        v = nxt
+    w = upper[0]
+    if lo > w:
+        return lo
+    # rows run from high to low values, so the last free row >= lo is the answer
+    for x, y in zip(upper[1:], lower):
+        if x < lo:
+            break
+        if x < y:
+            w = x
+    return w
 
 
 def _apply_signal_inplace(levels, n_max, k, t, uniform, record=None):
-    ival = _first_free_value(levels[k - 1], levels[k - 2] if k > 1 else (), 0)
+    ival = _first_free_row(levels[k - 1], levels[k - 2] if k > 1 else (), 0)
     lv = levels[k - 1]
     lv[lv.index(ival)] += 1
     if record is not None:
         record.append((k, ival))
     for m in range(k + 1, n_max + 1):
         upper, lower = levels[m - 1], levels[m - 2]
-        up_above, up_at = _rows_above_at(upper, ival)
-        low_above, low_at = _rows_above_at(lower, ival)
+        # rows above and at ival of both levels in one pass; upper has one
+        # row more than lower, read after the loop
+        up_above = up_at = low_above = low_at = 0
+        for x, y in zip(upper, lower):
+            if x > ival:
+                up_above += 1
+            elif x == ival:
+                up_at += 1
+            if y > ival:
+                low_above += 1
+            elif y == ival:
+                low_at += 1
+        x = upper[-1]
+        if x > ival:
+            up_above += 1
+        elif x == ival:
+            up_at += 1
         # the level below already moved a row from ival to ival+1, so its
         # pre-event column ival+1 is one less than the current count
         if up_above == low_above - 1:
@@ -196,7 +205,7 @@ def _apply_signal_inplace(levels, n_max, k, t, uniform, record=None):
             if uniform() < r_prob:
                 # the search starts at ival+1, where the row of level m-1
                 # that moved from ival to ival+1 counts as it did before
-                w = _first_free_value(upper, lower, ival + 1)
+                w = _first_free_row(upper, lower, ival + 1)
             else:
                 w = ival
         upper[upper.index(w)] += 1
@@ -234,7 +243,7 @@ def run_rsk(rates, t: float, tau_max: float, seed: int, snapshot_times=(),
         if rec is not None:
             for m, v in rec:
                 # the moved row is the last of the (v+1)-cluster it joined
-                row = _rows_above_at(arr.level(m), v)[0]
+                row = sum(x > v for x in arr.levels[m - 1])
                 events.append((time, m, row, v + 1))
         if validate:
             arr.validate()
@@ -246,18 +255,11 @@ def run_rsk(rates, t: float, tau_max: float, seed: int, snapshot_times=(),
 
 
 def _first_free_rows(upper, lower, lo):
-    """_first_free_value for a block of runs in one pass: upper [m, runs] and
+    """`_first_free_row` for a block of runs in one pass: upper [m, runs] and
     lower [m-1, runs] hold two neighbouring levels, runs on the last axis,
-    and lo [runs] the per-run start.
-
-    The free values of two interlacing levels are [upper[0], inf) and the
-    gaps [upper[i], lower[i-1]) for i >= 1: row 0 is always free, and row i
-    is free when upper[i] < lower[i-1].  The answer is the smallest free row
-    value >= lo, or lo when no row qualifies (lo > upper[0], which is free).
-    This equals _first_free_value unless lo lies strictly inside a gap,
-    upper[i] < lo < lower[i-1], where the answer would be lo itself; the
-    event rule never searches from such a lo: it starts at 0 on the
-    signalled level and at ival+1 after a push.
+    and lo [runs] the per-run start.  Same row rule: a row is a candidate
+    when it is row 0 or upper[i] < lower[i-1], and the answer is the
+    smallest candidate value >= lo, or lo when lo > upper[0].
     """
     free = upper >= lo
     free[1:] &= upper[1:] < lower
@@ -439,10 +441,6 @@ def sets_apply_signal(sets: SetSystem, k: int, t: float, uniform,
 
 def _sets_signal_inplace(sets: SetSystem, k: int, t: float, uniform, record=None):
     floors, extras = sets._floors, sets._extras
-    # each level changes at most once per event, losing removed[l] and
-    # gaining added[l]; rule 4b reads the pre-event sets through them
-    removed = [-1] * sets.n_max
-    added = [-1] * sets.n_max
     i = floors[k - 1]
     e = extras[k - 1]
     f = i + 1
@@ -450,7 +448,6 @@ def _sets_signal_inplace(sets: SetSystem, k: int, t: float, uniform, record=None
         e.remove(f)
         f += 1
     floors[k - 1] = f
-    removed[k - 1] = i
     if record is not None:
         record.append((k, i))
     for m in range(k, sets.n_max):
@@ -461,13 +458,16 @@ def _sets_signal_inplace(sets: SetSystem, k: int, t: float, uniform, record=None
             continue
         j = i - 1
         if j >= f and j not in e:
-            # d = h^(i)(m) - h^(i-1)(m) before the event
+            # d = h^(i) - h^(i-1) over levels 1..m+1 before the event.  Only
+            # the levels below m+1 are read: the event so far took its first
+            # i from level k and, at each push, put the current i back and
+            # took the next, so they held the current i once more before the
+            # event and i-1 as often, while level m+1 holds i-1 but not i
             d = 0
-            for l in range(m + 1):
-                fl, el, rl, al = floors[l], extras[l], removed[l], added[l]
-                if i == rl or (i != al and i >= fl and i not in el):
+            for fl, el in zip(floors[:m], extras):
+                if i >= fl and i not in el:
                     d += 1
-                if j == rl or (j != al and j >= fl and j not in el):
+                if j >= fl and j not in el:
                     d -= 1
             r_prob = (1.0 - t) / (1.0 - t ** (d + 1))
         else:
@@ -486,8 +486,6 @@ def _sets_signal_inplace(sets: SetSystem, k: int, t: float, uniform, record=None
                 while v in e:
                     v += 1
                 e.add(v)
-            removed[m] = v
-            added[m] = i
             if record is not None:
                 record.append((m + 1, v))
             i = v

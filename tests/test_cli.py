@@ -265,6 +265,27 @@ def test_clock_inputs_that_cannot_run_exit_2(capsys, argv):
         assert "need 0 < t < 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("rsk", "sets", "--rates", "1,1", "--t", "0.3", "--tmax", "nan"),
+    ("rsk", "sets", "--rates", "1,1", "--t", "0.3", "--tmax", "inf"),
+    ("rsk", "pushtasep", "--rates", "1,1", "--t", "0.3", "--tmax", "inf"),
+    ("rsk", "run", "--rates", "1,1", "--t", "0.3", "--tmax", "1e12"),
+    ("verify", "rsk", "--taus", "0.5,nan"),
+    ("verify", "rsk", "--taus", "0.5,inf"),
+])
+def test_clock_horizons_that_cannot_run_exit_2(capsys, argv):
+    """Horizons that are not finite, or that expect more rings than
+    MAX_EXPECTED_RINGS, are refused before any draw."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    if "1e12" in argv:
+        assert "clock rings, more than" in err
+    else:
+        assert "need a finite time horizon" in err
+
+
 @pytest.mark.parametrize("action", ["run", "sets"])
 @pytest.mark.parametrize("bad", [
     ("--rates", "1,-1"), ("--rates", "1,0"), ("--rates", "1,1", "--levels", "3"),

@@ -278,21 +278,32 @@ def test_ensemble_records_every_tau_passed_in_one_wait(name):
     assert not np.array_equal(out[:, 0], out[:, 3])  # the runs did move
 
 
+def _first_free_value(upper, lower, lo):
+    """Oracle: the smallest v >= lo with #{x in upper : x > v} == #{x in lower
+    : x > v}, the first value >= lo that is free between two neighbouring
+    levels.  Both counts stay constant between consecutive row values, so
+    the scan jumps from one row value to the next."""
+    v = lo
+    while sum(x > v for x in upper) != sum(x > v for x in lower):
+        v = min(x for x in (*upper, *lower) if x > v)
+    return v
+
+
 def _free_search_sites(n, events):
-    """(upper, lower, lo) of every _first_free_value call the event rule makes
+    """(upper, lower, lo) of every _first_free_row call the event rule makes
     on the arrays reachable from the empty array within `events` events, over
     every signalled level and every coin branch."""
     sites = set()
-    scan = rsk._first_free_value
+    search = rsk._first_free_row
 
     def spy(upper, lower, lo):
         sites.add((tuple(upper), tuple(lower), lo))
-        return scan(upper, lower, lo)
+        return search(upper, lower, lo)
 
     frontier = seen = {tuple((0,) * m for m in range(1, n + 1))}
     # a coin of 0 always pushes; one just below 1 pushes only when R = 1
     branches = (0.0, 1.0 - 1e-12)
-    with mock.patch.object(rsk, "_first_free_value", spy):
+    with mock.patch.object(rsk, "_first_free_row", spy):
         for _ in range(events):
             reached = set()
             for levels in frontier:
@@ -308,15 +319,17 @@ def _free_search_sites(n, events):
 
 @pytest.mark.parametrize("n, events", [(2, 14), (3, 9), (4, 6), (5, 5)])
 def test_first_free_rows_matches_value_scan_where_the_rule_searches(n, events):
-    """The one-pass row search of the batched rule equals _first_free_value
-    at every search the event rule makes (lo = 0 on the signalled level,
-    lo = ival+1 after a push) on every reachable array."""
+    """The row search, scalar and batched, equals the value scan at every
+    search the event rule makes (lo = 0 on the signalled level, lo = ival+1
+    after a push) on every reachable array."""
     sites = _free_search_sites(n, events)
     assert len(sites) > 150
     for upper, lower, lo in sites:
+        want = _first_free_value(upper, lower, lo)
+        assert rsk._first_free_row(list(upper), list(lower), lo) == want, (upper, lower, lo)
         got = rsk._first_free_rows(np.array(upper)[:, None],
                                    np.array(lower, dtype=int)[:, None], np.array([lo]))
-        assert got.tolist() == [rsk._first_free_value(upper, lower, lo)], (upper, lower, lo)
+        assert got.tolist() == [want], (upper, lower, lo)
 
 
 def test_first_free_rows_skips_a_start_inside_a_gap():
@@ -324,10 +337,10 @@ def test_first_free_rows_skips_a_start_inside_a_gap():
     from lo = 2, inside the gap, the value scan answers 2 but the row search
     answers the next free row value, 5.  The event rule never starts there."""
     upper, lower = np.array([[5], [1]]), np.array([[4]])
-    assert rsk._first_free_value([5, 1], [4], 2) == 2
-    assert rsk._first_free_rows(upper, lower, np.array([2])).tolist() == [5]
-    assert rsk._first_free_rows(upper, lower, np.array([1])).tolist() == [1]
-    assert rsk._first_free_rows(upper, lower, np.array([7])).tolist() == [7]
+    assert _first_free_value([5, 1], [4], 2) == 2
+    for lo, want in [(2, 5), (1, 1), (7, 7)]:
+        assert rsk._first_free_row([5, 1], [4], lo) == want
+        assert rsk._first_free_rows(upper, lower, np.array([lo])).tolist() == [want]
 
 
 @st.composite
@@ -343,11 +356,77 @@ def neighbour_levels(draw, max_rows=6, max_value=30):
 @settings(max_examples=300, deadline=None)
 @given(neighbour_levels(), st.integers(0, 40))
 def test_first_free_value_matches_value_scan(pair, lo):
+    """The oracle's jumps skip no free value: it equals stepping v by one."""
     upper, lower = pair
     v = lo
     while sum(x > v for x in upper) != sum(x > v for x in lower):
         v += 1
-    assert rsk._first_free_value(upper, lower, lo) == v
+    assert _first_free_value(upper, lower, lo) == v
+
+
+def test_partition_array_copy_is_independent_and_keeps_tau():
+    arr = rsk.PartitionArray(3, [[4], [4, 1], [5, 2, 0]], tau=1.25)
+    snap = arr.copy()
+    assert snap == arr and snap.tau == 1.25 and snap.n_max == 3
+    arr.levels[2][0] += 1
+    arr.tau = 2.0
+    assert snap.levels == [[4], [4, 1], [5, 2, 0]] and snap.tau == 1.25
+    snap.levels[1][1] = 0
+    assert arr.levels[1] == [4, 1]
+
+
+@pytest.mark.parametrize("levels, message", [
+    ([[3], [3, 1], [2, 3, 0]], "level 3 not sorted"),
+    ([[3], [1, 4]], "level 2 not sorted"),
+    ([[3], [4, 1], [5, 2, 2]], "interlacing broken between levels 2, 3"),
+    ([[3], [2, 1]], "interlacing broken between levels 1, 2"),
+])
+def test_validate_names_the_broken_rule(levels, message):
+    arr = rsk.PartitionArray(len(levels), levels)
+    with pytest.raises(AssertionError, match=message):
+        arr.validate()
+
+
+class _ScriptedRng:
+    """Stands in for a Generator: fixed waiting times and level uniforms."""
+
+    def __init__(self, uniforms):
+        self._uniforms = iter(uniforms)
+
+    def exponential(self, scale):
+        return 0.1
+
+    def random(self):
+        return next(self._uniforms)
+
+
+def test_clock_picks_the_searchsorted_level_on_a_cumulative_rate():
+    """u * total landing exactly on a cumulative rate picks the level
+    np.searchsorted's default side gives."""
+    rates = (1.0, 1.0, 2.0)  # cum (1, 2, 4), total 4: exact in binary
+    cum = np.cumsum(rates)
+    us = [0.0, 0.25, 0.5, 0.75, 1.0, 0.3]
+    rings = list(_kernels._clock_rings(rates, 0.5, 0.65, _ScriptedRng(us)))
+    assert [k for _, k in rings] == [
+        min(1 + int(np.searchsorted(cum, u * 4.0)), 3) for u in us
+    ] == [1, 1, 2, 3, 3, 2]
+
+
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 1e12])
+def test_clock_rejects_a_horizon_that_cannot_run_before_any_draw(horizon):
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="finite time horizon|clock rings"):
+        next(_kernels._clock_rings((1.0, 1.0), 0.5, horizon, rng))
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("taus, runs", [([0.5, 1e7], 1), ([1.0], _kernels.MAX_EXPECTED_RINGS)])
+def test_ensemble_rejects_more_rings_than_the_cap(taus, runs):
+    """The expected ring count is the total rate times the last time, times
+    the number of runs."""
+    with pytest.raises(ValueError, match="clock rings, more than"):
+        rsk.rsk_first_column_ensemble([1.0, 1.0], 0.5, taus, runs, 3)
 
 
 @settings(max_examples=100, deadline=None)
