@@ -10,12 +10,17 @@ most min(M,N) rows, for any number of rows, and parts <= row_cap) whose
 edges carry the skew-factor structure; parts above row_cap carry total mass
 below a geometric tail bound, and the realized truncation deficit is reported
 against the closed-form normalization constant.  The lattice keeps its edges
-as CSR structures, and each law gathers the weights of each of its distinct
-steps into a sparse operator once, then applies it with
-_kernels.scatter_accumulate.  Every step adds a target's terms in lattice
-edge order, so the exact laws are the same bit for bit on every run.  The
-DP sums the law of the outgoing string T; the support law nu(T)/mu(S) and
-the first-column law are its pushforwards.
+as CSR structures (read as CSC for a step toward mu), and each law gathers
+the weights of each of its distinct steps into a sparse operator once, then
+applies it with _kernels.scatter_accumulate.  Every step adds a target's
+terms in lattice edge order, so the exact laws are the same bit for bit on
+every run.  The DP sums the law of the outgoing string T; the support law
+nu(T)/mu(S) and the first-column law are its pushforwards.
+Each lattice keeps the last few string laws and forward sweeps summed on it
+(_memoized), so the support and first-column laws of one (spec, cap) share
+one DP, and exact_marginal_distribution reads row_cap's forward sweep.  The
+memo dies with its lattice; _LATTICES keeps at most MAX_CACHED_BYTES and
+drops the least recently used lattice first.
 The support pushforward of a sequence validates each distinct partition,
 and traces each distinct (row counts, S), once per process in bounded
 caches, so pushing a whole sequence law costs a few dictionary hits per
@@ -25,7 +30,7 @@ sequence.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
@@ -164,7 +169,7 @@ def row_cap(spec: HLProcessSpec) -> int:
 def _forward_mass(spec: HLProcessSpec, row_cap: int) -> float:
     """Z: the mass of the sequences with parts <= row_cap, by the forward DP."""
     lat = get_lattice(min(spec.M, spec.N), row_cap)
-    return _sweep(lat, _operators(lat, spec.steps(), spec.t))[-1][lat.empty]
+    return _forward_sweep(lat, spec)[-1][lat.empty]
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +213,9 @@ class _Lattice:
     class_qkey: np.ndarray
     pfactors: list  # per key, the count of (1 - t^e) factors for e = 1..rows
     qfactors: list
+    # the last MEMO_ENTRIES DP results summed on this lattice, by key, the
+    # most recently used last (_memoized)
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def empty(self) -> int:
@@ -229,8 +237,11 @@ class _Lattice:
         mass up the lattice, '-' down; colinc keeps the edges of that
         first-column increment; backward is the transpose (for backward mass
         tables).  Each target adds its terms from 0 in lattice edge order.
-        Building one costs a gather over the edges and a scipy matrix
-        construction, so a caller builds each distinct step once."""
+        A step toward lam is a CSR matrix with rows lam; a step toward mu is
+        a CSC matrix on the same three arrays, with columns lam, built
+        directly rather than as the transpose of a CSR one.  Building one
+        costs a gather over the edges and one scipy matrix construction, so
+        a caller builds each distinct step once."""
         n = len(self.states)
         weights = self.class_weights(kind, param, t)
         to_lam = (kind == "+") != backward
@@ -242,12 +253,20 @@ class _Lattice:
         if colinc is not None:
             indptr = indptr[colinc * n:(colinc + 1) * n + 1]
         lo, hi = indptr[0], indptr[-1]
-        rows = sparse.csr_matrix(
-            (weights.take(self.edge_class[lo:hi]), self.mu_idx[lo:hi], indptr - lo),
-            shape=(len(indptr) - 1, n),
-        )
-        # toward mu, a target adds its terms run by run, each run by lam
-        return rows if to_lam else rows.T
+        arrays = (weights.take(self.edge_class[lo:hi]), self.mu_idx[lo:hi], indptr - lo)
+        if to_lam:
+            return sparse.csr_matrix(arrays, shape=(len(indptr) - 1, n))
+        # toward mu, the same arrays as columns lam: a target adds its terms
+        # run by run, each run by lam
+        return sparse.csc_matrix(arrays, shape=(n, len(indptr) - 1))
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes of the lattice's arrays and of its memo's vectors."""
+        held = [v for v in vars(self).values() if isinstance(v, np.ndarray)]
+        for value in self.memo.values():
+            held += [v for v in value if isinstance(v, np.ndarray)]
+        return sum(v.nbytes for v in held)
 
     def apply(self, op, vecs):
         """op applied to one vector, or to each column of vecs.  The full
@@ -278,6 +297,42 @@ def _sweep(lat: _Lattice, ops) -> list:
     return vecs
 
 
+# How many DP results (string laws and forward sweeps) a lattice keeps: the
+# exact checks ask for each one at most twice, one right after the other.
+MEMO_ENTRIES = 4
+
+
+def _memoized(lat: _Lattice, key, compute):
+    """compute(), summed once per key while lat keeps it: lat.memo holds the
+    last MEMO_ENTRIES results, the most recently used last.  A result is
+    never changed, so a hit is the one summed first, bit for bit."""
+    memo = lat.memo
+    value = memo.pop(key, None)
+    if value is not None:
+        memo[key] = value
+        return value
+    value = memo[key] = compute()
+    if len(memo) > MEMO_ENTRIES:
+        del memo[next(iter(memo))]
+    _evict(keep=lat)
+    return value
+
+
+def _forward_sweep(lat: _Lattice, spec: HLProcessSpec) -> list:
+    """_sweep of all of spec's steps on lat, read-only and memoized: entry i
+    is the forward mass after steps 1..i."""
+
+    steps = spec.steps()
+
+    def sweep():
+        vecs = _sweep(lat, _operators(lat, steps, spec.t))
+        for vec in vecs:
+            vec.flags.writeable = False
+        return vecs
+
+    return _memoized(lat, ("forward", spec.t, tuple(steps)), sweep)
+
+
 class LatticeTooLarge(ValueError):
     """The interlacing lattice asked for has more edges than get_lattice builds."""
 
@@ -292,8 +347,27 @@ class LatticeTooLarge(ValueError):
 # refused at once.
 MAX_LATTICE_EDGES = 16_000_000
 
+# Most bytes (_Lattice.nbytes) the lattices in _LATTICES keep together: twice
+# what the largest lattice get_lattice builds keeps, so it stays cached with
+# its memo beside smaller ones.  Past it, the least recently used lattices
+# are dropped; the one in use stays even when it alone is larger.
+MAX_CACHED_BYTES = 2 * 16 * MAX_LATTICE_EDGES
 
+# (rows, cap) -> _Lattice, the most recently used last
 _LATTICES: dict = {}
+
+
+def _evict(keep: _Lattice):
+    """Drop the least recently used lattices but keep until _LATTICES holds
+    at most MAX_CACHED_BYTES."""
+    sizes = {key: lat.nbytes for key, lat in _LATTICES.items()}
+    held = sum(sizes.values())
+    for key, size in sizes.items():
+        if held <= MAX_CACHED_BYTES:
+            break
+        if _LATTICES[key] is not keep:
+            del _LATTICES[key]
+            held -= size
 
 
 def _indptr(counts):
@@ -303,10 +377,12 @@ def _indptr(counts):
 
 def get_lattice(rows: int, cap: int) -> _Lattice:
     """The interlacing lattice on partitions with at most `rows` rows (any
-    number) and parts <= cap, cached per (rows, cap) in _LATTICES."""
+    number) and parts <= cap, cached per (rows, cap) in _LATTICES, least
+    recently used first out (_evict)."""
     key = (rows, cap)
-    lat = _LATTICES.get(key)
+    lat = _LATTICES.pop(key, None)
     if lat is not None:
+        _LATTICES[key] = lat
         return lat
     # an edge mu < lam is one non-increasing sequence lam_1 >= mu_1 >= lam_2
     # >= ... >= mu_rows of length 2 rows with values in [0, cap]
@@ -356,6 +432,7 @@ def get_lattice(rows: int, cap: int) -> _Lattice:
         qfactors=qfactors,
     )
     _LATTICES[key] = lat
+    _evict(keep=lat)
     return lat
 
 
@@ -585,16 +662,26 @@ def exact_support_string_distribution(
     mass are dropped.  The strings thus come in depth-first order, +1 before
     -1, the order in which their masses are summed.  Probabilities are
     normalized by the total enumerated mass; the deficit against Pi^S is
-    reported.
+    reported.  The masses and their total are memoized on the lattice per
+    (t, steps), so the support and first-column laws of one (spec, cap)
+    share one DP; each call builds a fresh law from them through _law.
     """
     lat = get_lattice(min(spec.M, spec.N), row_cap)
+    steps = spec.steps()
+    masses, total = _memoized(lat, ("string", spec.t, tuple(steps)),
+                              lambda: _string_masses(lat, steps, spec.t))
+    return _law(spec, masses, total)
+
+
+def _string_masses(lat: _Lattice, steps, t) -> tuple:
+    """(mass per outgoing string T, their total) by the level walk of
+    exact_support_string_distribution."""
     n = len(lat.states)
     vecs = np.zeros((n, 1))  # one column per live T-prefix
     vecs[lat.empty] = 1.0
     tbits = np.zeros((1, 0), dtype=np.int8)
-    steps = spec.steps()
-    for (kind, _), op0, op1 in zip(steps, _operators(lat, steps, spec.t, colinc=0),
-                                   _operators(lat, steps, spec.t, colinc=1)):
+    for (kind, _), op0, op1 in zip(steps, _operators(lat, steps, t, colinc=0),
+                                   _operators(lat, steps, t, colinc=1)):
         plus, minus = (op0, op1) if kind == "+" else (op1, op0)
         out = np.empty((n, 2 * vecs.shape[1]))
         out[:, 0::2] = lat.apply(plus, vecs)
@@ -607,7 +694,7 @@ def exact_support_string_distribution(
     masses = {
         tuple(T): m for T, m in zip(tbits.tolist(), vecs[lat.empty].tolist()) if m > 0.0
     }
-    return _law(spec, masses, sum(masses.values()))
+    return masses, sum(masses.values())
 
 
 def exact_support_distribution(
@@ -641,7 +728,7 @@ def exact_marginal_distribution(
         raise ValueError("position out of range")
     lat = get_lattice(min(spec.M, spec.N), row_cap)
     steps = spec.steps()
-    fwd = _sweep(lat, _operators(lat, steps[:position], spec.t))[-1]
+    fwd = _forward_sweep(lat, spec)[position]
     bwd = _sweep(lat, _operators(lat, steps[position:], spec.t, backward=True)[::-1])[-1]
     mass = fwd * bwd
     return _law(spec, {lat.states[i]: mass[i] for i in np.nonzero(mass)[0]}, mass.sum())

@@ -44,6 +44,7 @@ driver: per event a row of coins for each run, read in the order
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -221,11 +222,16 @@ def run_rsk(rates, t: float, tau_max: float, seed: int, snapshot_times=(),
     rates are the level clock intensities c_1..c_n, one per tracked level
     (`_kernels._level_clock`).  validate=True re-checks interlacing after
     every event.  Passing a list as `events` collects (time, level, row,
-    new_value) per row move.
+    new_value) per row move.  A snapshot time that is not finite, is
+    negative or lies beyond tau_max raises ValueError before any draw.
     """
     rng = np.random.default_rng(seed)
     arr = PartitionArray(len(rates))
-    snaps = sorted(float(s) for s in snapshot_times)
+    snaps = [float(s) for s in snapshot_times]
+    for s in snaps:
+        if not (isfinite(s) and s >= 0.0):
+            raise ValueError(f"need finite snapshot times >= 0, got {s}")
+    snaps.sort()
     if snaps and snaps[-1] > tau_max:
         raise ValueError("snapshot beyond horizon")
     out = []

@@ -286,6 +286,24 @@ def test_clock_horizons_that_cannot_run_exit_2(capsys, argv):
         assert "need a finite time horizon" in err
 
 
+@pytest.mark.parametrize("snapshots", ["nan", "1,nan", "-1", "inf"])
+def test_snapshot_times_that_cannot_run_exit_2(capsys, monkeypatch, snapshots):
+    """A snapshot time that is not finite or is negative is refused before
+    any draw, where a nan one used to be dropped without a word."""
+    from hlsixv import _kernels
+
+    def no_draw(*args):
+        raise AssertionError("the clock ran")
+
+    monkeypatch.setattr(_kernels, "_clock_rings", no_draw)
+    code, out, err = run(capsys, "rsk", "run", "--rates", "1,1", "--t", "0.3",
+                         "--tmax", "2", "--snapshots", snapshots)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "need finite snapshot times >= 0" in err
+
+
 @pytest.mark.parametrize("action", ["run", "sets"])
 @pytest.mark.parametrize("bad", [
     ("--rates", "1,-1"), ("--rates", "1,0"), ("--rates", "1,1", "--levels", "3"),

@@ -527,26 +527,162 @@ def test_lattice_too_large_fails_before_building():
 
 
 @pytest.mark.parametrize("law", [
-    lambda spec, cap: hl.exact_support_distribution(spec, cap),
-    lambda spec, cap: hl.exact_marginal_distribution(spec, 2, cap),
-    lambda spec, cap: hl.exact_sequence_distribution(spec, cap),
-    lambda spec, cap: hl.SequenceSampler(spec, cap, seed=1).sample(),
-], ids=["support", "marginal", "sequence", "sampler"])
+    lambda spec: hl.exact_support_distribution(spec, 11),
+    lambda spec: hl.exact_first_column_distribution(spec, 11),
+    lambda spec: hl.exact_marginal_distribution(spec, 2, 11),
+    lambda spec: hl.exact_sequence_distribution(spec, 11),
+    lambda spec: hl.SequenceSampler(spec, 11, seed=1).sample(),
+    hl.row_cap,
+], ids=["support", "first-column", "marginal", "sequence", "sampler", "row_cap"])
 def test_exact_laws_free_the_lattice_with_the_cache(law):
-    """No reference cycle keeps a lattice alive once _LATTICES drops it, so a
-    cleared cache frees the lattice without waiting for the cyclic collector."""
+    """No reference cycle keeps a lattice (or the memo on it) alive once
+    _LATTICES drops it, so a cleared cache frees every lattice without
+    waiting for the cyclic collector."""
     import gc
     import weakref
 
     spec = hl.HLProcessSpec(t=0.3, a=(0.4, 0.3), b=(0.4, 0.3), S="+-+-")
-    hl._LATTICES.pop((2, 11), None)
+    hl._LATTICES.clear()
     gc.disable()
     try:
-        law(spec, 11)
-        ref = weakref.ref(hl._LATTICES.pop((2, 11)))
-        assert ref() is None
+        law(spec)
+        refs = [weakref.ref(lat) for lat in hl._LATTICES.values()]
+        assert refs
+        hl._LATTICES.clear()
+        assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
+
+
+def _same_law(d, e):
+    """d and e list the same outcomes in the same order with the same
+    probabilities and deficit, bit for bit."""
+    return (list(d.outcomes) == list(e.outcomes)
+            and np.array(list(d.outcomes.values())).tobytes()
+            == np.array(list(e.outcomes.values())).tobytes()
+            and np.float64(d.mass_deficit).tobytes() == np.float64(e.mass_deficit).tobytes())
+
+
+SPEC33 = hl.HLProcessSpec(t=0.35, a=(0.4, 0.3, 0.5), b=(0.45, 0.2, 0.3), S="+-++--")
+
+
+@pytest.mark.parametrize("law", [
+    hl.exact_support_string_distribution,
+    hl.exact_support_distribution,
+    hl.exact_first_column_distribution,
+], ids=["string", "support", "first-column"])
+def test_memoized_string_laws_equal_a_recompute(law, monkeypatch):
+    """A law read from the lattice's memo, after each other law of the same
+    (spec, cap) was asked for, equals the law summed on a fresh lattice bit
+    for bit, and costs no DP step."""
+    cap = 10
+    hl._LATTICES.clear()
+    fresh = law(SPEC33, cap)
+    hl._LATTICES.clear()
+    for other in (hl.exact_support_string_distribution, hl.exact_support_distribution,
+                  hl.exact_first_column_distribution):
+        other(SPEC33, cap)
+    steps = []
+    monkeypatch.setattr(hl._Lattice, "apply", lambda lat, op, vecs: steps.append(op))
+    assert _same_law(law(SPEC33, cap), fresh)
+    assert steps == []
+
+
+def test_marginals_read_the_memoized_forward_sweep():
+    """exact_marginal_distribution at every position, reading the forward
+    sweep that row_cap's DP left on the lattice, equals the marginal from a
+    fresh prefix sweep bit for bit."""
+    spec = SPEC33
+    cap = hl.row_cap(spec)
+    lat = hl.get_lattice(3, cap)
+    steps = spec.steps()
+    assert ("forward", spec.t, tuple(steps)) in lat.memo
+    for pos in range(1, spec.M + spec.N):
+        fwd = hl._sweep(lat, hl._operators(lat, steps[:pos], spec.t))[-1]
+        bwd = hl._sweep(lat, hl._operators(lat, steps[pos:], spec.t, backward=True)[::-1])[-1]
+        mass = fwd * bwd
+        expect = hl._law(spec, {lat.states[i]: mass[i] for i in np.nonzero(mass)[0]},
+                         mass.sum())
+        assert hl._forward_sweep(lat, spec)[pos].tobytes() == fwd.tobytes()
+        assert _same_law(hl.exact_marginal_distribution(spec, pos, cap), expect)
+
+
+def test_changing_a_returned_law_leaves_the_memo_alone():
+    spec = SPEC33
+    first = hl.exact_first_column_distribution(spec, 10)
+    expect = list(first.items())
+    key = next(iter(first.outcomes))
+    first.outcomes[key] = 5.0
+    first.outcomes.pop(next(reversed(first.outcomes)))
+    again = hl.exact_first_column_distribution(spec, 10)
+    assert again.outcomes is not first.outcomes
+    assert list(again.items()) == expect
+    marg = hl.exact_marginal_distribution(spec, 3, 10)
+    with pytest.raises(ValueError):
+        hl._forward_sweep(hl.get_lattice(3, 10), spec)[3][0] = 1.0
+    marg.outcomes.clear()
+    assert len(hl.exact_marginal_distribution(spec, 3, 10)) > 0
+
+
+def test_memo_keeps_at_most_its_bound_most_recent_last():
+    hl._LATTICES.clear()
+    lat = hl.get_lattice(1, 9)
+    specs = [hl.HLProcessSpec(t=t, a=(0.4,), b=(0.3,), S="+-")
+             for t in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)]
+    for i, spec in enumerate(specs):
+        hl.exact_support_string_distribution(spec, 9)
+        # a hit on the oldest law makes it the most recent one
+        hl.exact_support_string_distribution(specs[0], 9)
+        assert len(lat.memo) <= hl.MEMO_ENTRIES
+        assert next(reversed(lat.memo)) == ("string", 0.1, tuple(specs[0].steps()))
+    assert [key[1] for key in lat.memo] == [0.4, 0.5, 0.6, 0.1]
+
+
+def _cached_bytes():
+    return sum(lat.nbytes for lat in hl._LATTICES.values())
+
+
+def test_lattice_cache_stays_within_its_byte_bound(monkeypatch):
+    """Past MAX_CACHED_BYTES, get_lattice and a memoized DP drop the least
+    recently used lattices, a cache hit counting as a use."""
+    hl._LATTICES.clear()
+    monkeypatch.setattr(hl, "MAX_CACHED_BYTES", 20_000)
+    used = []
+    for key in [(1, 9), (3, 4), (2, 7), (1, 20), (1, 30), (2, 8), (3, 5)]:
+        for k in (key, (2, 6)):
+            hl.get_lattice(*k)
+            used = [u for u in used if u != k] + [k]
+            assert _cached_bytes() <= 20_000
+            # the cache holds the lattices used last, in the order of use
+            assert list(hl._LATTICES) == used[-len(hl._LATTICES):]
+    assert len(hl._LATTICES) < len(used)
+    # a forward sweep grows (2, 6) and drops the lattice used least recently
+    assert list(hl._LATTICES) == [(3, 5), (2, 6)]
+    hl.get_lattice(1, 9)
+    spec = hl.HLProcessSpec(t=0.3, a=(0.4, 0.3), b=(0.3,) * 6, S="++------")
+    hl._forward_mass(spec, 6)
+    assert len(hl.get_lattice(2, 6).memo) == 1
+    assert _cached_bytes() <= 20_000
+    assert list(hl._LATTICES) == [(1, 9), (2, 6)]
+
+
+def test_an_evicted_lattice_comes_back_with_the_same_arrays(monkeypatch):
+    hl._LATTICES.clear()
+    old = hl.get_lattice(2, 6)
+    monkeypatch.setattr(hl, "MAX_CACHED_BYTES", old.nbytes)
+    hl.get_lattice(1, 9)
+    assert list(hl._LATTICES) == [(1, 9)]
+    new = hl.get_lattice(2, 6)
+    assert new is not old
+    assert new.states == old.states and new.index == old.index
+    for name, arr in vars(old).items():
+        if isinstance(arr, np.ndarray):
+            assert getattr(new, name).dtype == arr.dtype
+            assert np.array_equal(getattr(new, name), arr), name
+    # the lattice in use stays even when it alone is over the bound
+    monkeypatch.setattr(hl, "MAX_CACHED_BYTES", 0)
+    assert hl.get_lattice(1, 9) is hl._LATTICES[(1, 9)]
+    assert list(hl._LATTICES) == [(1, 9)]
 
 
 def test_row_bound_invariant():
