@@ -18,7 +18,11 @@ lines agree compute the same outputs bit for bit:
   snapshots and its `events`, the `rsk.run_sets` complements, and the
   `rsk.run_pushtasep` events and final state on 60 sites; the rows reach
   the hundreds;
-- all: one digest over the four.
+- ensembles: the raw int32 records of `rsk.rsk_first_column_ensemble`,
+  `rsk.rsk_top_level_ensemble` and `six_vertex.half_continuous_height_ensemble`
+  at seed ENSEMBLE_SEED, each of `_kernels.ENSEMBLE_BLOCK + 5` runs, so
+  that the runs span a block boundary;
+- all: one digest over the five.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from hlsixv import _kernels  # noqa: E402
 from hlsixv import hl_process as hl  # noqa: E402
 from hlsixv import partitions as pt  # noqa: E402
 from hlsixv import rsk  # noqa: E402
@@ -45,6 +50,10 @@ RSK_T = 0.38
 RSK_HORIZON = 400.0
 PUSH_RATES = tuple(0.5 + (i % 7) / 6 for i in range(60))
 PUSH_HORIZON = 10.0
+ENSEMBLE_SEED = 31
+ENSEMBLE_RATES = (1.0, 0.7, 0.4)
+ENSEMBLE_T = 0.42
+ENSEMBLE_TAUS = (0.4, 0.9, 1.7)
 
 
 def _law(dist) -> str:
@@ -110,13 +119,28 @@ def trajectories():
         yield repr((events, state.occupied))
 
 
+def ensembles():
+    runs = _kernels.ENSEMBLE_BLOCK + 5
+    for out in (
+        rsk.rsk_first_column_ensemble(ENSEMBLE_RATES, ENSEMBLE_T, ENSEMBLE_TAUS,
+                                      runs, ENSEMBLE_SEED),
+        rsk.rsk_top_level_ensemble(ENSEMBLE_RATES, ENSEMBLE_T, ENSEMBLE_TAUS[-1],
+                                   runs, ENSEMBLE_SEED),
+        sv.half_continuous_height_ensemble(ENSEMBLE_T, ENSEMBLE_RATES,
+                                           ENSEMBLE_TAUS, runs, ENSEMBLE_SEED),
+    ):
+        yield repr(out.shape)
+        yield np.ascontiguousarray(out, dtype="<i4").tobytes()
+
+
 def main() -> None:
     total = hashlib.sha256()
     for name, part in (("laws", laws), ("samplers", samplers), ("verify", verify),
-                       ("trajectories", trajectories)):
+                       ("trajectories", trajectories), ("ensembles", ensembles)):
         h = hashlib.sha256()
         for line in part():
-            h.update(line.encode() + b"\n")
+            # text lines end in a newline, raw arrays go in as they are
+            h.update(line if isinstance(line, bytes) else line.encode() + b"\n")
         total.update(h.digest())
         print(f"{name} {h.hexdigest()}")
     print(f"all {total.hexdigest()}")

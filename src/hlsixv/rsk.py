@@ -281,12 +281,15 @@ def _apply_signal_batch(L, k, t, U):
     signal at level k[r] and reads its coins from the row U[r] in order, one
     per level whose move is not forced.  The tests, the free-value search
     (`_first_free_rows` at the two starts the rule uses), the R formula and
-    the push target are those of the reference, applied level by level
-    across the runs.
+    the push target are those of the reference, applied level by level to
+    the whole block: every run is searched and counted at every level, and
+    only the runs that move (k <= m) keep the result.
     """
     n, runs = L.shape[0], L.shape[2]
     run_ids = np.arange(runs)
-    # entry E <= n is R for a tie with E rows at ival, entry n + 1 is 1 - t
+    # row counts fit a signed type that holds -1..n, int8 up to n = 127
+    count = np.min_scalar_type(-n - 1)
+    # entry E <= n is R for a tie with E rows at ival, the last one 1 - t
     r_table = np.append((1.0 - t) / (1.0 - t ** (np.arange(n + 1) + 1)), 1.0 - t)
     coin = np.zeros(runs, dtype=np.intp)
     ival = np.zeros(runs, dtype=L.dtype)
@@ -296,25 +299,22 @@ def _apply_signal_batch(L, k, t, U):
         begin = k == m
         # the level below already moved a row from ival to ival+1, so its
         # pre-event column ival+1 is one less than the current count
-        col_up = (upper > ival).sum(axis=0)
-        col_low = (lower > ival).sum(axis=0)
+        col_up = (upper > ival).sum(axis=0, dtype=count)
+        col_low = (lower > ival).sum(axis=0, dtype=count)
         draws = (k < m) & (col_up != col_low - 1)
-        ge_up = (upper >= ival).sum(axis=0)
-        tie = (ival >= 1) & (ge_up == (lower >= ival).sum(axis=0))
-        r_prob = r_table[np.where(tie, ge_up - col_up, n + 1)]
+        ge_up = (upper >= ival).sum(axis=0, dtype=count)
+        tie = (ival >= 1) & (ge_up == (lower >= ival).sum(axis=0, dtype=count))
+        r_prob = r_table[np.where(tie, ge_up - col_up, -1)]
         push = draws & (U[run_ids, coin] < r_prob)
         coin += draws
-        w = ival.copy()
         # the push search starts at ival+1, where the row of level m-1 that
         # moved from ival to ival+1 counts as it did before
-        search = np.flatnonzero(begin | push)
-        w[search] = _first_free_rows(
-            upper[:, search], lower[:, search],
-            np.where(begin[search], 0, ival[search] + 1),
-        )
-        moving = np.flatnonzero(k <= m)
-        first_row = np.argmax(upper[:, moving] == w[moving], axis=0)
-        L[m - 1, first_row, moving] += 1
+        free = _first_free_rows(upper, lower, np.where(begin, 0, ival + 1))
+        w = np.where(begin | push, free, ival)
+        # rows fall from row 0, so the first row at w follows the rows above
+        # it; a run with k > m adds 0 there (row <= m < n)
+        row = (upper > w).sum(axis=0, dtype=count)
+        L[m - 1, row, run_ids] += k <= m
         ival = w
 
 
