@@ -18,13 +18,15 @@ level k at rate c_k: _level_clock checks its inputs, _check_horizon how
 long it may ring, _clock_rings rings it for one run and _lockstep_ensemble
 for blocks of runs.
 
-The Monte Carlo ensembles step blocks of ENSEMBLE_BLOCK runs together with
-numpy: the half-continuous ensemble of six_vertex and the RSK ensembles of
-rsk through _lockstep_ensemble, one clock event per step across the runs of
-a block.  Their states keep the runs on the last axis, so a reduction over
-a level's rows adds whole contiguous rows of runs.  The driver makes every
-draw from `np.random.RandomState(seed)`, in a fixed order, so a seed fixes
-the output.
+The Monte Carlo ensembles step blocks of ENSEMBLE_BLOCK = 32768 runs
+together with numpy: the half-continuous ensemble of six_vertex and the RSK
+ensembles of rsk through _lockstep_ensemble, one clock event per step across
+the runs of a block.  Their states keep the runs on the last axis, so a
+reduction over a level's rows adds whole contiguous rows of runs.  The
+driver makes every draw from `np.random.RandomState(seed)`, in a fixed
+order, so a seed fixes the output.  The draws of a step are made for the
+whole block at once, so the block size is part of that stream: a seeded
+ensemble of more runs than one block depends on it.
 """
 
 from __future__ import annotations
@@ -93,8 +95,12 @@ def _clock_rings(rates, t, horizon, rng):
 
 
 # Runs of a Monte Carlo ensemble are stepped together in blocks of this many,
-# which bounds the temporaries whatever the number of runs.
-ENSEMBLE_BLOCK = 4096
+# which bounds the temporaries whatever the number of runs.  A step costs a
+# fixed number of numpy calls whatever its width, so a wide block takes far
+# fewer steps for the same runs: a 20000-run ensemble at about 2.4 expected
+# events per run takes about 14 steps in one block and 60-70 in blocks of
+# 4096, while an RSK block of 3 levels keeps about 1 MB of state.
+ENSEMBLE_BLOCK = 32768
 
 
 def _lockstep_ensemble(rates, t, taus, n_runs, seed, start, observe, step):
@@ -105,16 +111,19 @@ def _lockstep_ensemble(rates, t, taus, n_runs, seed, start, observe, step):
     axis; observe(state) gives the record of each run of a state, runs on
     its first axis; and step(state, level, coins) applies one event to every
     run of state, run r at level[r] in 1..n reading the coin row coins[r] of
-    a [runs, n] matrix.  Times that are not finite, or more expected rings
-    than MAX_EXPECTED_RINGS over all runs, raise ValueError before any draw.
-    The runs of a block step in lockstep.  Each step
-    draws the waiting times of the block's live runs at once, records every
-    tau a run passes in one scatter, drops the runs whose next event falls
-    past the last tau, and steps the others after one level uniform and one
-    row of n coins each, in that order.
+    a [runs, n] matrix.  Times that are negative or not finite, or more
+    expected rings than MAX_EXPECTED_RINGS over all runs, raise ValueError
+    before any draw.  The runs of a block step in lockstep.  Each step draws
+    the waiting times of the block's live runs at once, records every tau a
+    run passes in one scatter, drops the runs whose next event falls past
+    the last tau, and steps the others after one level uniform and one row
+    of n coins each, in that order.
     """
     n, cum, total = _level_clock(rates, t)
+    # a nan or inf time is the horizon np.max gives, refused as not finite
     _check_horizon(total, float(np.max(taus, initial=0.0)), n_runs)
+    if not np.all(taus >= 0.0):
+        raise ValueError(f"need finite query times >= 0, got {taus.tolist()}")
     rs = np.random.RandomState(seed)
     record_shape = observe(start(0)).shape[1:]
     out = np.zeros((n_runs, len(taus)) + record_shape, dtype=np.int32)

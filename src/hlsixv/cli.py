@@ -275,6 +275,8 @@ def _cmd_verify(args):
         reports = [
             vf.check_moment_match(len(ms), ms, args.N, args.t, _floats(args.a), _floats(args.b))
         ]
+    elif args.samples < 1:  # the two Monte Carlo checks left, rsk and plancherel
+        raise ValueError(f"verify {args.action} requires --samples >= 1")
     elif args.action == "rsk":
         reports = [
             vf.check_rsk_field(

@@ -35,10 +35,15 @@ bijection no longer grows with the number of events so far.
 
 The single-trajectory steppers draw lazily from a `uniform()` callable (one
 draw per random branch); coupled runs share draws per event.  The ensembles
-step blocks of runs in lockstep with numpy on an int32 block L[level, row,
-run], runs on the last axis, and get their draws in batches from the
-driver: per event a row of coins for each run, read in the order
-`_apply_signal_inplace` would draw them.
+step blocks of `_kernels.ENSEMBLE_BLOCK` runs in lockstep with numpy on an
+int32 block L[level, row, run], runs on the last axis, and get their draws
+in batches from the driver: per event a row of coins for each run, read in
+the order `_apply_signal_inplace` would draw them.  The batched step
+`_apply_signal_batch` evaluates the rule on every run of the block at every
+level and keeps the result of the runs that move, so a run's new state
+depends only on its own state, level and coins, whatever else is in the
+block; the block size changes a seeded output only through the order of
+the driver's draws.
 """
 
 from __future__ import annotations

@@ -301,6 +301,8 @@ def check_plancherel_marginal(rates, t, tau, level: int, K: int, samples: int,
     start = time.perf_counter()
     if not 1 <= level <= len(rates):
         raise ValueError(f"level {level} outside 1..{len(rates)}, one per rate")
+    if not tau >= 0.0:  # false for nan too
+        raise ValueError(f"need tau >= 0, got {tau}")
     rates = [float(c) for c in rates][:level]
     ens = rsk.rsk_top_level_ensemble(rates, t, tau, samples, seed)
     counts = _vector_counts(ens, key=pt.strip_zeros)

@@ -461,6 +461,48 @@ def test_verify_plancherel_level_beyond_the_rates_exits_2(capsys):
     assert "level 3 outside 1..2" in err
 
 
+def _no_ensemble_draw(monkeypatch):
+    """Make the lockstep driver's generator fail if any ensemble starts."""
+    import numpy as np
+
+    def no_draw(*args):
+        raise AssertionError("an ensemble drew")
+
+    monkeypatch.setattr(np.random, "RandomState", no_draw)
+
+
+@pytest.mark.parametrize("action", ["rsk", "plancherel"])
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_ensembles_need_a_run(capsys, monkeypatch, action, samples):
+    """--samples below 1 exits 2 before any draw, as in sixv halfcont, where
+    0 used to divide by zero and -5 to reach numpy's shape check."""
+    _no_ensemble_draw(monkeypatch)
+    code, out, err = run(capsys, "verify", action, "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert f"verify {action} requires --samples >= 1" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "rsk", "--taus=-0.5,1"), "need finite query times >= 0"),
+    (("verify", "rsk", "--taus=-inf,1"), "need finite query times >= 0"),
+    (("sixv", "halfcont", "--t", "0.4", "--rates", "1,0.5", "--query=-1,0.5",
+      "--samples", "2"), "need finite query times >= 0"),
+    (("verify", "plancherel", "--tau=-0.6"), "need tau >= 0"),
+    (("verify", "plancherel", "--tau=nan"), "need tau >= 0"),
+], ids=["rsk", "rsk-minus-inf", "halfcont", "plancherel", "plancherel-nan"])
+def test_query_times_below_0_exit_2(capsys, monkeypatch, argv, message):
+    """A negative query time is refused before any draw, where the empty
+    start state used to be reported as the field at that time."""
+    _no_ensemble_draw(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert message in err
+
+
 def test_hl_support_widens_the_cap_to_the_realized_deficit(capsys):
     # many small b: the tail bound's cap 8 leaves a deficit of 3.3e-11
     code, out, _ = run(capsys, "hl", "support", "--t", "0.5", "--a", "1.0,0.8",

@@ -236,6 +236,38 @@ def test_batch_step_matches_reference_stepper(n, t, runs):
     assert np.array_equal(L, _packed(arrays))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.floats(0.0, 0.95),
+    st.lists(
+        st.tuples(st.lists(st.tuples(st.integers(1, 6), _coins), max_size=20),
+                  st.integers(1, 6), _coins),
+        min_size=2, max_size=10,
+    ),
+    st.sets(st.integers(1, 9), max_size=4),
+)
+def test_batch_step_runs_do_not_depend_on_the_block(n, t, runs, cuts):
+    """Stepping a block of runs equals stepping the pieces of any split of
+    it, run for run, so a wide block gives each run what a narrow one would."""
+    arrays = []
+    for history, _, _ in runs:
+        arr = rsk.PartitionArray(n)
+        for k, buf in history:
+            rsk._apply_signal_inplace(arr.levels, n, min(k, n), t, iter(buf).__next__)
+        arrays.append(arr)
+    L = _packed(arrays)
+    k = np.array([min(level, n) for _, level, _ in runs])
+    U = np.array([coins[:n] for _, _, coins in runs])
+    whole = L.copy()
+    rsk._apply_signal_batch(whole, k, t, U)
+    bounds = [0, *sorted(c for c in cuts if c < len(runs)), len(runs)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        piece = L[:, :, lo:hi].copy()
+        rsk._apply_signal_batch(piece, k[lo:hi], t, U[lo:hi])
+        assert np.array_equal(piece, whole[:, :, lo:hi]), (lo, hi)
+
+
 def test_seeded_ensemble_streams_are_pinned():
     rates, t = [1.0, 0.7, 0.4], 0.42
     cols = rsk.rsk_first_column_ensemble(rates, t, [0.4, 0.9, 1.7], 200, 99)
@@ -254,6 +286,31 @@ _ENSEMBLES = {
     "half-continuous": lambda taus, runs: sv.half_continuous_height_ensemble(
         0.42, [1.0, 0.7, 0.4], taus, runs, 5),
 }
+
+
+# column sums of all ENSEMBLE_BLOCK + 5 runs, then of the 5 past the boundary
+_BLOCK_PINS = {
+    "first-column": ([[10733, 18003, 22180], [19450, 32688, 40531],
+                      [26819, 46587, 58974]],
+                     [[1, 2, 2], [2, 4, 4], [4, 7, 8]]),
+    "top-level": ([81940, 29714, 5436], [12, 3, 0]),
+    "half-continuous": ([[22040, 47525, 76191], [13323, 32805, 57808],
+                         [5954, 18983, 39512]],
+                        [[4, 8, 13], [3, 6, 11], [1, 3, 7]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENSEMBLES))
+def test_seeded_ensemble_streams_are_pinned_across_a_block_boundary(name):
+    """The stream of blocks of ENSEMBLE_BLOCK = 32768 runs, block after block."""
+    assert _kernels.ENSEMBLE_BLOCK == 32768
+    block = _kernels.ENSEMBLE_BLOCK
+    out = _ENSEMBLES[name]([0.4, 0.9, 1.7], block + 5)
+    assert out.shape[0] == block + 5
+    assert out.dtype == np.int32
+    total, tail = _BLOCK_PINS[name]
+    assert out.sum(axis=0).tolist() == total
+    assert out[block:].sum(axis=0).tolist() == tail
 
 
 @pytest.mark.parametrize("name", sorted(_ENSEMBLES))
