@@ -6,12 +6,12 @@ The lattice builder is vectorized and works for any number of rows.  It
 enumerates each state's interlacing partners as a mixed-radix product of row
 ranges and sorts the edges into classes of equal |lam| - |mu| and equal skew
 Hall-Littlewood factors, each factor given by the multiset of its (1 - t^e)
-exponents; hl_process stores the edges as cached CSR structures and gathers
-the class weights of one step, for given x and t, into a sparse operator.
-scatter_accumulate applies one: every step of hl_process's DP, and its
-sequence count, call it.  A CSR or CSC matrix product adds each target's
-terms from 0 in stored order, so its sums are the same bit for bit on every
-run.
+exponents; hl_process keeps the edges once, as one cached list sorted by
+(lam, colinc, mu), and gathers the class weights of one step, for given x
+and t, into a sparse operator split by colinc.  scatter_accumulate applies
+one: every step of hl_process's DP, and its sequence count, call it.  A CSR
+or CSC matrix product adds each target's terms from 0 in stored order, so
+its sums are the same bit for bit on every run.
 
 Every continuous-time dynamics is driven by one Poisson clock that rings
 level k at rate c_k: _level_clock checks its inputs, _check_horizon how

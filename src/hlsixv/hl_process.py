@@ -10,11 +10,14 @@ most min(M,N) rows, for any number of rows, and parts <= row_cap) whose
 edges carry the skew-factor structure; parts above row_cap carry total mass
 below a geometric tail bound, and the realized truncation deficit is reported
 against the closed-form normalization constant.  The lattice keeps its edges
-as CSR structures (read as CSC for a step toward mu), and each law gathers
-the weights of each of its distinct steps into a sparse operator once, then
-applies it with _kernels.scatter_accumulate.  Every step adds a target's
-terms in lattice edge order, so the exact laws are the same bit for bit on
-every run.  The DP sums the law of the outgoing string T; the support law
+once, as one list sorted by (lam, colinc, mu), where colinc is the
+first-column increment of the edge, which fixes the bit T(i) of the
+outgoing string.  Each law gathers the weights of each of its distinct
+steps into one sparse operator split by colinc, then applies it with
+_kernels.scatter_accumulate: the level walk of the string law takes its two
+halves apart, and a full step adds them.  Every half adds a target's terms
+in lattice edge order, so the exact laws are the same bit for bit on every
+run.  The DP sums the law of the outgoing string T; the support law
 nu(T)/mu(S) and the first-column law are its pushforwards.
 Each lattice keeps the last few string laws and forward sweeps summed on it
 (_memoized), so the support and first-column laws of one (spec, cap) share
@@ -129,7 +132,12 @@ def normalization_pi(spec: HLProcessSpec) -> float:
 DEFICIT_TOL = 1e-12
 
 
-def minimal_row_cap(spec: HLProcessSpec, cap_max: int = 400) -> int:
+# The largest cap minimal_row_cap's tail bound may ask for; a tail ratio that
+# needs more raises TruncationError.
+TAIL_CAP_MAX = 400
+
+
+def minimal_row_cap(spec: HLProcessSpec) -> int:
     """Smallest cap R whose geometric tail bound falls below DEFICIT_TOL.
 
     Sequences containing a part > R carry unnormalized mass at most
@@ -145,9 +153,9 @@ def minimal_row_cap(spec: HLProcessSpec, cap_max: int = 400) -> int:
     cap = 1
     while bound * rho ** (cap + 1) >= DEFICIT_TOL:
         cap += 1
-        if cap > cap_max:
+        if cap > TAIL_CAP_MAX:
             raise TruncationError(
-                f"tail ratio {rho} too close to 1: cap {cap_max} insufficient for "
+                f"tail ratio {rho} too close to 1: cap {TAIL_CAP_MAX} insufficient for "
                 f"tol {DEFICIT_TOL}"
             )
     return max(cap, 4)
@@ -190,13 +198,11 @@ def _factor_table(factors, t):
 
 @dataclass
 class _Lattice:
-    """The edges mu < lam, stored in lattice edge order: the colinc-0 edges
-    (lam has as many rows as mu), then the colinc-1 edges, each run sorted by
-    lam and then by mu.  mu_idx and edge_class are one CSR structure with 2n
-    rows (colinc, lam): the edges of lam in run c are
-    [indptr[c*n + lam]:indptr[c*n + lam + 1]].  up_indptr, up_mu and up_class
-    hold the same edges with n rows lam, each lam's colinc-0 edges before its
-    colinc-1 edges, the order in which the full up step adds them."""
+    """The edges mu < lam, stored once in lattice edge order: sorted by lam,
+    then by colinc (0 when lam has as many rows as mu, 1 when it has one
+    more), then by mu.  mu_idx and edge_class are one CSR structure with 2n
+    rows 2 lam + colinc: the edges of lam with increment c are
+    [indptr[2 lam + c]:indptr[2 lam + c + 1]]."""
 
     rows: int
     cap: int
@@ -205,9 +211,7 @@ class _Lattice:
     indptr: np.ndarray
     mu_idx: np.ndarray  # int32, per edge
     edge_class: np.ndarray  # int32; edges of one class share |lam| - |mu| and skew factors
-    up_indptr: np.ndarray
-    up_mu: np.ndarray
-    up_class: np.ndarray
+    colinc: np.ndarray  # int8, per edge
     class_delta: np.ndarray  # |lam| - |mu| per class
     class_pkey: np.ndarray  # per class, the entry of pfactors
     class_qkey: np.ndarray
@@ -232,33 +236,21 @@ class _Lattice:
             factor = _factor_table(self.qfactors, t)[self.class_qkey]
         return powtab[self.class_delta] * factor
 
-    def operator(self, kind, param, t, colinc=None, backward=False):
-        """The sparse matrix of one process step, for apply: kind '+' moves
-        mass up the lattice, '-' down; colinc keeps the edges of that
-        first-column increment; backward is the transpose (for backward mass
-        tables).  Each target adds its terms from 0 in lattice edge order.
-        A step toward lam is a CSR matrix with rows lam; a step toward mu is
-        a CSC matrix on the same three arrays, with columns lam, built
-        directly rather than as the transpose of a CSR one.  Building one
-        costs a gather over the edges and one scipy matrix construction, so
-        a caller builds each distinct step once."""
+    def operator(self, kind, param, t, backward=False):
+        """The sparse matrix of one process step, split by colinc, for apply:
+        kind '+' moves mass up the lattice, '-' down; backward is the
+        transpose (for backward mass tables).  Its rows are 2 target +
+        colinc, and each row adds its terms from 0 in lattice edge order.  A
+        step toward lam is the lattice's CSR structure; a step toward mu is a
+        CSC matrix with columns lam on the same edges.  Building one costs a
+        gather over the edges and one scipy matrix construction, so a caller
+        builds each distinct step once."""
         n = len(self.states)
-        weights = self.class_weights(kind, param, t)
-        to_lam = (kind == "+") != backward
-        if colinc is None and to_lam:
-            return sparse.csr_matrix(
-                (weights.take(self.up_class), self.up_mu, self.up_indptr), shape=(n, n)
-            )
-        indptr = self.indptr
-        if colinc is not None:
-            indptr = indptr[colinc * n:(colinc + 1) * n + 1]
-        lo, hi = indptr[0], indptr[-1]
-        arrays = (weights.take(self.edge_class[lo:hi]), self.mu_idx[lo:hi], indptr - lo)
-        if to_lam:
-            return sparse.csr_matrix(arrays, shape=(len(indptr) - 1, n))
-        # toward mu, the same arrays as columns lam: a target adds its terms
-        # run by run, each run by lam
-        return sparse.csc_matrix(arrays, shape=(n, len(indptr) - 1))
+        data = self.class_weights(kind, param, t).take(self.edge_class)
+        if (kind == "+") != backward:
+            return sparse.csr_matrix((data, self.mu_idx, self.indptr), shape=(2 * n, n))
+        return sparse.csc_matrix((data, 2 * self.mu_idx + self.colinc, self.indptr[::2]),
+                                 shape=(2 * n, n))
 
     @property
     def nbytes(self) -> int:
@@ -269,20 +261,19 @@ class _Lattice:
         return sum(v.nbytes for v in held)
 
     def apply(self, op, vecs):
-        """op applied to one vector, or to each column of vecs.  The full
-        step toward mu reads the vector once per colinc run."""
-        if op.shape[1] > len(vecs):
-            vecs = np.concatenate((vecs, vecs))
-        return _kernels.scatter_accumulate(op, vecs)
+        """op applied to one vector, or to each column of vecs: the colinc-0
+        half of the step and its colinc-1 half, whose sum is the full step."""
+        out = _kernels.scatter_accumulate(op, vecs)
+        return out[0::2], out[1::2]
 
 
-def _operators(lat: _Lattice, steps, t, colinc=None, backward=False) -> list:
+def _operators(lat: _Lattice, steps, t, backward=False) -> list:
     """lat.operator of each (kind, param) in steps, each distinct one built
     once."""
     built: dict = {}
     for step in steps:
         if step not in built:
-            built[step] = lat.operator(*step, t, colinc=colinc, backward=backward)
+            built[step] = lat.operator(*step, t, backward=backward)
     return [built[step] for step in steps]
 
 
@@ -293,7 +284,8 @@ def _sweep(lat: _Lattice, ops) -> list:
     vec[lat.empty] = 1.0
     vecs = [vec]
     for op in ops:
-        vecs.append(lat.apply(op, vecs[-1]))
+        half0, half1 = lat.apply(op, vecs[-1])
+        vecs.append(half0 + half1)
     return vecs
 
 
@@ -340,18 +332,19 @@ class LatticeTooLarge(ValueError):
 # Largest edge count get_lattice builds: 5.8 times the 2.76M edges of rows 3,
 # cap 32, the largest lattice the exact checks reach, admitting rows 3 up to
 # cap 44, rows 4 up to cap 25 and rows 5 up to cap 18.  The build peaks near
-# 80 bytes per edge and the finished lattice keeps four int32 arrays (16 bytes
-# per edge: mu and class, in lattice edge order and in up-step order), so the
-# largest lattice allowed peaks near 1.3 GB and keeps 0.26 GB.  A cap from
-# minimal_row_cap's range up to 400 (rows 3, cap 400: 6.0e12 edges) is
-# refused at once.
+# 80 bytes per edge and the finished lattice keeps 9 bytes per edge (mu and
+# class as int32, colinc as int8) and its row pointer, so the largest
+# lattice allowed peaks near 1.3 GB and keeps 0.15 GB.  A cap from
+# minimal_row_cap's range up to TAIL_CAP_MAX (rows 3, cap 400: 6.0e12 edges)
+# is refused at once.
 MAX_LATTICE_EDGES = 16_000_000
 
 # Most bytes (_Lattice.nbytes) the lattices in _LATTICES keep together: twice
-# what the largest lattice get_lattice builds keeps, so it stays cached with
-# its memo beside smaller ones.  Past it, the least recently used lattices
-# are dropped; the one in use stays even when it alone is larger.
-MAX_CACHED_BYTES = 2 * 16 * MAX_LATTICE_EDGES
+# what the largest lattice get_lattice builds keeps (at most 10 bytes per
+# edge with its row pointer), so it stays cached with its memo beside
+# smaller ones.  Past it, the least recently used lattices are dropped; the
+# one in use stays even when it alone is larger.
+MAX_CACHED_BYTES = 2 * 10 * MAX_LATTICE_EDGES
 
 # (rows, cap) -> _Lattice, the most recently used last
 _LATTICES: dict = {}
@@ -368,11 +361,6 @@ def _evict(keep: _Lattice):
         if _LATTICES[key] is not keep:
             del _LATTICES[key]
             held -= size
-
-
-def _indptr(counts):
-    """The int32 CSR row pointer of rows holding counts entries each."""
-    return np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
 
 
 def get_lattice(rows: int, cap: int) -> _Lattice:
@@ -397,23 +385,19 @@ def get_lattice(rows: int, cap: int) -> _Lattice:
     index = {lam: i for i, lam in enumerate(states)}
     (mu_idx, lam_idx, colinc, edge_class, class_delta,
      (class_pkey, pfactors), (class_qkey, qfactors)) = _kernels.build_interlacing_edges(parts)
-    # the builder lists the edges by lam, then mu; convert and reorder one
-    # array at a time, so that at most one extra copy is alive
-    n = len(states)
-    mu_idx = mu_idx.astype(np.int32)
-    edge_class = edge_class.astype(np.int32)
-    up = np.argsort(2 * lam_idx + colinc, kind="stable")
-    up_mu = mu_idx[up]
-    up_class = edge_class[up]
-    del up
-    per_lam = np.bincount(lam_idx, minlength=n)
-    colinc1 = np.bincount(lam_idx[colinc == 1], minlength=n)
-    up_indptr = _indptr(per_lam)
-    indptr = _indptr(np.concatenate((per_lam - colinc1, colinc1)))
+    # the builder lists the edges by lam, then mu; sort them by their rows
+    # 2 lam + colinc and reorder one array at a time, so that at most one
+    # extra copy is alive
+    row = 2 * lam_idx + colinc
     del lam_idx
-    order = np.argsort(colinc, kind="stable")
-    mu_idx = mu_idx[order]
-    edge_class = edge_class[order]
+    order = np.argsort(row, kind="stable")
+    indptr = np.zeros(2 * len(states) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(row, minlength=2 * len(states)), out=indptr[1:])
+    del row
+    mu_idx = mu_idx.astype(np.int32)[order]
+    edge_class = edge_class.astype(np.int32)[order]
+    colinc = colinc[order]
+    del order
     lat = _Lattice(
         rows=rows,
         cap=cap,
@@ -422,9 +406,7 @@ def get_lattice(rows: int, cap: int) -> _Lattice:
         indptr=indptr,
         mu_idx=mu_idx,
         edge_class=edge_class,
-        up_indptr=up_indptr,
-        up_mu=up_mu,
-        up_class=up_class,
+        colinc=colinc,
         class_delta=class_delta,
         class_pkey=class_pkey,
         class_qkey=class_qkey,
@@ -467,34 +449,37 @@ def _row_bound(spec: HLProcessSpec, i: int) -> int:
     return min(p, spec.N - m)
 
 
-def _step_tables(spec: HLProcessSpec, lat: _Lattice, ops) -> list:
+def _step_tables(spec: HLProcessSpec, lat: _Lattice) -> list:
     """Per step i, the lattice edges of nonzero weight whose target keeps the
     row bound _row_bound(spec, i+1) (0 after the last step), grouped by source
     state as (indptr, dst, weight): the edges out of state s are
-    [indptr[s]:indptr[s+1]], in lattice edge order.  ops are the backward
-    operators of the steps, whose rows are the sources; the '+' one reads
-    each colinc run as its own block of columns."""
+    [indptr[s]:indptr[s+1]], in (colinc, target) order.  A '-' step reads
+    the lattice edge order as it is; a '+' step reads it sorted stably by
+    2 mu + colinc."""
     n_rows = np.array([len(lam) for lam in lat.states])
     n_states = len(lat.states)
-    n = spec.M + spec.N
+    lam_idx = np.repeat(np.arange(n_states), np.diff(lat.indptr[::2]))
+    up = np.argsort(2 * lat.mu_idx + lat.colinc, kind="stable")
+    # (source, target, class) of each edge, per kind, in table order
+    edges = {"+": (lat.mu_idx[up], lam_idx[up], lat.edge_class[up]),
+             "-": (lam_idx, lat.mu_idx, lat.edge_class)}
+    steps = spec.steps()
     tables = []
-    for i, op in enumerate(ops):
-        op = op.tocsr()
-        src = np.repeat(np.arange(n_states), np.diff(op.indptr))
-        dst = op.indices % n_states
-        bound = _row_bound(spec, i + 1) if i + 1 < n else 0
-        keep = (op.data != 0.0) & (n_rows[dst] <= bound)
+    for i, (kind, param) in enumerate(steps):
+        src, dst, cls = edges[kind]
+        weight = lat.class_weights(kind, param, spec.t).take(cls)
+        bound = _row_bound(spec, i + 1) if i + 1 < len(steps) else 0
+        keep = (weight != 0.0) & (n_rows[dst] <= bound)
         indptr = np.searchsorted(src[keep], np.arange(n_states + 1))
-        tables.append((indptr, dst[keep], op.data[keep]))
+        tables.append((indptr, dst[keep], weight[keep]))
     return tables
 
 
 def _sequence_tables(spec: HLProcessSpec, row_cap: int) -> tuple:
-    """(lattice, _step_tables) of spec at row_cap, from the backward
-    operators of its steps, for _count_sequences and _enumerate_sequences."""
+    """(lattice, _step_tables) of spec at row_cap, for _count_sequences and
+    _enumerate_sequences."""
     lat = get_lattice(min(spec.M, spec.N), row_cap)
-    ops = _operators(lat, spec.steps(), spec.t, backward=True)
-    return lat, _step_tables(spec, lat, ops)
+    return lat, _step_tables(spec, lat)
 
 
 def _enumerate_sequences(lat: _Lattice, tables):
@@ -538,23 +523,26 @@ def _count_sequences(lat: _Lattice, tables) -> int:
     return int(paths[lat.empty])
 
 
-def exact_sequence_distribution(spec: HLProcessSpec, row_cap: int,
-                                max_sequences: int = 2_000_000) -> DiscreteDistribution:
+# The most sequences exact_sequence_distribution enumerates.
+MAX_SEQUENCES = 2_000_000
+
+
+def exact_sequence_distribution(spec: HLProcessSpec, row_cap: int) -> DiscreteDistribution:
     """Enumerate all sequences with parts <= row_cap; normalize by enumerated mass.
 
     The deficit of the enumerated mass against Pi^S is reported as
     mass_deficit; the caller's row_cap must keep it below ~1e-12 relative.
     This is the exponential reference enumerator: it walks the lattice's
     step tables path by path, where the support/marginal laws sum them by
-    DP.  The sequences are counted first, and more than max_sequences of
+    DP.  The sequences are counted first, and more than MAX_SEQUENCES of
     them raise ValueError before any is enumerated; a row cap whose lattice
     cannot be built raises LatticeTooLarge at once.
     """
     lat, tables = _sequence_tables(spec, row_cap)
     count = _count_sequences(lat, tables)
-    if count > max_sequences:
+    if count > MAX_SEQUENCES:
         raise ValueError(
-            f"{count} sequences, more than {max_sequences}; use the DP-backed "
+            f"{count} sequences, more than {MAX_SEQUENCES}; use the DP-backed "
             "laws or lower row_cap"
         )
     outcomes: dict = {}
@@ -656,10 +644,10 @@ def exact_support_string_distribution(
     """Exact law of the outgoing string T via per-T constrained DP.
 
     Steps every T-prefix one level at a time: at step i the two colinc
-    operators of that step map the mass vectors of all live prefixes at once,
-    the child with T(i) = +1 (no first-column increment on a plus, a decrement
-    on a minus) before the child with T(i) = -1, and prefixes left without
-    mass are dropped.  The strings thus come in depth-first order, +1 before
+    halves of that step's operator map the mass vectors of all live
+    prefixes at once, the child with T(i) = +1 (no first-column increment on
+    a plus, a decrement on a minus) before the child with T(i) = -1, and
+    prefixes left without mass are dropped.  The strings thus come in depth-first order, +1 before
     -1, the order in which their masses are summed.  Probabilities are
     normalized by the total enumerated mass; the deficit against Pi^S is
     reported.  The masses and their total are memoized on the lattice per
@@ -680,12 +668,10 @@ def _string_masses(lat: _Lattice, steps, t) -> tuple:
     vecs = np.zeros((n, 1))  # one column per live T-prefix
     vecs[lat.empty] = 1.0
     tbits = np.zeros((1, 0), dtype=np.int8)
-    for (kind, _), op0, op1 in zip(steps, _operators(lat, steps, t, colinc=0),
-                                   _operators(lat, steps, t, colinc=1)):
-        plus, minus = (op0, op1) if kind == "+" else (op1, op0)
+    for (kind, _), op in zip(steps, _operators(lat, steps, t)):
+        half0, half1 = lat.apply(op, vecs)
         out = np.empty((n, 2 * vecs.shape[1]))
-        out[:, 0::2] = lat.apply(plus, vecs)
-        out[:, 1::2] = lat.apply(minus, vecs)
+        out[:, 0::2], out[:, 1::2] = (half0, half1) if kind == "+" else (half1, half0)
         live = out.any(axis=0)
         vecs = out[:, live]
         tbits = np.column_stack(
@@ -754,12 +740,12 @@ class SequenceSampler:
         self.bwd = _sweep(self.lat, ops[::-1])[::-1]
         if self.bwd[0][self.lat.empty] <= 0:
             raise TruncationError("no admissible sequences under row_cap")
-        self._edges = _step_tables(spec, self.lat, ops)
+        self._edges = _step_tables(spec, self.lat)
         self._tables: dict = {}
 
     def _conditional(self, i, src):
         """(targets, cumulative probabilities) of step i from state src: the
-        edges of _step_tables in lattice edge order, weighted by their
+        edges of _step_tables in (colinc, target) order, weighted by their
         completion mass, those of zero weight dropped."""
         key = (i, src)
         tab = self._tables.get(key)

@@ -303,6 +303,8 @@ def check_plancherel_marginal(rates, t, tau, level: int, K: int, samples: int,
         raise ValueError(f"level {level} outside 1..{len(rates)}, one per rate")
     if not tau >= 0.0:  # false for nan too
         raise ValueError(f"need tau >= 0, got {tau}")
+    if K < 1:
+        raise ValueError(f"need K >= 1, got {K}")
     rates = [float(c) for c in rates][:level]
     ens = rsk.rsk_top_level_ensemble(rates, t, tau, samples, seed)
     counts = _vector_counts(ens, key=pt.strip_zeros)
@@ -311,17 +313,11 @@ def check_plancherel_marginal(rates, t, tau, level: int, K: int, samples: int,
         spec = hl.plancherel_spec(t, rates, tau, kk)
         return hl.exact_marginal_distribution(spec, level, hl.row_cap(spec))
 
-    def tv_against(law):
-        n = samples
-        return 0.5 * sum(
-            abs(counts.get(k, 0) / n - law[k])
-            for k in set(counts) | set(law.outcomes)
-        )
-
+    empirical = DiscreteDistribution({k: c / samples for k, c in counts.items()})
     law_k = exact_law(K)
     law_2k = exact_law(2 * K)
-    tv_k = tv_against(law_k)
-    tv_2k = tv_against(law_2k)
+    tv_k = tv_distance(empirical, law_k)
+    tv_2k = tv_distance(empirical, law_2k)
     # expected TV of the empirical law from its own truth, cell by cell
     noise = 0.5 * sum(
         np.sqrt(2.0 * p * (1.0 - p) / (np.pi * samples))

@@ -503,6 +503,18 @@ def test_query_times_below_0_exit_2(capsys, monkeypatch, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("K", ["0", "-3"])
+def test_verify_plancherel_needs_K_at_least_1(capsys, monkeypatch, K):
+    """--K below 1 exits 2 before any draw, where 0 used to divide by zero
+    after the ensemble and -3 to name only the sign string."""
+    _no_ensemble_draw(monkeypatch)
+    code, out, err = run(capsys, "verify", "plancherel", "--K", K, "--samples", "100")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "need K >= 1" in err
+
+
 def test_hl_support_widens_the_cap_to_the_realized_deficit(capsys):
     # many small b: the tail bound's cap 8 leaves a deficit of 3.3e-11
     code, out, _ = run(capsys, "hl", "support", "--t", "0.5", "--a", "1.0,0.8",

@@ -115,11 +115,12 @@ def test_enumeration_matches_partition_reference(M, N, S, cap, t, a, b):
         assert abs(w - expected[seq]) <= 1e-14 * expected[seq]
 
 
-def test_exact_sequence_distribution_refuses_before_enumerating():
+def test_exact_sequence_distribution_refuses_before_enumerating(monkeypatch):
     spec = hl.HLProcessSpec(t=0.3, a=(0.3, 0.3), b=(0.3, 0.3), S="++--")
     assert hl._count_sequences(*hl._sequence_tables(spec, 40)) == 259161
+    monkeypatch.setattr(hl, "MAX_SEQUENCES", 1000)
     with pytest.raises(ValueError, match="259161 sequences, more than 1000"):
-        hl.exact_sequence_distribution(spec, 40, max_sequences=1000)
+        hl.exact_sequence_distribution(spec, 40)
     spec3 = hl.HLProcessSpec(t=0.3, a=(0.3,) * 3, b=(0.3,) * 3, S="+++---")
     with pytest.raises(hl.LatticeTooLarge):
         hl.exact_sequence_distribution(spec3, 400)
@@ -394,11 +395,13 @@ def test_lattice_matches_interlacing_oracle(rows, cap):
     assert set(edges) == expected
     for (mu, lam), inc in zip(edges, colinc):
         assert pt.num_rows(lam) - pt.num_rows(mu) == inc
+    assert np.array_equal(lat.colinc, colinc)
     a, t = 0.37, 0.3
-    # column i of each image is the step applied to the unit vector at state i
+    # column i of each image is the full step applied to the unit vector at
+    # state i
     units = np.eye(len(lat.states))
-    up = lat.apply(lat.operator("+", a, t), units)
-    down = lat.apply(lat.operator("-", a, t), units)
+    up = np.add(*lat.apply(lat.operator("+", a, t), units))
+    down = np.add(*lat.apply(lat.operator("-", a, t), units))
     for i, src in enumerate(lat.states):
         for j, dst in enumerate(lat.states):
             p = pt.skew_p_one(dst, src, a, t)
@@ -409,11 +412,9 @@ def test_lattice_matches_interlacing_oracle(rows, cap):
 
 def _edge_lams(lat):
     """lam and the first-column increment of each edge, in lattice edge
-    order: the rows of lat.indptr are (colinc, lam)."""
-    n = len(lat.states)
-    counts = np.diff(lat.indptr)
-    return (np.repeat(np.tile(np.arange(n), 2), counts),
-            np.repeat(np.arange(2 * n) // n, counts))
+    order: the rows of lat.indptr are 2 lam + colinc."""
+    rows = np.repeat(np.arange(len(lat.indptr) - 1), np.diff(lat.indptr))
+    return rows // 2, rows % 2
 
 
 def _bincount_step(lat, vec, kind, x, t, colinc=None, backward=False):
@@ -435,21 +436,39 @@ def test_operator_step_equals_bincount_reference(rows, cap):
     lat = hl.get_lattice(rows, cap)
     n = len(lat.states)
     lam_idx, inc = _edge_lams(lat)
-    # lattice edge order: colinc, then lam, then mu, each edge once
-    key = (inc * n + lam_idx) * n + lat.mu_idx
+    # lattice edge order: lam, then colinc, then mu, each edge once
+    key = (lam_idx * 2 + inc) * n + lat.mu_idx
     assert np.all(np.diff(key) > 0)
     rng = np.random.default_rng(rows * 100 + cap)
     for _ in range(3):
         x, t = rng.uniform(0.05, 0.95, size=2)
         vecs = rng.random((n, 4))
         vecs[rng.random((n, 4)) < 0.3] = 0.0
-        for kind, colinc, backward in product("+-", (None, 0, 1), (False, True)):
-            op = lat.operator(kind, x, t, colinc=colinc, backward=backward)
+        for kind, backward in product("+-", (False, True)):
+            op = lat.operator(kind, x, t, backward=backward)
             block = lat.apply(op, vecs)
             for j in range(vecs.shape[1]):
-                ref = _bincount_step(lat, vecs[:, j], kind, x, t, colinc, backward)
-                assert np.array_equal(lat.apply(op, vecs[:, j]), ref)
-                assert np.array_equal(block[:, j], ref)
+                one = lat.apply(op, vecs[:, j])
+                for colinc in (0, 1):
+                    ref = _bincount_step(lat, vecs[:, j], kind, x, t, colinc, backward)
+                    assert np.array_equal(one[colinc], ref)
+                    assert np.array_equal(block[colinc][:, j], ref)
+
+
+@pytest.mark.parametrize("rows,cap", [(1, 9), (2, 6), (3, 5)])
+def test_full_step_is_the_sum_of_its_halves(rows, cap):
+    """Each full step of a sweep adds the colinc-1 half to the colinc-0 half,
+    bit for bit, and equals the bincount sum over all edges to rounding."""
+    lat = hl.get_lattice(rows, cap)
+    rng = np.random.default_rng(rows)
+    for kind, backward in product("+-", (False, True)):
+        op = lat.operator(kind, 0.37, 0.3, backward=backward)
+        vecs = hl._sweep(lat, [op] * 3)
+        for before, after in zip(vecs, vecs[1:]):
+            assert np.array_equal(after, np.add(*lat.apply(op, before)))
+        vec = rng.random(len(lat.states))
+        ref = _bincount_step(lat, vec, kind, 0.37, 0.3, backward=backward)
+        assert np.allclose(np.add(*lat.apply(op, vec)), ref, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("rows,cap", [(1, 9), (2, 6), (3, 5)])
@@ -457,16 +476,9 @@ def test_operator_data_is_the_gathered_class_weights(rows, cap):
     """The stored values of every step operator are its class weights
     gathered by edge class, bit for bit."""
     lat = hl.get_lattice(rows, cap)
-    n = len(lat.states)
-    for kind, colinc, backward in product("+-", (None, 0, 1), (False, True)):
-        weights = lat.class_weights(kind, 0.37, 0.3)
-        if colinc is None and (kind == "+") != backward:
-            expect = weights[lat.up_class]
-        else:
-            lo, hi = (0, len(lat.edge_class)) if colinc is None else (
-                lat.indptr[colinc * n], lat.indptr[(colinc + 1) * n])
-            expect = weights[lat.edge_class[lo:hi]]
-        data = lat.operator(kind, 0.37, 0.3, colinc=colinc, backward=backward).data
+    for kind, backward in product("+-", (False, True)):
+        expect = lat.class_weights(kind, 0.37, 0.3)[lat.edge_class]
+        data = lat.operator(kind, 0.37, 0.3, backward=backward).data
         assert data.dtype == expect.dtype
         assert data.tobytes() == expect.tobytes()
 
@@ -509,15 +521,15 @@ def test_level_walk_sums_the_support_masses_in_depth_first_order(M, N, data, t):
     assert dist.mass_deficit == 1.0 - total / hl.normalization_pi(spec)
 
 
-def test_lattice_keeps_at_most_24_bytes_per_edge():
-    """mu and class per edge in lattice edge order and in up-step order, as
-    int32; no step applied leaves an operator on the lattice."""
+def test_lattice_keeps_at_most_10_bytes_per_edge():
+    """mu and class per edge as int32 and colinc as int8, once each, and the
+    row pointer; no step applied leaves an operator on the lattice."""
     lat = hl.get_lattice(3, 16)
     vec = np.ones(len(lat.states))
-    for kind, colinc, backward in product("+-", (None, 0, 1), (False, True)):
-        lat.apply(lat.operator(kind, 0.3, 0.4, colinc=colinc, backward=backward), vec)
+    for kind, backward in product("+-", (False, True)):
+        lat.apply(lat.operator(kind, 0.3, 0.4, backward=backward), vec)
     held = sum(v.nbytes for v in vars(lat).values() if isinstance(v, np.ndarray))
-    assert held <= 24 * len(lat.mu_idx)
+    assert held <= 10 * len(lat.mu_idx)
 
 
 def test_lattice_too_large_fails_before_building():
@@ -564,6 +576,31 @@ def _same_law(d, e):
 
 
 SPEC33 = hl.HLProcessSpec(t=0.35, a=(0.4, 0.3, 0.5), b=(0.45, 0.2, 0.3), S="+-++--")
+
+
+@pytest.mark.parametrize("spec", [
+    SPEC33, hl.HLProcessSpec(t=0.3, a=(0.4, 0.3), b=(0.45, 0.2), S="++--"),
+], ids=["+-++--", "++--"])
+def test_step_tables_list_candidates_in_colinc_then_target_order(spec):
+    """Each source's candidates of both kinds of step come in (colinc,
+    target) order, as a lexicographic sort of the edge list puts them."""
+    lat = hl.get_lattice(min(spec.M, spec.N), 5)
+    lam_idx, inc = _edge_lams(lat)
+    n_rows = np.array([len(lam) for lam in lat.states])
+    steps = spec.steps()
+    tables = hl._step_tables(spec, lat)
+    assert len(tables) == len(steps)
+    for i, ((kind, x), (indptr, dst, weight)) in enumerate(zip(steps, tables)):
+        w = lat.class_weights(kind, x, spec.t)[lat.edge_class]
+        src, tgt = (lat.mu_idx, lam_idx) if kind == "+" else (lam_idx, lat.mu_idx)
+        bound = hl._row_bound(spec, i + 1) if i + 1 < len(steps) else 0
+        keep = (w != 0.0) & (n_rows[tgt] <= bound)
+        src, tgt, c, w = src[keep], tgt[keep], inc[keep], w[keep]
+        order = np.lexsort((tgt, c, src))
+        assert np.array_equal(np.repeat(np.arange(len(lat.states)), np.diff(indptr)),
+                              src[order])
+        assert np.array_equal(dst, tgt[order])
+        assert weight.tobytes() == w[order].tobytes()
 
 
 @pytest.mark.parametrize("law", [
@@ -646,13 +683,13 @@ def test_lattice_cache_stays_within_its_byte_bound(monkeypatch):
     """Past MAX_CACHED_BYTES, get_lattice and a memoized DP drop the least
     recently used lattices, a cache hit counting as a use."""
     hl._LATTICES.clear()
-    monkeypatch.setattr(hl, "MAX_CACHED_BYTES", 20_000)
+    monkeypatch.setattr(hl, "MAX_CACHED_BYTES", 14_000)
     used = []
     for key in [(1, 9), (3, 4), (2, 7), (1, 20), (1, 30), (2, 8), (3, 5)]:
         for k in (key, (2, 6)):
             hl.get_lattice(*k)
             used = [u for u in used if u != k] + [k]
-            assert _cached_bytes() <= 20_000
+            assert _cached_bytes() <= 14_000
             # the cache holds the lattices used last, in the order of use
             assert list(hl._LATTICES) == used[-len(hl._LATTICES):]
     assert len(hl._LATTICES) < len(used)
@@ -662,7 +699,7 @@ def test_lattice_cache_stays_within_its_byte_bound(monkeypatch):
     spec = hl.HLProcessSpec(t=0.3, a=(0.4, 0.3), b=(0.3,) * 6, S="++------")
     hl._forward_mass(spec, 6)
     assert len(hl.get_lattice(2, 6).memo) == 1
-    assert _cached_bytes() <= 20_000
+    assert _cached_bytes() <= 14_000
     assert list(hl._LATTICES) == [(1, 9), (2, 6)]
 
 
@@ -808,9 +845,8 @@ def test_row_cap_is_the_first_bucket_within_the_deficit(M, N, t, a, b):
         assert hl.exact_support_distribution(spec, cap - 8).mass_deficit > 1e-12
 
 
-def test_truncation_error():
+def test_truncation_error(monkeypatch):
     spec = spec11()
+    monkeypatch.setattr(hl, "TAIL_CAP_MAX", 50)
     with pytest.raises(hl.TruncationError):
-        hl.minimal_row_cap(
-            hl.HLProcessSpec(t=0.5, a=(0.999,), b=(0.999,), S="+-"), cap_max=50
-        )
+        hl.minimal_row_cap(hl.HLProcessSpec(t=0.5, a=(0.999,), b=(0.999,), S="+-"))
