@@ -25,13 +25,18 @@ crossed unchanged, at levels missing i a coin of probability R inserts i and
 removes the next element above (the new removed element continues the scan).
 Both dynamics, driven by the same uniforms, produce identical trajectories
 under the bijection col_{j}(level m) = col_j(level m-1) + 1{j-1 not in V_m}.
-`SetSystem` stores the complement of V_m as a floor f = min V_m plus the
-sparse set of missing elements above f: the complement is [0, f) | extras.
-Removing f advances the floor through the extras, inserting an element below
-f lowers the floor and moves the gap into the extras.  The floors grow with
-the event count while the extras stay small (about 500 elements over six
-levels after 10^4 events), so the cost of an event, of a copy and of the
-bijection no longer grows with the number of events so far.
+Under it the complement of V_m is the union of the row gaps [prev[j], lv[j])
+of levels m-1 and m (prev[m-1] = 0), so it is at most m intervals however
+far the rows have grown, and `SetSystem` stores it as the sorted bounds of
+those intervals.  An event reads and rewrites bounds, never runs of values:
+it costs O(m log m) per level it crosses, whatever the number of events so
+far, and so do a copy and the bijection.
+
+The array stepper works at the row an event moved.  The row r of level
+m-1 that moved from ival to ival+1 splits level m by interlacing: its rows
+before r lie above ival and its rows after r at or below it, so the forced
+move, the tie and the row that moves next are all read at row r and the
+ival-clusters after it.
 
 The single-trajectory steppers draw lazily from a `uniform()` callable (one
 draw per random branch); coupled runs share draws per event.  The ensembles
@@ -48,6 +53,7 @@ the driver's draws.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import isfinite
 
@@ -74,6 +80,7 @@ class PartitionArray:
         self.tau = float(tau)
 
     def level(self, k: int) -> list:
+        _check_level(k, self.n_max)
         return self.levels[k - 1]
 
     def copy(self) -> "PartitionArray":
@@ -135,13 +142,16 @@ def rsk_apply_signal(array: PartitionArray, k: int, t: float, uniform,
     """
     _check_level(k, array.n_max)
     out = array.copy()
-    _apply_signal_inplace(out.levels, out.n_max, k, t, _as_uniform(uniform), record)
+    rec = [] if record is not None else None
+    _apply_signal_inplace(out.levels, out.n_max, k, t, _as_uniform(uniform), rec)
+    if record is not None:
+        record += [(m, v) for m, v, _ in rec]
     return out
 
 
 def _check_level(k, n_max):
     if not 1 <= k <= n_max:
-        raise ValueError(f"signal level {k} outside 1..{n_max}")
+        raise ValueError(f"level {k} outside 1..{n_max}")
 
 
 def _as_uniform(u):
@@ -175,48 +185,51 @@ def _first_free_row(upper, lower, lo):
 
 
 def _apply_signal_inplace(levels, n_max, k, t, uniform, record=None):
-    ival = _first_free_row(levels[k - 1], levels[k - 2] if k > 1 else (), 0)
+    """One signal at level k on the rows `levels`, in place.
+
+    When `record` is a list, (level, value, row) is appended per level >= k:
+    the row that moved, by index, and the value it moved from.
+    """
     lv = levels[k - 1]
-    lv[lv.index(ival)] += 1
+    ival = _first_free_row(lv, levels[k - 2] if k > 1 else (), 0)
+    r = lv.index(ival)
+    lv[r] += 1
     if record is not None:
-        record.append((k, ival))
+        record.append((k, ival, r))
     for m in range(k + 1, n_max + 1):
         upper, lower = levels[m - 1], levels[m - 2]
-        # rows above and at ival of both levels in one pass; upper has one
-        # row more than lower, read after the loop
-        up_above = up_at = low_above = low_at = 0
-        for x, y in zip(upper, lower):
-            if x > ival:
-                up_above += 1
-            elif x == ival:
-                up_at += 1
-            if y > ival:
-                low_above += 1
-            elif y == ival:
-                low_at += 1
-        x = upper[-1]
-        if x > ival:
-            up_above += 1
-        elif x == ival:
-            up_at += 1
-        # the level below already moved a row from ival to ival+1, so its
-        # pre-event column ival+1 is one less than the current count
-        if up_above == low_above - 1:
+        # row r of lower, the first at ival, has moved to ival+1.  By
+        # interlacing the rows of upper before r lie above ival, the rows
+        # after r at or below it, and upper[r] >= ival
+        if upper[r] == ival:
+            # both levels had r rows above ival: ival is still free at
+            # level m, and the move is forced onto row r
             w = ival
         else:
-            if ival >= 1 and up_above + up_at == low_above + low_at:
-                r_prob = (1.0 - t) / (1.0 - t ** (up_at + 1))
+            # rows before r count alike on both levels, so the tie compares
+            # the ival-clusters that start after row r
+            end = r + 1
+            while end < m and upper[end] == ival:
+                end += 1
+            low = r + 1
+            while low < m - 1 and lower[low] == ival:
+                low += 1
+            if ival >= 1 and end == low:
+                r_prob = (1.0 - t) / (1.0 - t ** (end - r))
             else:
                 r_prob = 1.0 - t
             if uniform() < r_prob:
                 # the search starts at ival+1, where the row of level m-1
                 # that moved from ival to ival+1 counts as it did before
                 w = _first_free_row(upper, lower, ival + 1)
+                r = upper.index(w)
             else:
+                # the ival-cluster of upper starts right after row r
                 w = ival
-        upper[upper.index(w)] += 1
+                r += 1
+        upper[r] += 1
         if record is not None:
-            record.append((m, w))
+            record.append((m, w, r))
         ival = w
 
 
@@ -252,10 +265,7 @@ def run_rsk(rates, t: float, tau_max: float, seed: int, snapshot_times=(),
         rec = [] if events is not None else None
         _apply_signal_inplace(arr.levels, arr.n_max, k, t, rng.random, rec)
         if rec is not None:
-            for m, v in rec:
-                # the moved row is the last of the (v+1)-cluster it joined
-                row = sum(x > v for x in arr.levels[m - 1])
-                events.append((time, m, row, v + 1))
+            events += [(time, m, row + 1, v + 1) for m, v, row in rec]
         if validate:
             arr.validate()
     take(float("inf"))
@@ -373,65 +383,73 @@ def rsk_top_level_ensemble(rates, t, tau, n_runs, seed) -> np.ndarray:
 class SetSystem:
     """V_1..V_n as complements within Z>=0 (everything present initially).
 
-    Level m is stored as its floor f = min V_m and the sparse set of
-    complement elements above f, so that the complement is [0, f) | extras.
+    The complement of V_m is kept as the sorted bounds [lo_0, hi_0, lo_1,
+    hi_1, ...] of disjoint, non-adjacent intervals [lo_j, hi_j), so that x is
+    missing from V_m exactly when bisect_right(bounds, x) is odd.  The bounds
+    of a set system are unique, so two systems are equal when their bounds
+    are.  On the states the dynamics reach, level m holds at most m
+    intervals (see `sets_from_array`).
     """
 
     def __init__(self, n_max: int, complements=None):
         self.n_max = n_max
-        if not complements:
+        if complements is None:
             complements = [()] * n_max
         if len(complements) != n_max:
             raise ValueError("need one complement per level")
-        self._floors = []
-        self._extras = []
+        self._bounds = []
         for comp in complements:
-            comp = set(map(int, comp))
-            if comp and min(comp) < 0:
+            xs = sorted(set(map(int, comp)))
+            if xs and xs[0] < 0:
                 raise ValueError("complements lie in Z>=0")
-            f = 0
-            while f in comp:
-                f += 1
-            self._floors.append(f)
-            self._extras.append({x for x in comp if x > f})
+            bounds: list = []
+            for x in xs:
+                if bounds and bounds[-1] == x:
+                    bounds[-1] = x + 1
+                else:
+                    bounds += (x, x + 1)
+            self._bounds.append(bounds)
 
     @classmethod
-    def _from_parts(cls, n_max, floors, extras) -> "SetSystem":
+    def _from_bounds(cls, n_max, bounds) -> "SetSystem":
         out = cls.__new__(cls)
-        out.n_max, out._floors, out._extras = n_max, floors, extras
+        out.n_max, out._bounds = n_max, bounds
         return out
 
     @property
     def complements(self) -> list:
         """The complement of each V_m as a plain set (a fresh copy)."""
-        return [set(range(f)) | e for f, e in zip(self._floors, self._extras)]
+        return [
+            {x for lo, hi in zip(b[0::2], b[1::2]) for x in range(lo, hi)}
+            for b in self._bounds
+        ]
 
     def copy(self) -> "SetSystem":
-        return SetSystem._from_parts(
-            self.n_max, list(self._floors), [set(e) for e in self._extras]
-        )
+        return SetSystem._from_bounds(self.n_max, [b[:] for b in self._bounds])
 
     def contains(self, level: int, x: int) -> bool:
-        return x >= self._floors[level - 1] and x not in self._extras[level - 1]
+        _check_level(level, self.n_max)
+        return x >= 0 and not bisect_right(self._bounds[level - 1], x) & 1
 
     def min_of(self, level: int) -> int:
-        return self._floors[level - 1]
+        _check_level(level, self.n_max)
+        b = self._bounds[level - 1]
+        return b[1] if b and b[0] == 0 else 0
 
     def h_count(self, r: int, m: int) -> int:
         """h^(r)(m) = #{l <= m : r in V_l}."""
+        _check_level(m, self.n_max)
         return sum(1 for l in range(1, m + 1) if self.contains(l, r))
 
     def __eq__(self, other):
         return (
             isinstance(other, SetSystem)
             and self.n_max == other.n_max
-            and self._floors == other._floors
-            and self._extras == other._extras
+            and self._bounds == other._bounds
         )
 
     def __repr__(self):
-        return (f"SetSystem(n_max={self.n_max}, floors={self._floors}, "
-                f"extras={self._extras})")
+        return f"SetSystem(n_max={self.n_max}, bounds={self._bounds})"
 
 
 def sets_apply_signal(sets: SetSystem, k: int, t: float, uniform,
@@ -443,64 +461,67 @@ def sets_apply_signal(sets: SetSystem, k: int, t: float, uniform,
     unchanged (mirroring the array-side row increments one for one).
     """
     _check_level(k, sets.n_max)
-    # the event changes levels k..n only, so the levels below share their sets
-    extras = sets._extras[:k - 1] + [set(e) for e in sets._extras[k - 1:]]
-    out = SetSystem._from_parts(sets.n_max, list(sets._floors), extras)
+    # the event changes levels k..n only, so the levels below share their bounds
+    bounds = sets._bounds[:k - 1] + [b[:] for b in sets._bounds[k - 1:]]
+    out = SetSystem._from_bounds(sets.n_max, bounds)
     _sets_signal_inplace(out, k, t, _as_uniform(uniform), record)
     return out
 
 
 def _sets_signal_inplace(sets: SetSystem, k: int, t: float, uniform, record=None):
-    floors, extras = sets._floors, sets._extras
-    i = floors[k - 1]
-    e = extras[k - 1]
-    f = i + 1
-    while f in e:
-        e.remove(f)
-        f += 1
-    floors[k - 1] = f
+    levels = sets._bounds
+    # i = min V_k leaves V_k: it ends the complement's interval from 0, or is 0
+    b = levels[k - 1]
+    if b and b[0] == 0:
+        i = b[1]
+        if len(b) > 2 and b[2] == i + 1:
+            del b[1:3]
+        else:
+            b[1] = i + 1
+    else:
+        i = 0
+        if b and b[0] == 1:
+            b[0] = 0
+        else:
+            b[0:0] = (0, 1)
     if record is not None:
         record.append((k, i))
     for m in range(k, sets.n_max):
-        f, e = floors[m], extras[m]
-        if i >= f and i not in e:
+        b = levels[m]
+        p = bisect_right(b, i)
+        if not p & 1:
+            # i in V_{m+1}: the level is crossed unchanged
             if record is not None:
                 record.append((m + 1, i))
             continue
-        j = i - 1
-        if j >= f and j not in e:
-            # d = h^(i) - h^(i-1) over levels 1..m+1 before the event.  Only
-            # the levels below m+1 are read: the event so far took its first
-            # i from level k and, at each push, put the current i back and
-            # took the next, so they held the current i once more before the
-            # event and i-1 as often, while level m+1 holds i-1 but not i
+        lo, hi = b[p - 1], b[p]
+        if lo == i >= 1:
+            # i-1 in V_{m+1}: rule 4b with d = h^(i) - h^(i-1) over levels
+            # 1..m+1 before the event.  Only the levels below m+1 are read:
+            # the event so far took its first i from level k and, at each
+            # push, put the current i back and took the next, so they held
+            # the current i once more before the event and i-1 as often,
+            # while level m+1 holds i-1 but not i.  A level adds one where
+            # i ends a complement interval and takes one where i starts one
             d = 0
-            for fl, el in zip(floors[:m], extras):
-                if i >= fl and i not in el:
-                    d += 1
-                if j >= fl and j not in el:
-                    d -= 1
+            for bl in levels[:m]:
+                q = bisect_left(bl, i)
+                if q < len(bl) and bl[q] == i:
+                    d += 1 if q & 1 else -1
             r_prob = (1.0 - t) / (1.0 - t ** (d + 1))
         else:
             r_prob = 1.0 - t
         if uniform() < r_prob:
-            # insert i and remove the next element of V_m above it
-            if i < f:
-                # the floor drops to i; the gap up to the old floor and the
-                # old floor itself stay out of V_m
-                e.update(range(i + 1, f + 1))
-                floors[m] = i
-                v = f
+            # i leaves [lo, hi), and the next element of V_{m+1} above it,
+            # hi, joins what is left above i: [lo, i) and [i+1, hi+1), the
+            # latter merged with the next interval when that starts at hi+1
+            if p + 1 < len(b) and b[p + 1] == hi + 1:
+                end, above = p + 2, [i + 1]
             else:
-                e.discard(i)
-                v = i + 1
-                while v in e:
-                    v += 1
-                e.add(v)
-            if record is not None:
-                record.append((m + 1, v))
-            i = v
-        elif record is not None:
+                end, above = p + 1, [i + 1, hi + 1]
+            b[p - 1:end] = [lo, i, *above] if lo < i else above
+            i = hi
+        if record is not None:
             record.append((m + 1, i))
 
 
@@ -518,71 +539,58 @@ def run_sets(rates, t: float, tau_max: float, seed: int) -> SetSystem:
 # bijection between the two state spaces
 
 
-def _level_floor_extras(lv, prev):
-    """Floor and extras of the complement of V_m from levels m and m-1.
-
-    i is missing from V_m iff #{x in lv : x > i} != #{x in prev : x > i},
-    for i below the top row lv[0].  Both counts stay constant between
-    consecutive row values, so the complement is a union of such runs.
-    """
-    top = lv[0]
-    cuts = sorted({x for x in (*lv, *prev) if x < top} | {0})
-    floor = None
-    extras = set()
-    for lo, hi in zip(cuts, cuts[1:] + [top]):
-        if sum(1 for x in lv if x > lo) == sum(1 for x in prev if x > lo):
-            if floor is None:
-                floor = lo
-        elif floor is not None:
-            extras.update(range(lo, hi))
-    return (top if floor is None else floor), extras
-
-
 def sets_from_array(array: PartitionArray) -> SetSystem:
-    """i in V_m  iff  #rows<=i of level m exceeds that of level m-1 by one."""
-    floors, extras = [], []
+    """i in V_m  iff  #rows<=i of level m exceeds that of level m-1 by one.
+
+    Equivalently i is missing from V_m iff lv[j] > i >= prev[j] for some row
+    j, with prev[m-1] = 0: the complement of V_m is the union of the row gaps
+    [prev[j], lv[j]), read from the last row up, the empty gaps left out and
+    the touching ones merged.  So level m holds at most m intervals.
+    """
+    levels = []
     prev: list = []
     for lv in array.levels:
-        f, e = _level_floor_extras(lv, prev)
-        floors.append(f)
-        extras.append(e)
+        bounds: list = []
+        for hi, lo in zip(reversed(lv), (0, *reversed(prev))):
+            if lo < hi:
+                if bounds and bounds[-1] == lo:
+                    bounds[-1] = hi
+                else:
+                    bounds += (lo, hi)
+        levels.append(bounds)
         prev = lv
-    return SetSystem._from_parts(array.n_max, floors, extras)
+    return SetSystem._from_bounds(array.n_max, levels)
 
 
 def array_from_sets(sets: SetSystem, n_max=None) -> PartitionArray:
     """Inverse of sets_from_array: col_j(m) = col_j(m-1) + 1{j-1 not in V_m}.
 
-    Row i of level m counts the x with c(x) = #{l <= m : x not in V_l} >= i.
-    The floors alone give c(x) >= i exactly for x below the i-th largest
-    floor; each extra x, below p(x) of the floors and in e(x) of the extras,
-    adds one to rows p(x)+1 .. p(x)+e(x).
+    Row j of level m ends the gap [prev[j], lv[j]) of `sets_from_array`: it
+    is the end of the complement interval that holds prev[j] (prev[j] itself
+    when V_m holds it), capped at prev[j-1], where two touching gaps merged.
     """
     if n_max is None:
         n_max = sets.n_max
     if not 0 <= n_max <= sets.n_max:
         raise ValueError(f"n_max {n_max} outside the {sets.n_max} tracked levels")
-    mult: dict = {}
     levels = []
-    for m in range(n_max):
-        for x in sets._extras[m]:
-            mult[x] = mult.get(x, 0) + 1
-        floors = sorted(sets._floors[:m + 1], reverse=True)
-        lv = list(floors)
-        for x, e in mult.items():
-            p = sum(1 for f in floors if f > x)
-            for row in range(p, p + e):
-                lv[row] += 1
+    prev: list = []
+    for bounds in sets._bounds[:n_max]:
+        lv = []
+        cap = float("inf")
+        for lo in (*prev, 0):
+            p = bisect_right(bounds, lo)
+            lv.append(min(bounds[p] if p & 1 else lo, cap))
+            cap = lo
         levels.append(lv)
+        prev = lv
     return PartitionArray(n_max, levels)
 
 
 def counter_partition(sets: SetSystem, m: int) -> tuple:
     """(m - h^(0), m - h^(1), ...): the conjugate of the level-m partition."""
-    top = max(  # largest missing element, -1 when no level misses one
-        (max(e) if e else f - 1 for f, e in zip(sets._floors, sets._extras)),
-        default=-1,
-    )
+    # the largest missing element, -1 when no level misses one
+    top = max((b[-1] - 1 for b in sets._bounds if b), default=-1)
     vals = [m - sets.h_count(r, m) for r in range(0, top + 2)]
     return pt.strip_zeros(tuple(vals))
 

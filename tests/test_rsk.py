@@ -268,6 +268,87 @@ def test_batch_step_runs_do_not_depend_on_the_block(n, t, runs, cuts):
         assert np.array_equal(piece, whole[:, :, lo:hi]), (lo, hi)
 
 
+def _counting_signal(levels, n_max, k, t, uniform, record):
+    """Reference event rule: counts the rows above and at ival of both levels
+    at every level it reaches, and finds the moved row by value."""
+    ival = rsk._first_free_row(levels[k - 1], levels[k - 2] if k > 1 else (), 0)
+    lv = levels[k - 1]
+    lv[lv.index(ival)] += 1
+    record.append((k, ival))
+    for m in range(k + 1, n_max + 1):
+        upper, lower = levels[m - 1], levels[m - 2]
+        # rows above and at ival of both levels in one pass; upper has one
+        # row more than lower, read after the loop
+        up_above = up_at = low_above = low_at = 0
+        for x, y in zip(upper, lower):
+            if x > ival:
+                up_above += 1
+            elif x == ival:
+                up_at += 1
+            if y > ival:
+                low_above += 1
+            elif y == ival:
+                low_at += 1
+        x = upper[-1]
+        if x > ival:
+            up_above += 1
+        elif x == ival:
+            up_at += 1
+        # the level below already moved a row from ival to ival+1, so its
+        # pre-event column ival+1 is one less than the current count
+        if up_above == low_above - 1:
+            w = ival
+        else:
+            if ival >= 1 and up_above + up_at == low_above + low_at:
+                r_prob = (1.0 - t) / (1.0 - t ** (up_at + 1))
+            else:
+                r_prob = 1.0 - t
+            if uniform() < r_prob:
+                # the search starts at ival+1, where the row of level m-1
+                # that moved from ival to ival+1 counts as it did before
+                w = rsk._first_free_row(upper, lower, ival + 1)
+            else:
+                w = ival
+        upper[upper.index(w)] += 1
+        record.append((m, w))
+        ival = w
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.floats(0.0, 0.95),
+    st.lists(st.tuples(st.integers(1, 6), _coins), max_size=80),
+    st.integers(0, 2**32 - 1),
+)
+def test_row_local_rule_matches_counting_reference(n, t, signals, seed):
+    """The row-local event rule equals the counting rule state for state and
+    record for record, and the row it reports is the one that moved: the
+    last row above the value it moved from.  run_rsk's event rows, which
+    come from those reports, equal the rescan of the level."""
+    levels = [[0] * m for m in range(1, n + 1)]
+    ref = [[0] * m for m in range(1, n + 1)]
+    for k, buf in signals:
+        k = min(k, n)
+        rec, rec_ref = [], []
+        rsk._apply_signal_inplace(levels, n, k, t, iter(buf).__next__, rec)
+        _counting_signal(ref, n, k, t, iter(buf).__next__, rec_ref)
+        assert levels == ref
+        assert [(m, v) for m, v, _ in rec] == rec_ref
+        for m, v, row in rec:
+            assert row == sum(x > v for x in levels[m - 1]) - 1
+            assert levels[m - 1][row] == v + 1
+    # the level clock needs t > 0; about len(signals) events
+    events: list = []
+    traj = rsk.run_rsk([1.0] * n, max(t, 0.01), len(signals) / n, seed, events=events)
+    replay = [[0] * m for m in range(1, n + 1)]
+    for _, m, row, new in events:
+        lv = replay[m - 1]
+        lv[row - 1] = new
+        assert row == sum(x > new - 1 for x in lv)
+    assert replay == traj[-1][1].levels
+
+
 def test_seeded_ensemble_streams_are_pinned():
     rates, t = [1.0, 0.7, 0.4], 0.42
     cols = rsk.rsk_first_column_ensemble(rates, t, [0.4, 0.9, 1.7], 200, 99)
@@ -528,6 +609,24 @@ _complement_lists = st.integers(1, 6).flatmap(
 )
 
 
+@pytest.mark.parametrize("level", [0, -1, 4])
+def test_level_reads_outside_range_raise(level):
+    """Level 0 and -1 must not index the top level from the end."""
+    sets = rsk.SetSystem(3, [{0}, {1}, {0, 2}])
+    arr = rsk.PartitionArray(3, [[2], [2, 1], [3, 1, 0]])
+    reads = [lambda: sets.contains(level, 0), lambda: sets.min_of(level),
+             lambda: sets.h_count(0, level), lambda: arr.level(level)]
+    for read in reads:
+        with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+            read()
+
+
+@pytest.mark.parametrize("comps", [[], [set()], [set()] * 4])
+def test_set_system_needs_one_complement_per_level(comps):
+    with pytest.raises(ValueError, match="one complement per level"):
+        rsk.SetSystem(3, comps)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_complement_lists)
 def test_complements_round_trip(comps):
@@ -631,6 +730,21 @@ def test_set_stepper_matches_plain_set_reference_and_array(n, t, signals):
         assert sets == rsk.SetSystem(n, comps)
         assert rsk.sets_from_array(arr) == sets
         assert rsk.array_from_sets(sets) == arr
+
+
+def test_set_levels_stay_at_most_m_intervals():
+    """In the setting of the timing test below, after every one of 10^4
+    events the complement of V_m is at most m intervals, kept as strictly
+    increasing bounds, while the values themselves grow past a thousand."""
+    rng = np.random.default_rng(108)
+    sets = rsk.SetSystem(6)
+    for _ in range(10_000):
+        k, buf = int(rng.integers(1, 7)), list(rng.random(6))
+        rsk._sets_signal_inplace(sets, k, 0.38, iter(buf).__next__)
+        for m, bounds in enumerate(sets._bounds, start=1):
+            assert len(bounds) % 2 == 0 and len(bounds) <= 2 * m, (m, bounds)
+            assert all(x < y for x, y in zip(bounds, bounds[1:])), (m, bounds)
+    assert max(b[-1] for b in sets._bounds) > 1000
 
 
 def test_set_step_cost_stays_flat_in_event_count():
