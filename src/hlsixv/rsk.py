@@ -28,9 +28,9 @@ under the bijection col_{j}(level m) = col_j(level m-1) + 1{j-1 not in V_m}.
 Under it the complement of V_m is the union of the row gaps [prev[j], lv[j])
 of levels m-1 and m (prev[m-1] = 0), so it is at most m intervals however
 far the rows have grown, and `SetSystem` stores it as the sorted bounds of
-those intervals.  An event reads and rewrites bounds, never runs of values:
-it costs O(m log m) per level it crosses, whatever the number of events so
-far, and so do a copy and the bijection.
+those intervals.  An event reads and rewrites bounds, never runs of values,
+at O(m log m) per level it crosses; neither its cost nor that of a copy or
+of the bijection grows with the number of events so far.
 
 The array stepper works at the row an event moved.  The row r of level
 m-1 that moved from ival to ival+1 splits level m by interlacing: its rows
