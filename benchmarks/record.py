@@ -11,7 +11,9 @@ parent commit as "parent") the record holds:
   tier-1 suite (`python -m pytest -q --continue-on-collection-errors` with
   src on the path, and `-rf` for the `FAILED <id>` lines);
 - each acceptance criterion's time against its budget, read from the line
-  tests/test_acceptance.py prints for it during that tier-1 run.
+  tests/test_acceptance.py prints for it during that tier-1 run;
+- the wall time and exit code of the desk battery, `python -m hlsixv.cli
+  verify all --seed 42` with src on the path.
 
 It also records the machine: Python, numpy and scipy versions, core count,
 CPU model and whether numba imports.  With two sides, every measurement runs
@@ -89,17 +91,32 @@ def deskbench(side: Path, workload: str, seconds: float, trace: int) -> dict:
     return json.loads(proc.stdout.splitlines()[-1], parse_constant=reject)
 
 
-def tier1(side: Path) -> dict:
-    """Wall time and counts of the tier-1 suite, and the acceptance lines."""
+def src_env(side: Path) -> dict:
+    """The environment with the side's src first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(side / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def verify_all(side: Path) -> dict:
+    """Wall time and exit code of the desk battery through the CLI."""
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "hlsixv.cli", "verify", "all", "--seed", "42"],
+        cwd=side, env=src_env(side), capture_output=True, text=True, timeout=3600,
+    )
+    return {"wall_s": time.perf_counter() - t0, "exit_code": proc.returncode}
+
+
+def tier1(side: Path) -> dict:
+    """Wall time and counts of the tier-1 suite, and the acceptance lines."""
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-s", "-rf", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"],
-        cwd=side, env=env, capture_output=True, text=True, timeout=3600,
+        cwd=side, env=src_env(side), capture_output=True, text=True, timeout=3600,
     )
     wall = time.perf_counter() - t0
     lines = proc.stdout.splitlines()
@@ -146,7 +163,8 @@ def main(argv=None) -> int:
                   for name, path in sides.items()},
     }
 
-    jobs = [(w, trace) for trace in (0, 1) for w in workloads] + [("tier1", None)]
+    jobs = [(w, trace) for trace in (0, 1) for w in workloads]
+    jobs += [("tier1", None), ("verify_all", None)]
     for n, (what, trace) in enumerate(jobs):
         order = list(sides.items())
         if n % 2:
@@ -156,6 +174,8 @@ def main(argv=None) -> int:
             side = record["sides"][name]
             if what == "tier1":
                 side["tier1"] = tier1(path)
+            elif what == "verify_all":
+                side["verify_all"] = verify_all(path)
             else:
                 result = deskbench(path, what, seconds, trace)
                 side["deskbench"][what][f"trace{trace}"] = result

@@ -111,15 +111,17 @@ def _lockstep_ensemble(rates, t, taus, n_runs, seed, start, observe, step):
     axis; observe(state) gives the record of each run of a state, runs on
     its first axis; and step(state, level, coins) applies one event to every
     run of state, run r at level[r] in 1..n reading the coin row coins[r] of
-    a [runs, n] matrix.  Times that are negative or not finite, or more
-    expected rings than MAX_EXPECTED_RINGS over all runs, raise ValueError
-    before any draw.  The runs of a block step in lockstep.  Each step draws
-    the waiting times of the block's live runs at once, records every tau a
-    run passes in one scatter, drops the runs whose next event falls past
-    the last tau, and steps the others after one level uniform and one row
-    of n coins each, in that order.
+    a [runs, n] matrix.  Fewer than one run, times that are negative or not
+    finite, or more expected rings than MAX_EXPECTED_RINGS over all runs,
+    raise ValueError before any draw.  The runs of a block step in
+    lockstep.  Each step draws the waiting times of the block's live runs at
+    once, records every tau a run passes in one scatter, drops the runs
+    whose next event falls past the last tau, and steps the others after
+    one level uniform and one row of n coins each, in that order.
     """
     n, cum, total = _level_clock(rates, t)
+    if n_runs < 1:
+        raise ValueError(f"need at least one run, got {n_runs}")
     # a nan or inf time is the horizon np.max gives, refused as not finite
     _check_horizon(total, float(np.max(taus, initial=0.0)), n_runs)
     if not np.all(taus >= 0.0):

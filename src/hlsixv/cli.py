@@ -5,14 +5,17 @@ rsk, verify.  All randomness derives from one master seed (--seed, or the
 HLSIXV_SEED environment variable) split per command through
 numpy.random.SeedSequence([master, crc32(command-tag)]); identical
 (config, seed) pairs therefore produce byte-identical JSON up to the
-explicitly timing-valued fields (runtime).  --config FILE.json overrides any
-flag by destination name.  Exit codes: 0 success, 1 a verification check
-failed, 2 usage or configuration error.
+explicitly timing-valued fields (runtime).  --config FILE.json gives flags
+by destination name, parsed after the command line so that they win over it.
+--format csv is offered by the actions in CSV_COLUMNS only.  Exit codes: 0
+success, 1 a verification check failed, 2 usage or configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -27,7 +30,6 @@ from . import rsk
 from . import six_vertex as sv
 from . import tboson as tb
 from . import verify as vf
-from .distributions import key_to_str
 
 
 def _floats(s: str) -> tuple:
@@ -48,26 +50,29 @@ def split_seed(master: int, tag: str) -> int:
     return int(ss.generate_state(1)[0])
 
 
+# the columns of each action with a CSV form, one row per sample or event
+CSV_COLUMNS = {
+    ("hl", "sample"): ("sample", "sequence"),
+    ("sixv", "sample"): ("sample", "state_hash", "nu", "heights"),
+    ("rsk", "run"): ("time", "level", "row", "new_value"),
+    ("rsk", "pushtasep"): ("time", "clock_site", "src", "dst"),
+}
+
+
 def _emit(payload, args) -> None:
+    buf = io.StringIO()
     if getattr(args, "format", "json") == "csv":
-        rows = payload if isinstance(payload, list) else [payload]
-        lines = []
-        if rows and isinstance(rows[0], dict):
-            cols = list(rows[0])
-            lines.append(",".join(cols))
-            for r in rows:
-                lines.append(",".join(str(r[c]) for c in cols))
-        else:
-            lines = [",".join(str(v) for v in r) for r in rows]
-        text = "\n".join(lines) + "\n"
+        writer = csv.DictWriter(buf, CSV_COLUMNS[args.command, args.action],
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(payload)
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w") as f:
-            f.write(text)
+        buf.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    if args.output:
+        with open(args.output, "w") as f:
+            f.write(buf.getvalue())
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(buf.getvalue())
 
 
 def _signs(S, M, N) -> tuple:
@@ -94,13 +99,9 @@ def _cmd_partition(args):
     }
 
 
-def _hl_spec(args) -> hl.HLProcessSpec:
-    a, b = _floats(args.a), _floats(args.b)
-    return hl.HLProcessSpec(t=args.t, a=a, b=b, S=_signs(args.S, len(a), len(b)))
-
-
 def _cmd_hl(args):
-    spec = _hl_spec(args)
+    a, b = _floats(args.a), _floats(args.b)
+    spec = hl.HLProcessSpec(t=args.t, a=a, b=b, S=_signs(args.S, len(a), len(b)))
     if args.action == "pi":
         return 0, {"pi": hl.normalization_pi(spec)}
     cap = args.row_cap or hl.row_cap(spec)
@@ -126,17 +127,6 @@ def _cmd_hl(args):
     return 0, rows
 
 
-def _sv_params(args) -> tuple:
-    a, b = _floats(args.a), _floats(args.b)
-    if getattr(args, "native", False):
-        params = sv.SixVertexParams.from_native(args.t, a, b)
-        meta = {"converted_from_native": {"Q": args.t, "xi": list(a), "u": list(b)}}
-    else:
-        params = sv.SixVertexParams(t=args.t, a=a, b=b)
-        meta = {}
-    return params, meta
-
-
 def _cmd_sixv(args):
     if args.action == "halfcont":
         rates = _floats(args.rates)
@@ -155,22 +145,21 @@ def _cmd_sixv(args):
         return 0, {"query_times": list(taus), "heights": heights.tolist()}
     if not args.a or not args.b:
         raise ValueError(f"sixv {args.action} requires --a and --b")
-    params, meta = _sv_params(args)
+    a, b = _floats(args.a), _floats(args.b)
+    if args.native:
+        params = sv.SixVertexParams.from_native(args.t, a, b)
+        meta = {"converted_from_native": {"Q": args.t, "xi": list(a), "u": list(b)}}
+    else:
+        params = sv.SixVertexParams(t=args.t, a=a, b=b)
+        meta = {}
     M, N = len(params.a), len(params.b)
-    if args.M is not None and args.M != M:
-        raise ValueError(f"--M {args.M} disagrees with {M} column parameters")
-    if args.N is not None and args.N != N:
-        raise ValueError(f"--N {args.N} disagrees with {N} row parameters")
     domain = sv.JaggedDomain(M, N, _signs(args.S, M, N))
     if args.action == "exact":
-        out = sv.exact_outgoing_distribution(params, domain).to_json_dict()
-        out.update(meta)
-        return 0, out
+        dist = sv.exact_outgoing_distribution(params, domain)
+        return 0, {**dist.to_json_dict(), **meta}
     if args.action == "heights":
-        points = _points(args.points)
-        out = sv.exact_joint_height_distribution(params, domain, points).to_json_dict()
-        out.update(meta)
-        return 0, out
+        dist = sv.exact_joint_height_distribution(params, domain, _points(args.points))
+        return 0, {**dist.to_json_dict(), **meta}
     # sample
     rng = np.random.default_rng(split_seed(args.seed, "sixv.sample"))
     cut = domain.cut_points()[1 : M + N]
@@ -215,8 +204,6 @@ def _cmd_tboson(args):
 def _cmd_moments(args):
     ms = _ints(args.m)
     k = len(ms)
-    if args.k is not None and args.k != k:
-        raise ValueError(f"--k {args.k} disagrees with {k} entries in --m")
     a, b = _floats(args.a), _floats(args.b)
     if args.action == "hl":
         return 0, mo.hl_moment(k, ms, args.N, args.t, a, b, tol=args.tol, full=True)
@@ -235,26 +222,18 @@ def _cmd_rsk(args):
         if args.format == "csv":
             events: list = []
             rsk.run_rsk(rates, args.t, args.tmax, seedv, snaps, events=events)
-            return 0, [
-                {"time": e[0], "level": e[1], "row": e[2], "new_value": e[3]}
-                for e in events
-            ]
+            return 0, [dict(zip(CSV_COLUMNS["rsk", "run"], e)) for e in events]
         traj = rsk.run_rsk(rates, args.t, args.tmax, seedv, snaps)
         return 0, [
             {"tau": tau, "levels": [list(l) for l in arr.levels]} for tau, arr in traj
         ]
     if args.action == "pushtasep":
         events, state = rsk.run_pushtasep(rates, args.t, args.tmax, seedv)
-        rows = [
-            {"time": e[0], "clock_site": e[1], "src": e[2], "dst": e[3]}
-            for e in events
-        ]
+        rows = [dict(zip(CSV_COLUMNS["rsk", "pushtasep"], e)) for e in events]
         if args.format == "csv":
             return 0, rows
-        return 0, {
-            "events": rows,
-            "occupied": [i + 1 for i, o in enumerate(state.occupied) if o],
-        }
+        occupied = [i + 1 for i, o in enumerate(state.occupied) if o]
+        return 0, {"events": rows, "occupied": occupied}
     sets = rsk.run_sets(rates, args.t, args.tmax, seedv)
     return 0, {
         "complements": [sorted(c) for c in sets.complements],
@@ -263,9 +242,8 @@ def _cmd_rsk(args):
 
 
 def _cmd_verify(args):
-    seed = args.seed
     if args.action == "all":
-        reports = vf.run_all(level=args.level, seed=split_seed(seed, "verify.all"))
+        reports = vf.run_all(seed=split_seed(args.seed, "verify.all"))
     elif args.action in ("support", "height"):
         check = vf.check_support_match if args.action == "support" else vf.check_height_match
         a, b = _floats(args.a), _floats(args.b)
@@ -281,14 +259,14 @@ def _cmd_verify(args):
         reports = [
             vf.check_rsk_field(
                 _floats(args.rates), args.t, _floats(args.taus), args.samples,
-                split_seed(seed, "verify.rsk"),
+                split_seed(args.seed, "verify.rsk"),
             )
         ]
     else:
         reports = [
             vf.check_plancherel_marginal(
                 _floats(args.rates), args.t, args.tau, args.level_n, args.K,
-                args.samples, split_seed(seed, "verify.plancherel"),
+                args.samples, split_seed(args.seed, "verify.plancherel"),
             )
         ]
     sys.stderr.write(vf.summarize(reports) + "\n")
@@ -301,21 +279,23 @@ def _cmd_verify(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="hlsixv", description=__doc__)
-    p.add_argument("--config", help="JSON file whose entries override flags")
+    # each parser matches flags whole, so that no flag, removed or unknown,
+    # is read as an abbreviation of another
+    p = argparse.ArgumentParser(prog="hlsixv", description=__doc__, allow_abbrev=False)
+    p.add_argument("--config", help="JSON file of flags, parsed after the others")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=True, fmt=True):
+    # a string default goes through type=int, so a bad HLSIXV_SEED is a usage error
+    env_seed = os.environ.get("HLSIXV_SEED", "0")
+
+    def common(sp, seed=True, fmt=False):
         sp.add_argument("--output", help="write payload here instead of stdout")
         if fmt:
             sp.add_argument("--format", choices=["json", "csv"], default="json")
         if seed:
-            sp.add_argument(
-                "--seed", type=int,
-                default=int(os.environ.get("HLSIXV_SEED", "0")),
-            )
+            sp.add_argument("--seed", type=int, default=env_seed)
 
-    sp = sub.add_parser("partition")
+    sp = sub.add_parser("partition", allow_abbrev=False)
     sp.add_argument("action", choices=["conjugate", "from-string", "to-string"])
     sp.add_argument("--parts", default="")
     sp.add_argument("--signs", default="")
@@ -324,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, seed=False)
     sp.set_defaults(func=_cmd_partition)
 
-    sp = sub.add_parser("hl")
+    sp = sub.add_parser("hl", allow_abbrev=False)
     sp.add_argument("action", choices=["pi", "exact", "support", "sample"])
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--a", required=True)
@@ -332,15 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--S", default=None)
     sp.add_argument("--row-cap", dest="row_cap", type=int, default=None)
     sp.add_argument("--samples", type=int, default=1)
-    common(sp)
+    common(sp, fmt=True)
     sp.set_defaults(func=_cmd_hl)
 
-    sp = sub.add_parser("sixv")
-    sp.add_argument(
-        "action", choices=["exact", "sample", "heights", "halfcont"]
-    )
-    sp.add_argument("--M", type=int, default=None)
-    sp.add_argument("--N", type=int, default=None)
+    sp = sub.add_parser("sixv", allow_abbrev=False)
+    sp.add_argument("action", choices=["exact", "sample", "heights", "halfcont"])
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--a", default="")
     sp.add_argument("--b", default="")
@@ -352,10 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tmax", type=float, default=None)
     sp.add_argument("--query", default="")
     sp.add_argument("--samples", type=int, default=1)
-    common(sp)
+    common(sp, fmt=True)
     sp.set_defaults(func=_cmd_sixv)
 
-    sp = sub.add_parser("tboson")
+    sp = sub.add_parser("tboson", allow_abbrev=False)
     sp.add_argument("action", choices=["yb", "exchange", "rowelem"])
     sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--draws", type=int, default=100)
@@ -370,9 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=_cmd_tboson)
 
-    sp = sub.add_parser("moments")
+    sp = sub.add_parser("moments", allow_abbrev=False)
     sp.add_argument("action", choices=["hl", "sixv", "match"])
-    sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--m", required=True, help="m_1,m_2,... non-increasing")
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--t", type=float, required=True)
@@ -382,20 +357,19 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, seed=False)
     sp.set_defaults(func=_cmd_moments)
 
-    sp = sub.add_parser("rsk")
+    sp = sub.add_parser("rsk", allow_abbrev=False)
     sp.add_argument("action", choices=["run", "pushtasep", "sets"])
     sp.add_argument("--rates", required=True)
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--tmax", type=float, required=True)
     sp.add_argument("--snapshots", default="")
-    common(sp)
+    common(sp, fmt=True)
     sp.set_defaults(func=_cmd_rsk)
 
-    sp = sub.add_parser("verify")
+    sp = sub.add_parser("verify", allow_abbrev=False)
     sp.add_argument(
         "action", choices=["all", "support", "height", "moments", "rsk", "plancherel"]
     )
-    sp.add_argument("--level", default="desk")
     sp.add_argument("--t", type=float, default=0.5)
     sp.add_argument("--a", default="0.4")
     sp.add_argument("--b", default="0.4")
@@ -414,23 +388,39 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _config_flags(path) -> list:
+    """The entries of a --config file as flags: {"row_cap": 8} gives
+    --row-cap=8, and true the bare switch.  ValueError for a file that is not
+    one JSON object, or a value that is not a string, a number or true."""
+    try:
+        with open(path) as f:
+            entries = json.load(f)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"config: {exc}") from None
+    if not isinstance(entries, dict):
+        raise ValueError("config: need one JSON object")
+    flags = []
+    for key, val in entries.items():
+        flag = "--" + key.replace("_", "-")
+        if type(val) not in (str, int, float) and val is not True:
+            raise ValueError(f"config: {key!r} is {json.dumps(val)}, "
+                             "not a string, a number or true")
+        flags.append(flag if val is True else f"{flag}={val}")
+    return flags
+
+
 def parse_and_dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    if args.config:
-        try:
-            with open(args.config) as f:
-                overrides = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            sys.stderr.write(f"config error: {exc}\n")
-            return 2
-        for key, val in overrides.items():
-            setattr(args, key, val)
-    try:
+        if args.config:  # once more, with the file's entries after argv
+            args = parser.parse_args([*argv, *_config_flags(args.config)])
+        csv_asked = getattr(args, "format", "json") == "csv"
+        if csv_asked and (args.command, args.action) not in CSV_COLUMNS:
+            raise ValueError(f"{args.command} {args.action} has no csv format")
         code, payload = args.func(args)
+    except SystemExit as exc:  # argparse printed a usage error, or the help
+        return 2 if exc.code not in (0, None) else 0
     except (ValueError, mo.QuadratureError, hl.TruncationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

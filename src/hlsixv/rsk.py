@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import isfinite
 
 import numpy as np
@@ -588,11 +589,16 @@ def array_from_sets(sets: SetSystem, n_max=None) -> PartitionArray:
 
 
 def counter_partition(sets: SetSystem, m: int) -> tuple:
-    """(m - h^(0), m - h^(1), ...): the conjugate of the level-m partition."""
-    # the largest missing element, -1 when no level misses one
-    top = max((b[-1] - 1 for b in sets._bounds if b), default=-1)
-    vals = [m - sets.h_count(r, m) for r in range(0, top + 2)]
-    return pt.strip_zeros(tuple(vals))
+    """(m - h^(0), m - h^(1), ...): the conjugate of the level-m partition,
+    where m - h^(r)(m) counts the complements of levels 1..m that hold r."""
+    _check_level(m, sets.n_max)
+    levels = sets._bounds[:m]
+    diff = [0] * (max((b[-1] for b in levels if b), default=0) + 1)
+    for b in levels:
+        for lo, hi in zip(b[0::2], b[1::2]):
+            diff[lo] += 1
+            diff[hi] -= 1
+    return pt.strip_zeros(tuple(accumulate(diff)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ def run(capsys, *argv):
 
 def test_sixv_exact_example(capsys):
     code, out, _ = run(
-        capsys, "sixv", "exact", "--M", "1", "--N", "1",
-        "--t", "0.25", "--a", "0.5", "--b", "0.5",
+        capsys, "sixv", "exact", "--t", "0.25", "--a", "0.5", "--b", "0.5",
     )
     assert code == 0
     payload = json.loads(out)
@@ -361,6 +360,19 @@ def test_env_var_default_seed(capsys, monkeypatch):
     assert out_env == out_flag
 
 
+def test_env_var_seed_that_is_no_int_exits_2(capsys, monkeypatch):
+    """A bad HLSIXV_SEED is a usage error, where it used to end in a
+    traceback with exit 1; --seed still takes precedence over it."""
+    monkeypatch.setenv("HLSIXV_SEED", "x")
+    argv = ("hl", "sample", "--t", "0.3", "--a", "0.4", "--b", "0.4")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "argument --seed: invalid int value: 'x'" in err
+    code, _, _ = run(capsys, *argv, "--seed", "3")
+    assert code == 0
+
+
 def test_config_overrides_flags(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"t": 0.25}))
@@ -396,16 +408,16 @@ def test_halfcont_cli(capsys):
 
 @pytest.mark.parametrize("shape,expected", [
     (("--a", "0.5,0.35", "--b", "0.5,0.4"), [
-        "0,2990593004,[],[2, 2, 1]",
-        "1,861771716,[2, 2],[1, 0, 0]",
-        "2,2990593004,[],[2, 2, 1]",
-        "3,1567037624,[2],[2, 1, 0]",
+        '0,2990593004,[],"[2, 2, 1]"',
+        '1,861771716,"[2, 2]","[1, 0, 0]"',
+        '2,2990593004,[],"[2, 2, 1]"',
+        '3,1567037624,[2],"[2, 1, 0]"',
     ]),
     (("--a", "0.5,0.35,0.4", "--b", "0.5,0.4,0.3", "--S", "+-++--"), [
-        "0,3069354216,[3, 2],[3, 2, 1, 1, 0]",
-        "1,2488836479,[3, 1],[3, 2, 2, 1, 0]",
-        "2,2323557871,[3, 2, 2],[2, 1, 1, 1, 0]",
-        "3,2906167309,[2, 2, 2],[2, 1, 1, 1, 1]",
+        '0,3069354216,"[3, 2]","[3, 2, 1, 1, 0]"',
+        '1,2488836479,"[3, 1]","[3, 2, 2, 1, 0]"',
+        '2,2323557871,"[3, 2, 2]","[2, 1, 1, 1, 0]"',
+        '3,2906167309,"[2, 2, 2]","[2, 1, 1, 1, 1]"',
     ]),
 ])
 def test_sixv_sample_csv_is_pinned(capsys, shape, expected):
@@ -553,3 +565,176 @@ def test_moments_ignore_the_b_beyond_N(capsys, side, argv):
     code, out, _ = run(capsys, *base[:-1], argv[-1] + "," + unused)
     assert code == 0
     assert json.loads(out) == json.loads(ref)
+
+
+def _actions():
+    """Every (command, action) pair of the parser, with its subparser."""
+    import argparse
+
+    from hlsixv.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, sp in sub.choices.items():
+        action = next(a for a in sp._actions if a.dest == "action")
+        for name in action.choices:
+            yield command, name, sp
+
+
+# the flags each command requires, at values every action of it can run
+REQUIRED = {
+    "hl": ("--t", "0.3", "--a", "0.4", "--b", "0.4"),
+    "sixv": ("--t", "0.3", "--a", "0.4", "--b", "0.4"),
+    "moments": ("--m", "1", "--N", "1", "--t", "0.5", "--a", "0.4", "--b", "0.4"),
+    "rsk": ("--rates", "1,0.5", "--t", "0.4", "--tmax", "1"),
+}
+CSV_ACTIONS = {("hl", "sample"), ("sixv", "sample"), ("rsk", "run"),
+               ("rsk", "pushtasep")}
+
+
+@pytest.mark.parametrize("command, action", [
+    (c, a) for c, a, _ in _actions() if (c, a) not in CSV_ACTIONS
+])
+def test_csv_format_without_a_csv_form_exits_2(capsys, monkeypatch, command, action):
+    """--format csv on an action with no CSV form exits 2 before its handler
+    runs, where it used to print Python reprs and exit 0."""
+    from hlsixv import cli
+
+    def no_work(args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setattr(cli, f"_cmd_{command}", no_work)
+    code, out, err = run(capsys, command, action, *REQUIRED.get(command, ()),
+                         "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "csv" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("hl", "sample", "--t", "0.3", "--a", "0.4,0.3", "--b", "0.4,0.3",
+     "--samples", "5", "--seed", "11"),
+    ("sixv", "sample", "--t", "0.35", "--a", "0.5,0.35", "--b", "0.5,0.4",
+     "--samples", "4", "--seed", "5"),
+    ("rsk", "run", "--rates", "1.0,0.5", "--t", "0.4", "--tmax", "2", "--seed", "2"),
+    ("rsk", "pushtasep", "--rates", "1,0.8,0.6,1.2", "--t", "0.35", "--tmax", "1.5",
+     "--seed", "5"),
+], ids=lambda argv: " ".join(argv[:2]))
+def test_csv_rows_parse_at_the_header_width(capsys, argv):
+    """Each row of the four CSV actions reads back as many cells as the
+    header, and the cells of sixv and hl sample hold their JSON."""
+    import csv
+
+    assert tuple(argv[:2]) in CSV_ACTIONS
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(out.splitlines())
+    assert len(rows) >= 4
+    assert all(len(row) == len(header) for row in rows)
+    for row in rows:
+        for col in ("sequence", "nu", "heights"):
+            if col in header:
+                assert isinstance(json.loads(row[header.index(col)]), list)
+
+
+def test_csv_pushtasep_writes_null_src_and_dst_as_empty_cells(capsys):
+    code, out, _ = run(capsys, "rsk", "pushtasep", "--rates", "1,1,1", "--t", "0.6",
+                       "--tmax", "1", "--seed", "3", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[:3] == ["time,clock_site,src,dst",
+                                    "0.07909526904767232,1,1,",
+                                    "0.3038391797356628,1,,"]
+
+
+def test_csv_with_no_rows_still_has_its_header(capsys):
+    code, out, _ = run(capsys, "rsk", "run", "--rates", "1,0.5", "--t", "0.4",
+                       "--tmax", "1e-9", "--format", "csv")
+    assert code == 0
+    assert out == "time,level,row,new_value\n"
+
+
+def test_every_flag_is_its_destination():
+    """A config key names a flag by destination: --dest with - for _."""
+    for _, _, sp in _actions():
+        for action in sp._actions:
+            for opt in action.option_strings:
+                if opt.startswith("--") and opt != "--help":
+                    assert opt == "--" + action.dest.replace("_", "-")
+
+
+def _with_config(tmp_path, entries):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entries))
+    return ("--config", str(cfg))
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({"tt": 0.9}, "unrecognized arguments: --tt=0.9"),
+    ({"action": "bogus"}, "unrecognized arguments: --action=bogus"),
+    ({"t": "x"}, "argument --t: invalid float value: 'x'"),
+    ({"output": None}, "'output' is null, not a string, a number or true"),
+    ({"row_cap": False}, "'row_cap' is false"),
+    ({"a": [0.5]}, "'a' is [0.5]"),
+    ({"t": True}, "argument --t: expected one argument"),
+    ({"samp": 3}, "unrecognized arguments: --samp=3"),
+], ids=["unknown", "positional", "ill-typed", "null", "false", "list", "switch",
+        "abbreviation"])
+def test_config_entries_that_are_no_flag_exit_2(capsys, tmp_path, entries, message):
+    """An entry that the same flag would refuse exits 2, where an unknown key
+    used to be ignored, {"action": "bogus"} to run hl sample, and an ill-typed
+    value to end in a traceback."""
+    code, out, err = run(capsys, *_with_config(tmp_path, entries), "hl", "pi",
+                         "--t", "0.3", "--a", "0.4", "--b", "0.4")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert message in err
+
+
+@pytest.mark.parametrize("entries, flags", [
+    ({"t": "0.3"}, ("--t", "0.3")),
+    ({"a": 0.5}, ("--a", "0.5")),
+    ({"row_cap": 6, "a": "0.4,0.3"}, ("--row-cap", "6", "--a", "0.4,0.3")),
+])
+def test_config_entries_act_as_their_flags(capsys, tmp_path, entries, flags):
+    argv = ("hl", "support", "--t", "0.25", "--a", "0.2", "--b", "0.4")
+    code, out, _ = run(capsys, *_with_config(tmp_path, entries), *argv)
+    assert code == 0
+    code, expected, _ = run(capsys, *argv, *flags)
+    assert code == 0
+    assert out == expected
+
+
+def test_config_true_is_the_bare_switch(capsys, tmp_path):
+    argv = ("sixv", "exact", "--t", "0.25", "--a", "2", "--b", "8")
+    code, out, _ = run(capsys, *_with_config(tmp_path, {"native": True}), *argv)
+    assert code == 0
+    code, expected, _ = run(capsys, *argv, "--native")
+    assert out == expected
+    assert "converted_from_native" in json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("sixv", "exact", "--M", "1", "--t", "0.25", "--a", "0.5", "--b", "0.5"),
+    ("sixv", "exact", "--N", "1", "--t", "0.25", "--a", "0.5", "--b", "0.5"),
+    ("moments", "hl", "--k", "1", "--m", "1", "--N", "1", "--t", "0.5",
+     "--a", "0.4", "--b", "0.4"),
+    ("verify", "all", "--level", "desk"),
+    ("verify", "plancherel", "--level", "2"),  # not an abbreviation of --level-n
+    ("verify", "support", "--format", "json"),
+])
+def test_flags_that_only_restated_an_input_are_gone(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert f"unrecognized arguments: {argv[2]} {argv[3]}" in err
+
+
+def test_verify_rsk_needs_a_query_time(capsys, monkeypatch):
+    _no_ensemble_draw(monkeypatch)
+    code, out, err = run(capsys, "verify", "rsk", "--taus", "")
+    assert code == 2
+    assert out == ""
+    assert "need at least one query time" in err

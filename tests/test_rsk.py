@@ -135,6 +135,29 @@ def test_counter_partition_is_conjugate():
         assert rsk.counter_partition(sets, m) == pt.conjugate(lam)
 
 
+def test_counter_partition_is_conjugate_on_a_long_trajectory():
+    """After 10^4 set events on 6 levels, with values past a thousand, every
+    level's counter partition is the conjugate of the array's level."""
+    from hlsixv import partitions as pt
+
+    rng = np.random.default_rng(108)
+    sets = rsk.SetSystem(6)
+    for _ in range(10_000):
+        k, buf = int(rng.integers(1, 7)), list(rng.random(6))
+        rsk._sets_signal_inplace(sets, k, 0.38, iter(buf).__next__)
+    assert max(b[-1] for b in sets._bounds) > 1000
+    arr = rsk.array_from_sets(sets)
+    for m in range(1, 7):
+        lam = pt.strip_zeros(tuple(arr.level(m)))
+        assert rsk.counter_partition(sets, m) == pt.conjugate(lam)
+
+
+@pytest.mark.parametrize("level", [0, 7])
+def test_counter_partition_level_outside_range_raises(level):
+    with pytest.raises(ValueError, match=r"outside 1\.\.6"):
+        rsk.counter_partition(rsk.SetSystem(6), level)
+
+
 def test_array_set_coupling_pathwise():
     rng = np.random.default_rng(7)
     t = 0.36

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hlsixv import hl_process as hl
+from hlsixv import rsk, six_vertex as sv
 from hlsixv import verify as vf
 from hlsixv.distributions import DiscreteDistribution, tv_distance
 
@@ -134,6 +135,43 @@ def test_check_plancherel_rejects_a_level_without_a_rate(level):
     with pytest.raises(ValueError, match=r"level .* outside 1\.\.2"):
         vf.check_plancherel_marginal((1.0, 0.8), 0.5, 0.6, level=level, K=64,
                                      samples=100, seed=3)
+
+
+def test_check_rsk_field_needs_a_query_time(monkeypatch):
+    """An empty tau list is refused before any draw, where two empty fields
+    used to match with p-values 1.0 and pass."""
+
+    def no_draw(*args):
+        raise AssertionError("an ensemble drew")
+
+    monkeypatch.setattr(rsk, "rsk_first_column_ensemble", no_draw)
+    monkeypatch.setattr(sv, "half_continuous_height_ensemble", no_draw)
+    with pytest.raises(ValueError, match="need at least one query time"):
+        vf.check_rsk_field((1.0, 0.7), 0.5, (), samples=100, seed=2)
+
+
+def _no_generator(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("an ensemble drew")
+
+    monkeypatch.setattr(np.random, "RandomState", no_draw)
+
+
+@pytest.mark.parametrize("runs", [0, -5])
+@pytest.mark.parametrize("ensemble", [
+    lambda runs: rsk.rsk_first_column_ensemble((1.0, 0.8), 0.5, (0.7,), runs, 1),
+    lambda runs: rsk.rsk_top_level_ensemble((1.0, 0.8), 0.5, 0.7, runs, 1),
+    lambda runs: sv.half_continuous_height_ensemble(0.5, (1.0, 0.8), (0.7,), runs, 1),
+    lambda runs: vf.check_rsk_field((1.0, 0.8), 0.5, (0.7,), runs, 1),
+    lambda runs: vf.check_plancherel_marginal((1.0, 0.8), 0.5, 0.6, 2, 64, runs, 1),
+], ids=["rsk-first-column", "rsk-top-level", "half-continuous", "check-rsk-field",
+        "check-plancherel"])
+def test_ensembles_need_a_run(monkeypatch, ensemble, runs):
+    """Fewer than one run is refused before any draw, where 0 used to divide
+    by zero in the checks and -5 to reach numpy's negative-dimensions error."""
+    _no_generator(monkeypatch)
+    with pytest.raises(ValueError, match=f"need at least one run, got {runs}"):
+        ensemble(runs)
 
 
 @settings(max_examples=200, deadline=None)
