@@ -22,7 +22,14 @@ lines agree compute the same outputs bit for bit:
   `rsk.rsk_top_level_ensemble` and `six_vertex.half_continuous_height_ensemble`
   at seed ENSEMBLE_SEED, each of `_kernels.ENSEMBLE_BLOCK + 5` runs, so
   that the runs span a block boundary;
-- all: one digest over the five.
+- all: one digest over the five;
+- zeros: for each sign string S with M N <= 6, one draw of
+  `verify.draw_matched_params` (seed SEED) with one a_i or b_j set to 0 in
+  turn, at row caps ZERO_CAPS: the Hall-Littlewood sequence law, every
+  marginal law and 20 `SequenceSampler` draws.  A zero parameter leaves
+  states that no path returns to ∅ from, which the sequence tables must
+  drop.  It is printed after all, so that all stays comparable with the
+  digests recorded before it.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ ENSEMBLE_SEED = 31
 ENSEMBLE_RATES = (1.0, 0.7, 0.4)
 ENSEMBLE_T = 0.42
 ENSEMBLE_TAUS = (0.4, 0.9, 1.7)
+ZERO_CAPS = (4, 9)
 
 
 def _law(dist) -> str:
@@ -86,6 +94,24 @@ def laws():
         yield _law(sv.exact_outgoing_distribution(params, domain))
         yield _law(sv.exact_outgoing_string_distribution(params, domain))
         yield _law(sv.exact_cut_column_distribution(params, domain))
+
+
+def zeros():
+    rng = np.random.default_rng(SEED)
+    for M, N in ((M, N) for M in range(1, 7) for N in range(1, 7) if M * N <= 6):
+        for S in pt.enumerate_sign_class(M, N, +1):
+            t, a, b = vf.draw_matched_params(rng, M, N)
+            for k in range(M + N):
+                za = tuple(0.0 if i == k else x for i, x in enumerate(a))
+                zb = tuple(0.0 if M + j == k else x for j, x in enumerate(b))
+                spec = hl.HLProcessSpec(t=t, a=za, b=zb, S=S)
+                for cap in ZERO_CAPS:
+                    yield repr((M, N, S, t, za, zb, cap))
+                    yield _law(hl.exact_sequence_distribution(spec, cap))
+                    for pos in range(1, M + N):
+                        yield _law(hl.exact_marginal_distribution(spec, pos, cap))
+                    sampler = hl.SequenceSampler(spec, cap, seed=k)
+                    yield repr([sampler.sample() for _ in range(20)])
 
 
 def samplers():
@@ -133,17 +159,23 @@ def ensembles():
         yield np.ascontiguousarray(out, dtype="<i4").tobytes()
 
 
+def _digest(part) -> bytes:
+    h = hashlib.sha256()
+    for line in part():
+        # text lines end in a newline, raw arrays go in as they are
+        h.update(line if isinstance(line, bytes) else line.encode() + b"\n")
+    return h.digest()
+
+
 def main() -> None:
     total = hashlib.sha256()
     for name, part in (("laws", laws), ("samplers", samplers), ("verify", verify),
                        ("trajectories", trajectories), ("ensembles", ensembles)):
-        h = hashlib.sha256()
-        for line in part():
-            # text lines end in a newline, raw arrays go in as they are
-            h.update(line if isinstance(line, bytes) else line.encode() + b"\n")
-        total.update(h.digest())
-        print(f"{name} {h.hexdigest()}")
+        digest = _digest(part)
+        total.update(digest)
+        print(f"{name} {digest.hex()}")
     print(f"all {total.hexdigest()}")
+    print(f"zeros {_digest(zeros).hex()}")
 
 
 if __name__ == "__main__":

@@ -6,9 +6,10 @@ HLSIXV_SEED environment variable) split per command through
 numpy.random.SeedSequence([master, crc32(command-tag)]); identical
 (config, seed) pairs therefore produce byte-identical JSON up to the
 explicitly timing-valued fields (runtime).  --config FILE.json gives flags
-by destination name, parsed after the command line so that they win over it.
---format csv is offered by the actions in CSV_COLUMNS only.  Exit codes: 0
-success, 1 a verification check failed, 2 usage or configuration error.
+by destination name, required ones too, parsed after the command line so
+that they win over it.  --format csv is offered by the actions in
+CSV_COLUMNS only.  Exit codes: 0 success, 1 a verification check failed, 2
+usage or configuration error.
 """
 
 from __future__ import annotations
@@ -56,6 +57,17 @@ CSV_COLUMNS = {
     ("sixv", "sample"): ("sample", "state_hash", "nu", "heights"),
     ("rsk", "run"): ("time", "level", "row", "new_value"),
     ("rsk", "pushtasep"): ("time", "clock_site", "src", "dst"),
+}
+
+# the count flag of each action that draws, refused below 1 before any draw
+COUNT_FLAGS = {
+    ("hl", "sample"): "samples",
+    ("sixv", "sample"): "samples",
+    ("sixv", "halfcont"): "samples",
+    ("tboson", "yb"): "trials",
+    ("tboson", "exchange"): "draws",
+    ("verify", "rsk"): "samples",
+    ("verify", "plancherel"): "samples",
 }
 
 
@@ -133,8 +145,6 @@ def _cmd_sixv(args):
         taus = _floats(args.query)
         if not rates or not taus:
             raise ValueError("halfcont requires --rates and --query")
-        if args.samples < 1:
-            raise ValueError("halfcont requires --samples >= 1")
         if args.tmax is not None and max(taus) > args.tmax:
             raise ValueError("query time beyond horizon")
         ens = sv.half_continuous_height_ensemble(
@@ -253,8 +263,6 @@ def _cmd_verify(args):
         reports = [
             vf.check_moment_match(len(ms), ms, args.N, args.t, _floats(args.a), _floats(args.b))
         ]
-    elif args.samples < 1:  # the two Monte Carlo checks left, rsk and plancherel
-        raise ValueError(f"verify {args.action} requires --samples >= 1")
     elif args.action == "rsk":
         reports = [
             vf.check_rsk_field(
@@ -411,10 +419,15 @@ def _config_flags(path) -> list:
 
 def parse_and_dispatch(argv) -> int:
     parser = build_parser()
+    # --config is found first, so that its entries can give required flags
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
     try:
-        args = parser.parse_args(argv)
-        if args.config:  # once more, with the file's entries after argv
-            args = parser.parse_args([*argv, *_config_flags(args.config)])
+        config = pre.parse_known_args(argv)[0].config
+        args = parser.parse_args([*argv, *_config_flags(config)] if config else argv)
+        flag = COUNT_FLAGS.get((args.command, args.action))
+        if flag and getattr(args, flag) < 1:
+            raise ValueError(f"{args.command} {args.action} requires --{flag} >= 1")
         csv_asked = getattr(args, "format", "json") == "csv"
         if csv_asked and (args.command, args.action) not in CSV_COLUMNS:
             raise ValueError(f"{args.command} {args.action} has no csv format")

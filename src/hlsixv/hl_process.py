@@ -23,7 +23,9 @@ Each lattice keeps the last few string laws and forward sweeps summed on it
 (_memoized), so the support and first-column laws of one (spec, cap) share
 one DP, and exact_marginal_distribution reads row_cap's forward sweep.  The
 memo dies with its lattice; _LATTICES keeps at most MAX_CACHED_BYTES and
-drops the least recently used lattice first.
+drops the least recently used lattice first.  The marginals and the step
+tables of the enumerator, its count and the exact sampler read one backward
+sweep: a table keeps the edges whose target can still return to empty.
 The support pushforward of a sequence validates each distinct partition,
 and traces each distinct (row counts, S), once per process in bounded
 caches, so pushing a whole sequence law costs a few dictionary hits per
@@ -325,6 +327,13 @@ def _forward_sweep(lat: _Lattice, spec: HLProcessSpec) -> list:
     return _memoized(lat, ("forward", spec.t, tuple(steps)), sweep)
 
 
+def _backward_sweep(lat: _Lattice, spec: HLProcessSpec) -> tuple:
+    """(ops, bwd): the backward operator of each of spec's steps, and
+    bwd[i][s], the mass of the completions of state s by steps i+1..M+N."""
+    ops = _operators(lat, spec.steps(), spec.t, backward=True)
+    return ops, _sweep(lat, ops[::-1])[::-1]
+
+
 class LatticeTooLarge(ValueError):
     """The interlacing lattice asked for has more edges than get_lattice builds."""
 
@@ -443,43 +452,20 @@ def sequence_weight(seq, spec: HLProcessSpec) -> float:
     return w
 
 
-def _row_bound(spec: HLProcessSpec, i: int) -> int:
-    """lambda'_1(i) <= min(p(i), N - m(i)) for any admissible sequence."""
-    p, m = pt.prefix_counts(spec.S, i)
-    return min(p, spec.N - m)
-
-
-def _step_tables(spec: HLProcessSpec, lat: _Lattice) -> list:
-    """Per step i, the lattice edges of nonzero weight whose target keeps the
-    row bound _row_bound(spec, i+1) (0 after the last step), grouped by source
-    state as (indptr, dst, weight): the edges out of state s are
-    [indptr[s]:indptr[s+1]], in (colinc, target) order.  A '-' step reads
-    the lattice edge order as it is; a '+' step reads it sorted stably by
-    2 mu + colinc."""
-    n_rows = np.array([len(lam) for lam in lat.states])
-    n_states = len(lat.states)
-    lam_idx = np.repeat(np.arange(n_states), np.diff(lat.indptr[::2]))
-    up = np.argsort(2 * lat.mu_idx + lat.colinc, kind="stable")
-    # (source, target, class) of each edge, per kind, in table order
-    edges = {"+": (lat.mu_idx[up], lam_idx[up], lat.edge_class[up]),
-             "-": (lam_idx, lat.mu_idx, lat.edge_class)}
-    steps = spec.steps()
+def _step_tables(lat: _Lattice, spec: HLProcessSpec) -> tuple:
+    """(bwd, tables): _backward_sweep's masses, and per step the rows
+    2 source + colinc of its backward operator as CSR, keeping the edges of
+    nonzero weight whose target has bwd[i+1] > 0, as (indptr, dst, weight):
+    the edges out of state s are [indptr[s]:indptr[s+1]], in (colinc,
+    target) order."""
+    ops, bwd = _backward_sweep(lat, spec)
     tables = []
-    for i, (kind, param) in enumerate(steps):
-        src, dst, cls = edges[kind]
-        weight = lat.class_weights(kind, param, spec.t).take(cls)
-        bound = _row_bound(spec, i + 1) if i + 1 < len(steps) else 0
-        keep = (weight != 0.0) & (n_rows[dst] <= bound)
-        indptr = np.searchsorted(src[keep], np.arange(n_states + 1))
-        tables.append((indptr, dst[keep], weight[keep]))
-    return tables
-
-
-def _sequence_tables(spec: HLProcessSpec, row_cap: int) -> tuple:
-    """(lattice, _step_tables) of spec at row_cap, for _count_sequences and
-    _enumerate_sequences."""
-    lat = get_lattice(min(spec.M, spec.N), row_cap)
-    return lat, _step_tables(spec, lat)
+    for op, live in zip(ops, bwd[1:]):
+        op = op.tocsr()
+        keep = (op.data != 0.0) & (live[op.indices] > 0)
+        indptr = np.concatenate(([0], np.cumsum(keep)))[op.indptr[::2]]
+        tables.append((indptr, op.indices[keep], op.data[keep]))
+    return bwd, tables
 
 
 def _enumerate_sequences(lat: _Lattice, tables):
@@ -505,8 +491,8 @@ def _enumerate_sequences(lat: _Lattice, tables):
         paths = paths[parent]
         if i + 1 < len(tables):
             paths = np.column_stack((paths, at))
-    states = lat.states
-    seqs = [tuple(map(states.__getitem__, row)) for row in paths.tolist()]
+    # the sequences column by column: one list lookup per state visited
+    seqs = zip(*(map(lat.states.__getitem__, col) for col in paths.T.tolist()))
     return zip(seqs, w.tolist())
 
 
@@ -538,7 +524,8 @@ def exact_sequence_distribution(spec: HLProcessSpec, row_cap: int) -> DiscreteDi
     them raise ValueError before any is enumerated; a row cap whose lattice
     cannot be built raises LatticeTooLarge at once.
     """
-    lat, tables = _sequence_tables(spec, row_cap)
+    lat = get_lattice(min(spec.M, spec.N), row_cap)
+    tables = _step_tables(lat, spec)[1]
     count = _count_sequences(lat, tables)
     if count > MAX_SEQUENCES:
         raise ValueError(
@@ -713,10 +700,7 @@ def exact_marginal_distribution(
     if not 1 <= position <= spec.M + spec.N - 1:
         raise ValueError("position out of range")
     lat = get_lattice(min(spec.M, spec.N), row_cap)
-    steps = spec.steps()
-    fwd = _forward_sweep(lat, spec)[position]
-    bwd = _sweep(lat, _operators(lat, steps[position:], spec.t, backward=True)[::-1])[-1]
-    mass = fwd * bwd
+    mass = _forward_sweep(lat, spec)[position] * _backward_sweep(lat, spec)[1][position]
     return _law(spec, {lat.states[i]: mass[i] for i in np.nonzero(mass)[0]}, mass.sum())
 
 
@@ -735,12 +719,10 @@ class SequenceSampler:
         self.rng = np.random.default_rng(seed)
         self.lat = get_lattice(min(spec.M, spec.N), row_cap)
         self.steps = spec.steps()
-        ops = _operators(self.lat, self.steps, spec.t, backward=True)
         # bwd[i][s]: the mass of the completions of state s by steps i+1..M+N
-        self.bwd = _sweep(self.lat, ops[::-1])[::-1]
+        self.bwd, self._edges = _step_tables(self.lat, spec)
         if self.bwd[0][self.lat.empty] <= 0:
             raise TruncationError("no admissible sequences under row_cap")
-        self._edges = _step_tables(spec, self.lat)
         self._tables: dict = {}
 
     def _conditional(self, i, src):

@@ -496,6 +496,31 @@ def test_verify_ensembles_need_a_run(capsys, monkeypatch, action, samples):
     assert f"verify {action} requires --samples >= 1" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-5"])
+@pytest.mark.parametrize("argv, flag", [
+    (("hl", "sample", "--t", "0.3", "--a", "0.4", "--b", "0.4"), "--samples"),
+    (("sixv", "sample", "--t", "0.3", "--a", "0.4", "--b", "0.4", "--format", "csv"),
+     "--samples"),
+    (("tboson", "exchange"), "--draws"),
+    (("tboson", "yb"), "--trials"),
+], ids=["hl-sample", "sixv-sample", "tboson-exchange", "tboson-yb"])
+def test_counts_below_1_exit_2(capsys, monkeypatch, argv, flag, count):
+    """A sample, draw or trial count below 1 exits 2 before any draw, where
+    it used to print an empty payload, or a residual of 0.0 over no draws,
+    and exit 0."""
+    import numpy as np
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    code, out, err = run(capsys, *argv, f"{flag}={count}")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert f"{argv[0]} {argv[1]} requires {flag} >= 1" in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (("verify", "rsk", "--taus=-0.5,1"), "need finite query times >= 0"),
     (("verify", "rsk", "--taus=-inf,1"), "need finite query times >= 0"),
@@ -702,6 +727,17 @@ def test_config_entries_act_as_their_flags(capsys, tmp_path, entries, flags):
     code, out, _ = run(capsys, *_with_config(tmp_path, entries), *argv)
     assert code == 0
     code, expected, _ = run(capsys, *argv, *flags)
+    assert code == 0
+    assert out == expected
+
+
+def test_config_gives_required_flags(capsys, tmp_path):
+    """A config file can hold every flag a command requires, where the
+    command line used to be parsed alone first and exit 2 without them."""
+    entries = {"t": 0.3, "a": "0.4", "b": "0.4"}
+    code, out, err = run(capsys, *_with_config(tmp_path, entries), "hl", "pi")
+    assert code == 0, err
+    code, expected, _ = run(capsys, "hl", "pi", "--t", "0.3", "--a", "0.4", "--b", "0.4")
     assert code == 0
     assert out == expected
 

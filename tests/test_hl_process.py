@@ -78,9 +78,10 @@ def test_sequence_count_matches_enumeration():
                 for a in ((0.4, 0.3)[:M], (0.0, 0.3)[:M]):
                     spec = hl.HLProcessSpec(t=0.35, a=a, b=(0.45, 0.3)[:N], S=S)
                     for cap in (3, 8):
-                        tables = hl._sequence_tables(spec, cap)
-                        n = sum(1 for _ in hl._enumerate_sequences(*tables))
-                        assert hl._count_sequences(*tables) == n
+                        lat = hl.get_lattice(min(M, N), cap)
+                        tables = hl._step_tables(lat, spec)[1]
+                        n = sum(1 for _ in hl._enumerate_sequences(lat, tables))
+                        assert hl._count_sequences(lat, tables) == n
 
 
 SIGNS_UP_TO_2 = [(M, N, S) for M in (1, 2) for N in (1, 2)
@@ -107,7 +108,8 @@ def test_enumeration_matches_partition_reference(M, N, S, cap, t, a, b):
         w = hl.sequence_weight(seq, spec)
         if w > 0:
             expected[seq] = w
-    got = list(hl._enumerate_sequences(*hl._sequence_tables(spec, cap)))
+    lat = hl.get_lattice(min(M, N), cap)
+    got = list(hl._enumerate_sequences(lat, hl._step_tables(lat, spec)[1]))
     assert len(got) == len(dict(got))
     got = dict(got)
     assert got.keys() == expected.keys()
@@ -117,7 +119,8 @@ def test_enumeration_matches_partition_reference(M, N, S, cap, t, a, b):
 
 def test_exact_sequence_distribution_refuses_before_enumerating(monkeypatch):
     spec = hl.HLProcessSpec(t=0.3, a=(0.3, 0.3), b=(0.3, 0.3), S="++--")
-    assert hl._count_sequences(*hl._sequence_tables(spec, 40)) == 259161
+    lat = hl.get_lattice(2, 40)
+    assert hl._count_sequences(lat, hl._step_tables(lat, spec)[1]) == 259161
     monkeypatch.setattr(hl, "MAX_SEQUENCES", 1000)
     with pytest.raises(ValueError, match="259161 sequences, more than 1000"):
         hl.exact_sequence_distribution(spec, 40)
@@ -586,21 +589,38 @@ def test_step_tables_list_candidates_in_colinc_then_target_order(spec):
     target) order, as a lexicographic sort of the edge list puts them."""
     lat = hl.get_lattice(min(spec.M, spec.N), 5)
     lam_idx, inc = _edge_lams(lat)
-    n_rows = np.array([len(lam) for lam in lat.states])
     steps = spec.steps()
-    tables = hl._step_tables(spec, lat)
+    bwd, tables = hl._step_tables(lat, spec)
     assert len(tables) == len(steps)
     for i, ((kind, x), (indptr, dst, weight)) in enumerate(zip(steps, tables)):
         w = lat.class_weights(kind, x, spec.t)[lat.edge_class]
         src, tgt = (lat.mu_idx, lam_idx) if kind == "+" else (lam_idx, lat.mu_idx)
-        bound = hl._row_bound(spec, i + 1) if i + 1 < len(steps) else 0
-        keep = (w != 0.0) & (n_rows[tgt] <= bound)
+        keep = (w != 0.0) & (bwd[i + 1][tgt] > 0)
         src, tgt, c, w = src[keep], tgt[keep], inc[keep], w[keep]
         order = np.lexsort((tgt, c, src))
         assert np.array_equal(np.repeat(np.arange(len(lat.states)), np.diff(indptr)),
                               src[order])
         assert np.array_equal(dst, tgt[order])
         assert weight.tobytes() == w[order].tobytes()
+
+
+@pytest.mark.parametrize("M, N, S", SIGNS_UP_TO_2 + [
+    (M, N, S) for M, N in ((2, 3), (3, 2), (3, 3))
+    for S in pt.enumerate_sign_class(M, N, +1)])
+@settings(max_examples=20, deadline=None)
+@given(cap=st.integers(1, 5), t=st.floats(0.05, 0.95),
+       a=st.lists(_param, min_size=3, max_size=3),
+       b=st.lists(_param, min_size=3, max_size=3))
+def test_step_tables_keep_only_edges_that_return_to_empty(M, N, S, cap, t, a, b):
+    """With zero parameters among a and b, every target of table i is a
+    source with an edge in table i+1, and the last table's targets are the
+    empty partition: no path through the tables ends early."""
+    spec = hl.HLProcessSpec(t=t, a=a[:M], b=b[:N], S=S)
+    lat = hl.get_lattice(min(M, N), cap)
+    tables = hl._step_tables(lat, spec)[1]
+    for (_, dst, _), (indptr, _, _) in zip(tables, tables[1:]):
+        assert np.all(indptr[dst + 1] > indptr[dst])
+    assert np.all(tables[-1][1] == lat.empty)
 
 
 @pytest.mark.parametrize("law", [
