@@ -11,8 +11,8 @@ lines agree compute the same outputs bit for bit:
   and every marginal law, the sequence law when M N <= 4, and the six-vertex
   outgoing, string and cut-column laws: outcomes in order with their
   probabilities, and the mass deficit, at `hl_process.row_cap`;
-- samplers: five `SequenceSampler` draws, `sample_outgoing_counts` and
-  `sample_state` at fixed seeds;
+- samplers: five `SequenceSampler` draws, `sample_outgoing_counts` and the
+  edge arrays of five `sample_edges` runs at fixed seeds;
 - verify: the `verify.run_all(seed=42)` reports without `runtime`;
 - trajectories: at seeds TRAJECTORY_SEEDS, `rsk.run_rsk` on 6 levels with
   snapshots and its `events`, the `rsk.run_sets` complements, and the
@@ -121,8 +121,8 @@ def samplers():
     params = sv.SixVertexParams(t=0.35, a=(0.5, 0.3, 0.4), b=(0.6, 0.2, 0.5))
     domain = sv.JaggedDomain(3, 3, "++-+--")
     yield repr(sorted(sv.sample_outgoing_counts(params, domain, 5000, seed=7).items()))
-    state = sv.sample_state(params, domain, seed=9)
-    yield repr((sorted(state.vert.items()), sorted(state.horiz.items())))
+    vert, horiz = sv.sample_edges(params, domain, 5, seed=9)
+    yield repr((vert.tolist(), horiz.tolist()))
 
 
 def verify():

@@ -42,7 +42,12 @@ def _ints(s: str) -> tuple:
 
 
 def _points(s: str) -> list:
-    return [tuple(int(v) for v in p.split(",")) for p in s.split(";") if p]
+    points = []
+    for p in filter(None, s.split(";")):
+        points.append(tuple(int(v) for v in p.split(",")))
+        if len(points[-1]) != 2:
+            raise ValueError(f"point {p!r} is not x,y")
+    return points
 
 
 def split_seed(master: int, tag: str) -> int:
@@ -116,7 +121,7 @@ def _cmd_hl(args):
     spec = hl.HLProcessSpec(t=args.t, a=a, b=b, S=_signs(args.S, len(a), len(b)))
     if args.action == "pi":
         return 0, {"pi": hl.normalization_pi(spec)}
-    cap = args.row_cap or hl.row_cap(spec)
+    cap = hl.row_cap(spec) if args.row_cap is None else args.row_cap
     if args.action == "exact":
         dist = hl.exact_sequence_distribution(spec, cap)
         rows = sorted(
@@ -171,22 +176,20 @@ def _cmd_sixv(args):
         dist = sv.exact_joint_height_distribution(params, domain, _points(args.points))
         return 0, {**dist.to_json_dict(), **meta}
     # sample
-    rng = np.random.default_rng(split_seed(args.seed, "sixv.sample"))
+    vert, horiz = sv.sample_edges(params, domain, args.samples,
+                                  split_seed(args.seed, "sixv.sample"))
+    occupied = sv.outgoing_occupancy(domain, vert, horiz)
     cut = domain.cut_points()[1 : M + N]
+    heights = sv.edge_heights(domain, vert, [(x + 1, y) for x, y in cut])
     rows = []
     for i in range(args.samples):
-        state = sv.sample_state(params, domain, rng)
-        T, nu = sv.outgoing_partition(state)
-        heights = [sv.height(state, x + 1, y) for x, y in cut]
-        bits = tuple(state.vert[k] for k in sorted(state.vert)) + tuple(
-            state.horiz[k] for k in sorted(state.horiz)
-        )
+        T = tuple(-1 if b else 1 for b in occupied[:, i])
         rows.append(
             {
                 "sample": i,
-                "state_hash": zlib.crc32(bytes(bits)),
-                "nu": json.dumps(list(nu)),
-                "heights": json.dumps(heights),
+                "state_hash": zlib.crc32(vert[:, i].tobytes() + horiz[:, i].tobytes()),
+                "nu": json.dumps(list(pt.partition_from_string(T, M, N))),
+                "heights": json.dumps(heights[:, i].tolist()),
             }
         )
     return 0, rows
@@ -246,7 +249,7 @@ def _cmd_rsk(args):
         return 0, {"events": rows, "occupied": occupied}
     sets = rsk.run_sets(rates, args.t, args.tmax, seedv)
     return 0, {
-        "complements": [sorted(c) for c in sets.complements],
+        "complement_intervals": sets.intervals,
         "first_columns": list(rsk.array_from_sets(sets).first_columns()),
     }
 

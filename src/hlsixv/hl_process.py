@@ -19,13 +19,14 @@ halves apart, and a full step adds them.  Every half adds a target's terms
 in lattice edge order, so the exact laws are the same bit for bit on every
 run.  The DP sums the law of the outgoing string T; the support law
 nu(T)/mu(S) and the first-column law are its pushforwards.
-Each lattice keeps the last few string laws and forward sweeps summed on it
-(_memoized), so the support and first-column laws of one (spec, cap) share
-one DP, and exact_marginal_distribution reads row_cap's forward sweep.  The
-memo dies with its lattice; _LATTICES keeps at most MAX_CACHED_BYTES and
-drops the least recently used lattice first.  The marginals and the step
-tables of the enumerator, its count and the exact sampler read one backward
-sweep: a table keeps the edges whose target can still return to empty.
+Each lattice keeps the last few string laws and forward and backward sweeps
+summed on it (_memoized), so the support and first-column laws of one (spec,
+cap) share one DP, and the marginals of one (spec, cap) share one forward
+and one backward sweep.  The memo dies with its lattice; _LATTICES keeps at
+most MAX_CACHED_BYTES and drops the least recently used lattice first.  The
+marginals and the step tables of the enumerator, its count and the exact
+sampler read one backward sweep: a table keeps the edges whose target can
+still return to empty.
 The support pushforward of a sequence validates each distinct partition,
 and traces each distinct (row counts, S), once per process in bounded
 caches, so pushing a whole sequence law costs a few dictionary hits per
@@ -291,8 +292,9 @@ def _sweep(lat: _Lattice, ops) -> list:
     return vecs
 
 
-# How many DP results (string laws and forward sweeps) a lattice keeps: the
-# exact checks ask for each one at most twice, one right after the other.
+# How many DP results (string laws, forward and backward sweeps) a lattice
+# keeps: the exact checks ask for each one at most twice, one right after the
+# other.
 MEMO_ENTRIES = 4
 
 
@@ -315,16 +317,9 @@ def _memoized(lat: _Lattice, key, compute):
 def _forward_sweep(lat: _Lattice, spec: HLProcessSpec) -> list:
     """_sweep of all of spec's steps on lat, read-only and memoized: entry i
     is the forward mass after steps 1..i."""
-
     steps = spec.steps()
-
-    def sweep():
-        vecs = _sweep(lat, _operators(lat, steps, spec.t))
-        for vec in vecs:
-            vec.flags.writeable = False
-        return vecs
-
-    return _memoized(lat, ("forward", spec.t, tuple(steps)), sweep)
+    return _memoized(lat, ("forward", spec.t, tuple(steps)),
+                     lambda: _read_only(_sweep(lat, _operators(lat, steps, spec.t))))
 
 
 def _backward_sweep(lat: _Lattice, spec: HLProcessSpec) -> tuple:
@@ -332,6 +327,20 @@ def _backward_sweep(lat: _Lattice, spec: HLProcessSpec) -> tuple:
     bwd[i][s], the mass of the completions of state s by steps i+1..M+N."""
     ops = _operators(lat, spec.steps(), spec.t, backward=True)
     return ops, _sweep(lat, ops[::-1])[::-1]
+
+
+def _backward_masses(lat: _Lattice, spec: HLProcessSpec) -> list:
+    """_backward_sweep's bwd, read-only and memoized; its operators are
+    not kept."""
+    return _memoized(lat, ("backward", spec.t, tuple(spec.steps())),
+                     lambda: _read_only(_backward_sweep(lat, spec)[1]))
+
+
+def _read_only(vecs: list) -> list:
+    """vecs, each made read-only, so that a memoized sweep is never changed."""
+    for vec in vecs:
+        vec.flags.writeable = False
+    return vecs
 
 
 class LatticeTooLarge(ValueError):
@@ -376,6 +385,8 @@ def get_lattice(rows: int, cap: int) -> _Lattice:
     """The interlacing lattice on partitions with at most `rows` rows (any
     number) and parts <= cap, cached per (rows, cap) in _LATTICES, least
     recently used first out (_evict)."""
+    if cap < 0:
+        raise ValueError(f"need a row cap >= 0, got {cap}")
     key = (rows, cap)
     lat = _LATTICES.pop(key, None)
     if lat is not None:
@@ -700,7 +711,7 @@ def exact_marginal_distribution(
     if not 1 <= position <= spec.M + spec.N - 1:
         raise ValueError("position out of range")
     lat = get_lattice(min(spec.M, spec.N), row_cap)
-    mass = _forward_sweep(lat, spec)[position] * _backward_sweep(lat, spec)[1][position]
+    mass = _forward_sweep(lat, spec)[position] * _backward_masses(lat, spec)[position]
     return _law(spec, {lat.states[i]: mass[i] for i in np.nonzero(mass)[0]}, mass.sum())
 
 

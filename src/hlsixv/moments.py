@@ -203,20 +203,20 @@ def _quad(integrand: _Integrand, radii, n):
     return integrand.prefactor * acc / n**k
 
 
-def _moment(integrand, radii, tol, start_nodes, max_nodes, full):
+def _moment(integrand, radii, tol, full):
     """The real value of the integrand's mean over the contours, doubling the
-    nodes from start_nodes until two successive values agree to tol; with
+    nodes from START_NODES until two successive values agree to tol; with
     full, a dict that also gives the nodes and radii."""
-    n = start_nodes
+    n = START_NODES
     prev = _quad(integrand, radii, n)
-    while n < max_nodes:
+    while n < MAX_NODES:
         n *= 2
         val = _quad(integrand, radii, n)
         if abs(val - prev) <= tol * max(1.0, abs(val)):
             break
         prev = val
     else:
-        raise QuadratureError(f"no convergence to {tol} within {max_nodes} nodes")
+        raise QuadratureError(f"no convergence to {tol} within {MAX_NODES} nodes")
     if abs(val.imag) > 100 * tol:
         raise QuadratureError(f"imaginary residue {val.imag} in moment value")
     if full:
@@ -239,8 +239,7 @@ START_NODES = 256
 MAX_NODES = 4096
 
 
-def hl_moment(k, ms, N, t, a, b, tol: float = 1e-9, start_nodes: int = START_NODES,
-              max_nodes: int = MAX_NODES, radii=None, full: bool = False):
+def hl_moment(k, ms, N, t, a, b, tol: float = 1e-9, radii=None, full: bool = False):
     """E[prod_i t^{m_i - lambda'_1(m_i, N)}] for the ascending process.
 
     radii overrides the automatic contour selection (they are still required
@@ -250,7 +249,7 @@ def hl_moment(k, ms, N, t, a, b, tol: float = 1e-9, start_nodes: int = START_NOD
     _check_inputs(N, t, b, tol)
     if radii is None:
         radii = select_contours("hl", k, ms, t, a, b[:N]).radii
-    return _moment(_hl_factors(ms, N, t, a, b), radii, tol, start_nodes, max_nodes, full)
+    return _moment(_hl_factors(ms, N, t, a, b), radii, tol, full)
 
 
 def sixv_moment(k, ms, N, params: SixVertexParams, tol: float = 1e-9,
@@ -260,8 +259,7 @@ def sixv_moment(k, ms, N, params: SixVertexParams, tol: float = 1e-9,
     _check_inputs(N, params.t, params.b, tol)
     Q, xi, u = params.to_native()
     radii = select_contours("sixv", k, ms, params.t, params.a, params.b[:N]).radii
-    return _moment(_sixv_factors(ms, N, Q, xi, u), radii, tol, START_NODES, MAX_NODES,
-                   full)
+    return _moment(_sixv_factors(ms, N, Q, xi, u), radii, tol, full)
 
 
 def moment_match_check(k, ms, N, t, a, b, tol: float = 1e-9) -> tuple:

@@ -418,12 +418,15 @@ class SetSystem:
         return out
 
     @property
+    def intervals(self) -> list:
+        """The complement of each V_m as the [lo, hi] pairs of its intervals
+        [lo, hi), in increasing order (a fresh copy)."""
+        return [[[lo, hi] for lo, hi in zip(b[0::2], b[1::2])] for b in self._bounds]
+
+    @property
     def complements(self) -> list:
         """The complement of each V_m as a plain set (a fresh copy)."""
-        return [
-            {x for lo, hi in zip(b[0::2], b[1::2]) for x in range(lo, hi)}
-            for b in self._bounds
-        ]
+        return [{x for lo, hi in iv for x in range(lo, hi)} for iv in self.intervals]
 
     def copy(self) -> "SetSystem":
         return SetSystem._from_bounds(self.n_max, [b[:] for b in self._bounds])
@@ -563,20 +566,16 @@ def sets_from_array(array: PartitionArray) -> SetSystem:
     return SetSystem._from_bounds(array.n_max, levels)
 
 
-def array_from_sets(sets: SetSystem, n_max=None) -> PartitionArray:
+def array_from_sets(sets: SetSystem) -> PartitionArray:
     """Inverse of sets_from_array: col_j(m) = col_j(m-1) + 1{j-1 not in V_m}.
 
     Row j of level m ends the gap [prev[j], lv[j]) of `sets_from_array`: it
     is the end of the complement interval that holds prev[j] (prev[j] itself
     when V_m holds it), capped at prev[j-1], where two touching gaps merged.
     """
-    if n_max is None:
-        n_max = sets.n_max
-    if not 0 <= n_max <= sets.n_max:
-        raise ValueError(f"n_max {n_max} outside the {sets.n_max} tracked levels")
     levels = []
     prev: list = []
-    for bounds in sets._bounds[:n_max]:
+    for bounds in sets._bounds:
         lv = []
         cap = float("inf")
         for lo in (*prev, 0):
@@ -585,7 +584,7 @@ def array_from_sets(sets: SetSystem, n_max=None) -> PartitionArray:
             cap = lo
         levels.append(lv)
         prev = lv
-    return PartitionArray(n_max, levels)
+    return PartitionArray(sets.n_max, levels)
 
 
 def counter_partition(sets: SetSystem, m: int) -> tuple:

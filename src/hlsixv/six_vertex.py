@@ -1,7 +1,7 @@
 """Stochastic six vertex model in a quadrant, truncated to (possibly jagged)
-finite domains: Markovian sampling, height function, exact transfer-matrix
-enumeration of outgoing-edge and height observables, and the half-continuous
-limit.
+finite domains: one blocked Markovian sampler of the edges, the outgoing
+string and heights read from them, exact transfer-matrix enumeration of the
+same observables, and the half-continuous limit.
 
 Conventions.  Vertices are (x, y), x = column >= 1, y = row >= 1.  Paths enter
 occupied on the left of every row and travel up-right.  A vertex with a single
@@ -23,7 +23,6 @@ import numpy as np
 
 from . import _kernels, partitions as pt
 from .distributions import DiscreteDistribution
-from .hl_process import SkewDiagram
 
 
 @dataclass(frozen=True)
@@ -156,8 +155,18 @@ class JaggedDomain:
                 H.append(y)
         return H
 
+    def vertices(self) -> dict:
+        """{(x, y): i}: the vertices column by column and bottom to top, the
+        order the samplers visit them in, and i, the row of each in the
+        edge arrays of `sample_edges`."""
+        H = self.column_heights()
+        order = [(x, y) for x in range(1, self.M + 1) for y in range(1, H[x - 1] + 1)]
+        return {v: i for i, v in enumerate(order)}
+
     def outgoing_edges(self) -> list:
-        """Cut-order outgoing edges: ('up', x, y) or ('right', x, y)."""
+        """Cut-order outgoing edges: ('up', x, y), the edge above vertex
+        (x, y), or ('right', x, y), the edge to its right.  Their x never
+        decreases."""
         out = []
         pts = self.cut_points()
         for i, s in enumerate(self.S, start=1):
@@ -170,96 +179,7 @@ class JaggedDomain:
 
 
 # ---------------------------------------------------------------------------
-# sampled states
-
-
-class LatticeState:
-    """Full edge configuration on a jagged domain.
-
-    vert[(x, y)] is the edge above vertex (x, y); horiz[(x, y)] the edge to
-    its right, for 1 <= y <= H_x.
-    """
-
-    def __init__(self, domain: JaggedDomain, params: SixVertexParams, vert, horiz):
-        self.domain = domain
-        self.params = params
-        self.vert = vert
-        self.horiz = horiz
-
-    def h_in(self, x, y):
-        return True if x == 1 else self.horiz[(x - 1, y)]
-
-    def v_in(self, x, y):
-        return False if y == 1 else self.vert[(x, y - 1)]
-
-    def validate(self):
-        """Path conservation and boundary conditions at every vertex."""
-        H = self.domain.column_heights()
-        for x in range(1, self.domain.M + 1):
-            for y in range(1, H[x - 1] + 1):
-                inn = int(self.h_in(x, y)) + int(self.v_in(x, y))
-                out = int(self.horiz[(x, y)]) + int(self.vert[(x, y)])
-                if inn != out:
-                    raise AssertionError(f"conservation violated at {(x, y)}")
-        T, _ = self.outgoing_string()
-        occ = sum(1 for b in T if b == -1)
-        if occ != self.domain.N:
-            raise AssertionError(f"{occ} occupied outgoing edges, expected N")
-
-    def outgoing_string(self) -> tuple:
-        """(T, occupancy bits) in cut order; T(i) = + iff edge i unoccupied."""
-        bits = []
-        for kind, x, y in self.domain.outgoing_edges():
-            bits.append(self.vert[(x, y)] if kind == "up" else self.horiz[(x, y)])
-        T = tuple(-1 if b else 1 for b in bits)
-        return T, bits
-
-
-def sample_state(params: SixVertexParams, domain: JaggedDomain, seed) -> LatticeState:
-    """Markovian sampling, column by column (equivalent to x+y sweeps): one
-    uniform per vertex that exactly one path enters."""
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    H = domain.column_heights()
-    vert, horiz = {}, {}
-    for x in range(1, domain.M + 1):
-        v = False
-        for y in range(1, H[x - 1] + 1):
-            h = True if x == 1 else horiz[(x - 1, y)]
-            ab = params.a[x - 1] * params.b[y - 1]
-            branches = vertex_branches(ab, params.t, h, v)
-            branch = branches[0]
-            if len(branches) > 1 and rng.random() >= branch[0]:
-                branch = branches[1]
-            _, horiz[(x, y)], v = branch
-            vert[(x, y)] = v
-    return LatticeState(domain, params, vert, horiz)
-
-
-def height(state: LatticeState, x: int, y: int) -> int:
-    """Paths through or to the right of (x, y); needs y within all columns < x."""
-    dom = state.domain
-    H = dom.column_heights()
-    if not (1 <= y <= dom.N and 1 <= x <= dom.M + 1):
-        raise ValueError(f"point {(x, y)} outside sampled region")
-    if x > 1 and H[x - 2] < y:
-        raise ValueError(f"point {(x, y)} above the cut path")
-    crossings = sum(
-        1 for c in range(1, x) if H[c - 1] >= y and state.vert[(c, y)]
-    )
-    return y - crossings
-
-
-def outgoing_partition(state: LatticeState) -> tuple:
-    """(T, nu(T)) from the outgoing edges, clockwise from the top-left."""
-    T, _ = state.outgoing_string()
-    nu = pt.partition_from_string(T, state.domain.M, state.domain.N)
-    return T, nu
-
-
-# ---------------------------------------------------------------------------
 # exact transfer-matrix enumeration
-
-_FULL = object()
 
 
 def _column_outcomes(params, x, hx, hbits):
@@ -318,12 +238,16 @@ def exact_outgoing_string_distribution(
     occupied."""
     if domain.M + domain.N > MAX_EXACT_SIZE:
         raise ValueError("domain too large for exact enumeration")
-    H = domain.column_heights()
+    # column x resolves the cut edges of abscissa x, which come next in T
+    column_edges: dict = {}
+    for kind, x, y in domain.outgoing_edges():
+        column_edges.setdefault(x, []).append((kind == "up", y - 1))
 
     def update(T, x, vert_bits, out_h):
-        hnext = H[x] if x < domain.M else 0
-        bits = [vert_bits[-1]] + [out_h[y - 1] for y in range(H[x - 1], hnext, -1)]
-        return T + tuple(-1 if b else 1 for b in bits)
+        return T + tuple(
+            -1 if (vert_bits if up else out_h)[row] else 1
+            for up, row in column_edges[x]
+        )
 
     dist = DiscreteDistribution(_sweep(params, domain, update, ()))
     dist.check_normalized(1e-12)
@@ -341,10 +265,10 @@ def exact_outgoing_distribution(
     )
 
 
-def exact_joint_height_distribution(
-    params: SixVertexParams, domain: JaggedDomain, points
-) -> DiscreteDistribution:
-    """Exact joint law of (h(x_j, y_j)) at the given points."""
+def _height_points(domain: JaggedDomain, points) -> list:
+    """points as (x, y) int pairs, each a point whose height the domain
+    fixes: 1 <= y <= N, 1 <= x <= M + 1, and every column left of x reaches
+    row y.  ValueError otherwise."""
     H = domain.column_heights()
     points = [(int(x), int(y)) for x, y in points]
     for x, y in points:
@@ -352,6 +276,15 @@ def exact_joint_height_distribution(
             raise ValueError(f"point {(x, y)} outside domain")
         if x > 1 and H[x - 2] < y:
             raise ValueError(f"point {(x, y)} above the cut path")
+    return points
+
+
+def exact_joint_height_distribution(
+    params: SixVertexParams, domain: JaggedDomain, points
+) -> DiscreteDistribution:
+    """Exact joint law of (h(x_j, y_j)) at the given points."""
+    H = domain.column_heights()
+    points = _height_points(domain, points)
 
     def update(counters, x, vert_bits, out_h):
         hx = H[x - 1]
@@ -397,47 +330,74 @@ def exact_cut_column_distribution(
 # bulk sampling
 
 
-def sample_outgoing_counts(
+def sample_edges(
     params: SixVertexParams, domain: JaggedDomain, n_samples: int, seed: int
-) -> dict:
-    """Monte Carlo counts of outgoing strings T over n_samples states.
+) -> tuple:
+    """(vert, horiz): bool [vertices, runs], the edge above and the edge to
+    the right of each vertex in n_samples independent states, the vertices
+    in the order of `JaggedDomain.vertices`.
 
-    Samples are drawn in blocks of `_kernels.ENSEMBLE_BLOCK` from
+    Runs are drawn in blocks of `_kernels.ENSEMBLE_BLOCK` from
     RandomState(seed).  Within a block the vertices are visited column by
-    column, bottom to top, and each vertex draws one uniform per sample of
-    the block, used only where exactly one path enters: the path keeps its
+    column, bottom to top, and each vertex draws one uniform per run of the
+    block, used only where exactly one path enters: the path keeps its
     direction when the uniform falls below the first branch of
-    vertex_branches.  Each sample is coded with bit i set when cut edge i is
-    occupied.
+    vertex_branches.
     """
     H = domain.column_heights()
-    M, N = domain.M, domain.N
     rs = np.random.RandomState(seed)
-    codes = np.empty(n_samples, dtype=np.int64)
+    vert = np.empty((sum(H), n_samples), dtype=bool)
+    horiz = np.empty_like(vert)
     for first in range(0, n_samples, _kernels.ENSEMBLE_BLOCK):
-        size = min(_kernels.ENSEMBLE_BLOCK, n_samples - first)
-        hbits = np.ones((N + 1, size), dtype=bool)  # row 0 is never entered
-        code = np.zeros(size, dtype=np.int64)
-        pos = 0
-        for x in range(1, M + 1):
+        runs = slice(first, min(first + _kernels.ENSEMBLE_BLOCK, n_samples))
+        size = runs.stop - first
+        i = 0
+        for x in range(1, domain.M + 1):
             v = np.zeros(size, dtype=bool)
             for y in range(1, H[x - 1] + 1):
                 p_pass, _, p_vert, _ = vertex_probabilities(params, x, y)
-                in_h = hbits[y]
+                in_h = horiz[i - H[x - 2], runs] if x > 1 else True
                 keep = rs.random_sample(size) < np.where(in_h, p_pass, p_vert)
-                out_h = np.where(in_h, v | keep, v & ~keep)
-                v = in_h ^ v ^ out_h  # paths are conserved
-                hbits[y] = out_h
-            code |= v.astype(np.int64) << pos
-            pos += 1
-            for y in range(H[x - 1], H[x] if x < M else 0, -1):
-                code |= hbits[y].astype(np.int64) << pos
-                pos += 1
-        codes[first:first + size] = code
-    counts = np.bincount(codes, minlength=1 << (M + N))
+                horiz[i, runs] = np.where(in_h, v | keep, v & ~keep)
+                v = vert[i, runs] = in_h ^ v ^ horiz[i, runs]  # paths are conserved
+                i += 1
+    return vert, horiz
+
+
+def outgoing_occupancy(domain: JaggedDomain, vert, horiz) -> np.ndarray:
+    """bool [M + N, runs]: row i is set where cut edge i is occupied, T(i) =
+    -1, in the runs of `sample_edges`."""
+    index = domain.vertices()
+    return np.stack([
+        (vert if kind == "up" else horiz)[index[x, y]]
+        for kind, x, y in domain.outgoing_edges()
+    ])
+
+
+def edge_heights(domain: JaggedDomain, vert, points) -> np.ndarray:
+    """int [points, runs]: h(x, y) = y - #{c < x : vert(c, y)} at each point
+    (checked as in exact_joint_height_distribution) of the `sample_edges` runs."""
+    index = domain.vertices()
+    return np.array([
+        y - vert[[index[c, y] for c in range(1, x)]].sum(axis=0)
+        for x, y in _height_points(domain, points)
+    ])
+
+
+def sample_outgoing_counts(
+    params: SixVertexParams, domain: JaggedDomain, n_samples: int, seed: int
+) -> dict:
+    """Monte Carlo counts of outgoing strings T over the n_samples states of
+    `sample_edges`."""
+    vert, horiz = sample_edges(params, domain, n_samples, seed)
+    codes = np.zeros(n_samples, dtype=np.int64)
+    for i, occupied in enumerate(outgoing_occupancy(domain, vert, horiz)):
+        codes |= occupied.astype(np.int64) << i
+    size = domain.M + domain.N
+    counts = np.bincount(codes, minlength=1 << size)
     out = {}
     for code in np.nonzero(counts)[0]:
-        T = tuple(-1 if (int(code) >> i) & 1 else 1 for i in range(M + N))
+        T = tuple(-1 if (int(code) >> i) & 1 else 1 for i in range(size))
         out[T] = int(counts[code])
     return out
 

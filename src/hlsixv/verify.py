@@ -1,8 +1,10 @@
 """Statistical and exact comparison harness: one check per theorem.
 
-Exact checks compare total-variation distances of exactly computed laws;
-Monte Carlo checks run a two-sample chi-square with a p-value floor and a
-3-seed majority rule to absorb honest statistical flakiness.
+Exact checks compare total-variation distances of exactly computed laws.
+Of the Monte Carlo checks, the RSK field check runs a two-sample chi-square
+with a p-value floor and a 3-seed majority rule to absorb honest
+statistical flakiness; the Plancherel check runs one seed and gates the TV
+of the empirical law from the K-fold law, and its fall at 2K.
 """
 
 from __future__ import annotations

@@ -225,18 +225,20 @@ def test_11_structural_invariant_sweeps():
     # six vertex: conservation and height monotonicity on sampled states
     params = sv.SixVertexParams(t=0.4, a=(0.5, 0.35, 0.3), b=(0.5, 0.45, 0.3))
     dom = sv.JaggedDomain(3, 3, pt.parse_signs("+-++--"))
-    for seed in range(200):
-        st = sv.sample_state(params, dom, seed)
-        st.validate()
-        H = dom.column_heights()
-        for y in range(1, 4):
-            run = [
-                sv.height(st, x, y)
-                for x in range(1, 5)
-                if x == 1 or H[x - 2] >= y
-            ]
-            assert all(0 <= h <= y for h in run)
-            assert all(p - c in (0, 1) for p, c in zip(run, run[1:]))
+    vert, horiz = sv.sample_edges(params, dom, 200, seed=111)
+    index = dom.vertices()
+    for (x, y), i in index.items():
+        h_in = horiz[index[x - 1, y]] if x > 1 else True
+        v_in = vert[index[x, y - 1]] if y > 1 else False
+        assert np.all(h_in * 1 + v_in * 1 == horiz[i] * 1 + vert[i] * 1)
+    assert np.all(sv.outgoing_occupancy(dom, vert, horiz).sum(axis=0) == dom.N)
+    H = dom.column_heights()
+    for y in range(1, 4):
+        run = sv.edge_heights(
+            dom, vert, [(x, y) for x in range(1, 5) if x == 1 or H[x - 2] >= y]
+        )
+        assert np.all((0 <= run) & (run <= y))
+        assert np.all(np.isin(run[:-1] - run[1:], (0, 1)))
     # RSK: interlacing after every event
     rsk.run_rsk((1.0, 0.7, 0.5, 0.4), 0.45, 30.0, seed=7, validate=True)
     # HL sampling: row bounds and support/column duality

@@ -161,11 +161,39 @@ RSK_SETS_PINNED = [
 ]
 
 
+def _interval_levels(out):
+    """The complement_intervals of `rsk sets` output, checked to be sorted,
+    disjoint, non-adjacent [lo, hi] pairs, at most m on level m."""
+    levels = json.loads(out)["complement_intervals"]
+    for m, pairs in enumerate(levels, start=1):
+        assert len(pairs) <= m
+        bounds = [v for pair in pairs for v in pair]
+        assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
+    return levels
+
+
 @pytest.mark.parametrize("args, expected", RSK_SETS_PINNED)
 def test_rsk_sets_output_is_pinned(capsys, args, expected):
     code, out, _ = run(capsys, "rsk", "sets", *args)
     assert code == 0
-    assert json.loads(out) == expected
+    complements = [
+        [x for lo, hi in pairs for x in range(lo, hi)] for pairs in _interval_levels(out)
+    ]
+    assert complements == expected["complements"]
+    assert json.loads(out)["first_columns"] == expected["first_columns"]
+
+
+def test_rsk_sets_output_stays_at_most_n_choose_2_pairs(capsys):
+    """The complements are printed as intervals, at most n(n+1)/2 pairs on n
+    levels whatever the horizon, where the values of every complement grew
+    to 66 KB at --tmax 1000."""
+    code, out, _ = run(capsys, "rsk", "sets", "--rates", "1,0.9,0.8,0.7,0.6",
+                       "--t", "0.4", "--tmax", "1000", "--seed", "3")
+    assert code == 0
+    levels = _interval_levels(out)
+    assert len(levels) == 5
+    assert sum(len(pairs) for pairs in levels) <= 5 * 6 // 2
+    assert max(hi for pairs in levels for _, hi in pairs) > 500
 
 
 # read before the single-run samplers shared one level clock
@@ -408,20 +436,21 @@ def test_halfcont_cli(capsys):
 
 @pytest.mark.parametrize("shape,expected", [
     (("--a", "0.5,0.35", "--b", "0.5,0.4"), [
-        '0,2990593004,[],"[2, 2, 1]"',
-        '1,861771716,"[2, 2]","[1, 0, 0]"',
-        '2,2990593004,[],"[2, 2, 1]"',
-        '3,1567037624,[2],"[2, 1, 0]"',
+        '0,1567037624,[2],"[2, 1, 0]"',
+        '1,2990593004,[],"[2, 2, 1]"',
+        '2,1567037624,[2],"[2, 1, 0]"',
+        '3,2990593004,[],"[2, 2, 1]"',
     ]),
     (("--a", "0.5,0.35,0.4", "--b", "0.5,0.4,0.3", "--S", "+-++--"), [
-        '0,3069354216,"[3, 2]","[3, 2, 1, 1, 0]"',
+        '0,4032291132,"[1, 1, 1]","[2, 2, 2, 2, 1]"',
         '1,2488836479,"[3, 1]","[3, 2, 2, 1, 0]"',
-        '2,2323557871,"[3, 2, 2]","[2, 1, 1, 1, 0]"',
-        '3,2906167309,"[2, 2, 2]","[2, 1, 1, 1, 1]"',
+        '2,4032291132,"[1, 1, 1]","[2, 2, 2, 2, 1]"',
+        '3,1452442851,"[1, 1]","[3, 2, 2, 2, 1]"',
     ]),
 ])
 def test_sixv_sample_csv_is_pinned(capsys, shape, expected):
-    # one uniform per vertex with exactly one path in (SCHEMAS.md "Seeding")
+    # RandomState(seed), one uniform per run at every vertex, column by column
+    # and bottom to top (SCHEMAS.md "Seeding")
     code, out, _ = run(capsys, "sixv", "sample", "--t", "0.35", *shape,
                        "--samples", "4", "--format", "csv", "--seed", "5")
     assert code == 0
@@ -514,6 +543,7 @@ def test_counts_below_1_exit_2(capsys, monkeypatch, argv, flag, count):
         raise AssertionError("a generator was made")
 
     monkeypatch.setattr(np.random, "default_rng", no_draw)
+    monkeypatch.setattr(np.random, "RandomState", no_draw)
     code, out, err = run(capsys, *argv, f"{flag}={count}")
     assert code == 2
     assert out == ""
@@ -550,6 +580,34 @@ def test_verify_plancherel_needs_K_at_least_1(capsys, monkeypatch, K):
     assert out == ""
     assert "Traceback" not in err
     assert "need K >= 1" in err
+
+
+def test_hl_row_cap_0_is_used(capsys):
+    """--row-cap 0 runs at cap 0, where it used to fall back to the default."""
+    code, out, _ = run(capsys, "hl", "support", "--t", "0.25", "--a", "0.5",
+                       "--b", "0.5", "--row-cap", "0")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["row_cap"] == 0
+    assert [row["key"] for row in payload["outcomes"]] == ["[]/[]"]
+    assert payload["mass_deficit"] == pytest.approx(0.2)
+
+
+def test_hl_negative_row_cap_exits_2_naming_the_cap(capsys):
+    code, out, err = run(capsys, "hl", "exact", "--t", "0.25", "--a", "0.5",
+                         "--b", "0.5", "--row-cap", "-3")
+    assert code == 2
+    assert out == ""
+    assert "need a row cap >= 0, got -3" in err
+
+
+@pytest.mark.parametrize("points, bad", [("1", "'1'"), ("2,1;1,2,1", "'1,2,1'")])
+def test_sixv_heights_names_a_malformed_point(capsys, points, bad):
+    code, out, err = run(capsys, "sixv", "heights", "--t", "0.25", "--a", "0.5,0.4",
+                         "--b", "0.5,0.4", "--points", points)
+    assert code == 2
+    assert out == ""
+    assert f"point {bad} is not x,y" in err
 
 
 def test_hl_support_widens_the_cap_to_the_realized_deficit(capsys):

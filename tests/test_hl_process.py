@@ -664,6 +664,27 @@ def test_marginals_read_the_memoized_forward_sweep():
         assert _same_law(hl.exact_marginal_distribution(spec, pos, cap), expect)
 
 
+def test_marginals_build_each_backward_step_once(monkeypatch):
+    """Over every position of SPEC33 the marginals share one memoized,
+    read-only backward sweep: each distinct backward step is built once."""
+    spec, cap = SPEC33, 10
+    hl._LATTICES.clear()
+    built = []
+    operator = hl._Lattice.operator
+
+    def spy(lat, kind, param, t, backward=False):
+        if backward:
+            built.append((kind, param))
+        return operator(lat, kind, param, t, backward)
+
+    monkeypatch.setattr(hl._Lattice, "operator", spy)
+    for pos in range(1, spec.M + spec.N):
+        hl.exact_marginal_distribution(spec, pos, cap)
+    assert sorted(built) == sorted(set(spec.steps()))
+    with pytest.raises(ValueError):
+        hl._backward_masses(hl.get_lattice(3, cap), spec)[3][0] = 1.0
+
+
 def test_changing_a_returned_law_leaves_the_memo_alone():
     spec = SPEC33
     first = hl.exact_first_column_distribution(spec, 10)

@@ -117,10 +117,11 @@ def test_k1_monotone_in_m():
     assert vals[0] > vals[1] > vals[2]
 
 
-def test_quadrature_cap_error():
-    with pytest.raises(mo.QuadratureError):
-        mo.hl_moment(1, [1], 1, 0.5, (0.4,), (0.4,), tol=1e-16, start_nodes=8,
-                     max_nodes=16)
+def test_quadrature_cap_error(monkeypatch):
+    monkeypatch.setattr(mo, "START_NODES", 8)
+    monkeypatch.setattr(mo, "MAX_NODES", 16)
+    with pytest.raises(mo.QuadratureError, match="within 16 nodes"):
+        mo.hl_moment(1, [1], 1, 0.5, (0.4,), (0.4,), tol=1e-16)
 
 
 def _grid_mean(integrand, radii, n):

@@ -118,13 +118,6 @@ def test_bijection_round_trips():
     assert rsk.array_from_sets(rsk.SetSystem(3)) == vac
 
 
-def test_array_from_sets_levels_beyond_the_sets_raise():
-    sets = rsk.sets_from_array(rsk.PartitionArray(3, [[2], [2, 1], [3, 1, 0]]))
-    assert rsk.array_from_sets(sets, 2) == rsk.PartitionArray(2, [[2], [2, 1]])
-    with pytest.raises(ValueError, match="outside the 3 tracked levels"):
-        rsk.array_from_sets(sets, 4)
-
-
 def test_counter_partition_is_conjugate():
     from hlsixv import partitions as pt
 

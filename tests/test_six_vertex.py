@@ -70,47 +70,98 @@ def test_jagged_domain_fig6_conventions():
     ]
 
 
-def test_sample_state_valid_and_deterministic():
+def assert_runs_valid(domain, vert, horiz):
+    """Every run of sample_edges conserves paths at every vertex, with paths
+    entering on the left of every row, and occupies N cut edges."""
+    index = domain.vertices()
+    for (x, y), i in index.items():
+        h_in = horiz[index[x - 1, y]] if x > 1 else True
+        v_in = vert[index[x, y - 1]] if y > 1 else False
+        assert np.all(h_in * 1 + v_in * 1 == horiz[i] * 1 + vert[i] * 1), (x, y)
+    assert np.all(sv.outgoing_occupancy(domain, vert, horiz).sum(axis=0) == domain.N)
+
+
+def height_points(domain):
+    """Every point whose height the domain fixes, by rows."""
+    H = domain.column_heights()
+    return [
+        (x, y) for y in range(1, domain.N + 1) for x in range(1, domain.M + 2)
+        if x == 1 or H[x - 2] >= y
+    ]
+
+
+def assert_heights_step(domain, vert):
+    """h(1, y) = y, 0 <= h <= y, and h steps by 0 or 1 in x and in y."""
+    pts = height_points(domain)
+    h = dict(zip(pts, sv.edge_heights(domain, vert, pts)))
+    for (x, y), hv in h.items():
+        assert np.all((0 <= hv) & (hv <= y))
+        if x == 1:
+            assert np.all(hv == y)
+        if (x + 1, y) in h:
+            assert set(np.unique(hv - h[x + 1, y])) <= {0, 1}
+        if (x, y + 1) in h:
+            assert set(np.unique(h[x, y + 1] - hv)) <= {0, 1}
+
+
+def test_sample_edges_valid_and_deterministic():
     params = sv.SixVertexParams(t=0.4, a=(0.5, 0.3, 0.4), b=(0.6, 0.5, 0.3))
     dom = sv.JaggedDomain(3, 3, pt.parse_signs("+-+-+-"))
-    s1 = sv.sample_state(params, dom, seed=9)
-    s2 = sv.sample_state(params, dom, seed=9)
-    assert s1.vert == s2.vert and s1.horiz == s2.horiz
-    for seed in range(30):
-        st = sv.sample_state(params, dom, seed=seed)
-        st.validate()
+    vert, horiz = sv.sample_edges(params, dom, 30, seed=9)
+    again = sv.sample_edges(params, dom, 30, seed=9)
+    assert np.array_equal(vert, again[0]) and np.array_equal(horiz, again[1])
+    assert vert.dtype == horiz.dtype == bool
+    assert vert.shape == horiz.shape == (sum(dom.column_heights()), 30)
+    assert_runs_valid(dom, vert, horiz)
 
 
 def test_height_boundary_and_monotonicity():
     params = sv.SixVertexParams(t=0.4, a=(0.5, 0.3), b=(0.6, 0.5, 0.3))
     dom = sv.JaggedDomain.rectangular(2, 3)
-    for seed in range(40):
-        st = sv.sample_state(params, dom, seed=seed)
-        for y in range(1, 4):
-            assert sv.height(st, 1, y) == y
-        for y in range(1, 4):
-            prev = None
-            for x in range(1, 4):
-                h = sv.height(st, x, y)
-                assert 0 <= h <= y
-                if prev is not None:
-                    assert prev - h in (0, 1)
-                prev = h
-        for x in range(1, 4):
-            for y in range(2, 4):
-                dh = sv.height(st, x, y) - sv.height(st, x, y - 1)
-                assert dh in (0, 1)
+    vert, _ = sv.sample_edges(params, dom, 40, seed=0)
+    assert len(height_points(dom)) == 9
+    assert_heights_step(dom, vert)
 
 
 def test_outgoing_partition_cases():
-    params = params11()
     dom = sv.JaggedDomain.rectangular(1, 1)
-    turn = sv.LatticeState(dom, params, {(1, 1): True}, {(1, 1): False})
-    T, nu = sv.outgoing_partition(turn)
-    assert T == (-1, 1) and nu == (1,)
-    straight = sv.LatticeState(dom, params, {(1, 1): False}, {(1, 1): True})
-    T, nu = sv.outgoing_partition(straight)
-    assert T == (1, -1) and nu == ()
+    # run 0 turns up at (1, 1), run 1 passes straight
+    vert, horiz = np.array([[True, False]]), np.array([[False, True]])
+    strings = [
+        tuple(-1 if b else 1 for b in col)
+        for col in sv.outgoing_occupancy(dom, vert, horiz).T
+    ]
+    assert strings == [(-1, 1), (1, -1)]
+    assert [pt.partition_from_string(T, 1, 1) for T in strings] == [(1,), ()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda M: st.integers(1, 4).flatmap(
+        lambda N: st.sampled_from(list(pt.enumerate_sign_class(M, N, +1))).map(
+            lambda S: sv.JaggedDomain(M, N, S)))),
+    st.floats(0.05, 0.95),
+    st.lists(st.floats(0.0, 0.95), min_size=8, max_size=8),
+    st.integers(0, 2**32 - 1),
+)
+def test_sample_edges_invariants_on_jagged_domains(dom, t, ab, seed):
+    """On every run: paths are conserved, N cut edges are occupied, the
+    heights step by 0 or 1 from h(1, y) = y, and sample_outgoing_counts
+    counts the strings of sample_edges at the same seed, across blocks."""
+    from hlsixv import _kernels
+
+    params = sv.SixVertexParams(t=t, a=ab[:dom.M], b=ab[4:4 + dom.N])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "ENSEMBLE_BLOCK", 7)
+        vert, horiz = sv.sample_edges(params, dom, 20, seed)
+        counts = sv.sample_outgoing_counts(params, dom, 20, seed)
+    assert_runs_valid(dom, vert, horiz)
+    assert_heights_step(dom, vert)
+    strings = {}
+    for col in sv.outgoing_occupancy(dom, vert, horiz).T:
+        T = tuple(-1 if b else 1 for b in col)
+        strings[T] = strings.get(T, 0) + 1
+    assert counts == strings
 
 
 def test_exact_outgoing_1x1_closed_form():
@@ -134,9 +185,11 @@ def naive_state_enumeration(params, domain):
 
     def rec(i, vert, horiz, prob):
         if i == len(verts):
-            state = sv.LatticeState(domain, params, dict(vert), dict(horiz))
-            T, nu = sv.outgoing_partition(state)
-            key = (nu, domain.mu)
+            T = tuple(
+                -1 if (vert if kind == "up" else horiz)[x, y] else 1
+                for kind, x, y in domain.outgoing_edges()
+            )
+            key = (pt.partition_from_string(T, domain.M, domain.N), domain.mu)
             results[key] = results.get(key, 0.0) + prob
             return
         x, y = verts[i]
@@ -219,12 +272,9 @@ def test_heights_consistent_with_joint_law():
     pts = [(2, 1), (3, 2), (2, 2)]
     law = sv.exact_joint_height_distribution(params, dom, pts)
     counts = {}
-    n = 4000
-    rng = np.random.default_rng(17)
-    for _ in range(n):
-        st = sv.sample_state(params, dom, rng)
-        key = tuple(sv.height(st, x, y) for x, y in pts)
-        counts[key] = counts.get(key, 0) + 1
+    vert, _ = sv.sample_edges(params, dom, 4000, seed=17)
+    for key in sv.edge_heights(dom, vert, pts).T:
+        counts[tuple(key)] = counts.get(tuple(key), 0) + 1
     from hlsixv.verify import chi_square_gof
 
     stat, dof, p = chi_square_gof(counts, law)
