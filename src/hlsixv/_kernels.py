@@ -78,10 +78,12 @@ def _check_horizon(total, horizon, runs=1):
 def _clock_rings(rates, t, horizon, rng):
     """(time, level) of each ring of the level clock before horizon: per
     ring one exponential waiting time at the total rate from the Generator
-    rng, then one uniform for the level.  Inputs and the horizon are checked
-    at the first ring, before any draw."""
+    rng, then one uniform for the level.  Inputs and the horizon, which must
+    be finite and >= 0, are checked at the first ring, before any draw."""
     n, cum, total = _level_clock(rates, t)
     _check_horizon(total, horizon)
+    if horizon < 0:
+        raise ValueError(f"need a time horizon >= 0, got {horizon}")
     # bisect_left is searchsorted's default side, on the same float64 values
     cum = cum.tolist()
     exponential, random = rng.exponential, rng.random

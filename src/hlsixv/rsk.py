@@ -13,11 +13,10 @@ the v-cluster moves instead.  R = 1-t when the count of v-rows matches the
 level below (minus the mover), and (1-t)/(1-t^{E+1}) with E = #v-rows
 otherwise.  The propagation is expressed through free-value sets
 V_m = {v : col_{v+1}(level m) = col_{v+1}(level m-1)}, which is also the
-bridge to the set-valued dynamics below.  Both searches of the rule, from 0
-on the signalled level and from v+1 after a push, read one row rule: the
-free values are [row 0, inf) and the gaps [row i, row i-1 of the level
-below) that are not empty, so the search returns the smallest free row
-value >= its start (`_first_free_row`, batched as `_first_free_rows`).
+bridge to the set-valued dynamics below.  Both searches of the rule are
+Fig. 7's nearest unblocked row (`_nearest_free_row`): the last free row at
+or above a start row, which is the row that moves.  The signalled level
+starts at its last row, a push at the row of the level below that moved.
 
 Set dynamics.  V_i starts as all of Z>=0; a signal at level k removes
 min V_k, and the removed element i scans upward: levels containing i are
@@ -123,15 +122,11 @@ def is_blocked(array: PartitionArray, k: int, i: int) -> bool:
     return array.level(k)[i - 1] == array.level(k - 1)[i - 2]
 
 
-def nearest_neighbor_index(array: PartitionArray, k: int, i: int):
-    """Smallest free row of level k+1 with index <= i (1-based), or None."""
-    best = None
-    for j in range(1, i + 1):
-        if not is_blocked(array, k + 1, j):
-            v = array.level(k + 1)[j - 1]
-            if best is None or v < array.level(k + 1)[best - 1]:
-                best = j
-    return best
+def nearest_neighbor_index(array: PartitionArray, k: int, i: int) -> int:
+    """Smallest free row of level k+1 with index <= i, 1 <= i <= k+1 (1-based)."""
+    if not 1 <= i <= k + 1:
+        raise ValueError(f"row {i} outside 1..{k + 1}")
+    return _nearest_free_row(array.level(k + 1), array.level(k), i - 1) + 1
 
 
 def rsk_apply_signal(array: PartitionArray, k: int, t: float, uniform,
@@ -142,6 +137,8 @@ def rsk_apply_signal(array: PartitionArray, k: int, t: float, uniform,
     increment (the row of that value moved up by one).
     """
     _check_level(k, array.n_max)
+    if not 0.0 <= t < 1.0:  # nan fails too; the run_* drivers need t > 0
+        raise ValueError(f"need 0 <= t < 1, got {t}")
     out = array.copy()
     rec = [] if record is not None else None
     _apply_signal_inplace(out.levels, out.n_max, k, t, _as_uniform(uniform), rec)
@@ -161,39 +158,29 @@ def _as_uniform(u):
     return u.random  # numpy Generator
 
 
-def _first_free_row(upper, lower, lo):
-    """Smallest free value >= lo of two neighbouring levels, found by rows.
-
-    The free values of two interlacing levels are [upper[0], inf) and the
-    gaps [upper[i], lower[i-1]) for i >= 1: row 0 is always free, and row i
-    is free when upper[i] < lower[i-1].  The answer is lo when lo > upper[0],
-    and otherwise the smallest free row value >= lo.  This is the one free
-    search of the event rule, and `_first_free_rows` is its batched form.
-    A start strictly inside a gap, upper[i] < lo < lower[i-1], would be free
-    itself, but the rule never searches from there: it starts at 0 on the
-    signalled level and at ival+1 after a push.
+def _nearest_free_row(upper, lower, i):
+    """Last free row at or above row i of level `upper` over the level below
+    it, `lower`: row 0 is always free, and row j >= 1 is free when
+    upper[j] < lower[j-1].  Rows fall in value, so it is the free row of
+    smallest value among rows 0..i, and it starts its value's cluster:
+    upper[j-1] >= lower[j-1] > upper[j].  This is the one search of the
+    event rule, and `_first_free_rows` is its batched form by value.
     """
-    w = upper[0]
-    if lo > w:
-        return lo
-    # rows run from high to low values, so the last free row >= lo is the answer
-    for x, y in zip(upper[1:], lower):
-        if x < lo:
-            break
-        if x < y:
-            w = x
-    return w
+    while i and upper[i] >= lower[i - 1]:
+        i -= 1
+    return i
 
 
 def _apply_signal_inplace(levels, n_max, k, t, uniform, record=None):
-    """One signal at level k on the rows `levels`, in place.
+    """One signal at level k on the rows `levels`, in place, every move
+    found by row with `_nearest_free_row`, none by value.
 
     When `record` is a list, (level, value, row) is appended per level >= k:
     the row that moved, by index, and the value it moved from.
     """
     lv = levels[k - 1]
-    ival = _first_free_row(lv, levels[k - 2] if k > 1 else (), 0)
-    r = lv.index(ival)
+    r = _nearest_free_row(lv, levels[k - 2] if k > 1 else (), k - 1)
+    ival = lv[r]
     lv[r] += 1
     if record is not None:
         record.append((k, ival, r))
@@ -220,10 +207,11 @@ def _apply_signal_inplace(levels, n_max, k, t, uniform, record=None):
             else:
                 r_prob = 1.0 - t
             if uniform() < r_prob:
-                # the search starts at ival+1, where the row of level m-1
-                # that moved from ival to ival+1 counts as it did before
-                w = _first_free_row(upper, lower, ival + 1)
-                r = upper.index(w)
+                # the nearest free row above ival: rows 0..r of upper are
+                # the rows above ival, and the search reads lower only
+                # above its moved row r
+                r = _nearest_free_row(upper, lower, r)
+                w = upper[r]
             else:
                 # the ival-cluster of upper starts right after row r
                 w = ival
@@ -277,11 +265,13 @@ def run_rsk(rates, t: float, tau_max: float, seed: int, snapshot_times=(),
 
 
 def _first_free_rows(upper, lower, lo):
-    """`_first_free_row` for a block of runs in one pass: upper [m, runs] and
-    lower [m-1, runs] hold two neighbouring levels, runs on the last axis,
-    and lo [runs] the per-run start.  Same row rule: a row is a candidate
-    when it is row 0 or upper[i] < lower[i-1], and the answer is the
-    smallest candidate value >= lo, or lo when lo > upper[0].
+    """The value `_nearest_free_row` finds, for a block of runs in one pass:
+    upper [m, runs] and lower [m-1, runs] hold two neighbouring levels, runs
+    on the last axis, and lo [runs] the per-run start.  Same row rule: a row
+    is a candidate when it is row 0 or upper[i] < lower[i-1], and the answer
+    is the smallest candidate value >= lo, or lo when lo > upper[0].  The
+    rule starts it at 0, and at ival+1 after a push, never strictly inside a
+    gap upper[i] < lo < lower[i-1], where lo itself would be free.
     """
     free = upper >= lo
     free[1:] &= upper[1:] < lower
@@ -465,6 +455,8 @@ def sets_apply_signal(sets: SetSystem, k: int, t: float, uniform,
     unchanged (mirroring the array-side row increments one for one).
     """
     _check_level(k, sets.n_max)
+    if not 0.0 <= t < 1.0:  # nan fails too; the run_* drivers need t > 0
+        raise ValueError(f"need 0 <= t < 1, got {t}")
     # the event changes levels k..n only, so the levels below share their bounds
     bounds = sets._bounds[:k - 1] + [b[:] for b in sets._bounds[k - 1:]]
     out = SetSystem._from_bounds(sets.n_max, bounds)
@@ -624,6 +616,8 @@ def pushtasep_apply_clock(state: PushTASEPState, k: int, t: float, uniform):
 
     dst is None when the active particle escapes past the tracked window.
     """
+    if not 0.0 <= t < 1.0:  # nan fails too; the run_* drivers need t > 0
+        raise ValueError(f"need 0 <= t < 1, got {t}")
     uniform = _as_uniform(uniform)
     occ = state.occupied
     if not occ[k - 1]:

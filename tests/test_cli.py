@@ -313,6 +313,22 @@ def test_clock_horizons_that_cannot_run_exit_2(capsys, argv):
         assert "need a finite time horizon" in err
 
 
+@pytest.mark.parametrize("action, message", [
+    ("sets", "need a time horizon >= 0, got -1.0"),
+    ("pushtasep", "need a time horizon >= 0, got -1.0"),
+    ("run", "need finite snapshot times >= 0, got -1.0"),
+])
+def test_negative_horizon_exits_2(capsys, action, message):
+    """A --tmax below 0 is refused, where sets and pushtasep used to print
+    the initial state; run's default snapshot is the horizon itself."""
+    code, out, err = run(capsys, "rsk", action, "--rates", "1,1", "--t", "0.3",
+                         "--tmax", "-1")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert message in err
+
+
 @pytest.mark.parametrize("snapshots", ["nan", "1,nan", "-1", "inf"])
 def test_snapshot_times_that_cannot_run_exit_2(capsys, monkeypatch, snapshots):
     """A snapshot time that is not finite or is negative is refused before

@@ -284,10 +284,29 @@ def test_batch_step_runs_do_not_depend_on_the_block(n, t, runs, cuts):
         assert np.array_equal(piece, whole[:, :, lo:hi]), (lo, hi)
 
 
+def _first_free_row(upper, lower, lo):
+    """Value oracle of the rule's search: the smallest free value >= lo of two
+    neighbouring levels, found by rows.  The free values of two interlacing
+    levels are [upper[0], inf) and the gaps [upper[i], lower[i-1]) for
+    i >= 1, so the answer is lo when lo > upper[0] and otherwise the
+    smallest free row value >= lo.  A start strictly inside a gap would be
+    free itself; the rule starts at 0, and at ival+1 after a push."""
+    w = upper[0]
+    if lo > w:
+        return lo
+    # rows run from high to low values, so the last free row >= lo is the answer
+    for x, y in zip(upper[1:], lower):
+        if x < lo:
+            break
+        if x < y:
+            w = x
+    return w
+
+
 def _counting_signal(levels, n_max, k, t, uniform, record):
     """Reference event rule: counts the rows above and at ival of both levels
     at every level it reaches, and finds the moved row by value."""
-    ival = rsk._first_free_row(levels[k - 1], levels[k - 2] if k > 1 else (), 0)
+    ival = _first_free_row(levels[k - 1], levels[k - 2] if k > 1 else (), 0)
     lv = levels[k - 1]
     lv[lv.index(ival)] += 1
     record.append((k, ival))
@@ -322,7 +341,7 @@ def _counting_signal(levels, n_max, k, t, uniform, record):
             if uniform() < r_prob:
                 # the search starts at ival+1, where the row of level m-1
                 # that moved from ival to ival+1 counts as it did before
-                w = rsk._first_free_row(upper, lower, ival + 1)
+                w = _first_free_row(upper, lower, ival + 1)
             else:
                 w = ival
         upper[upper.index(w)] += 1
@@ -443,47 +462,82 @@ def _first_free_value(upper, lower, lo):
     return v
 
 
-def _free_search_sites(n, events):
-    """(upper, lower, lo) of every _first_free_row call the event rule makes
-    on the arrays reachable from the empty array within `events` events, over
-    every signalled level and every coin branch."""
-    sites = set()
-    search = rsk._first_free_row
-
-    def spy(upper, lower, lo):
-        sites.add((tuple(upper), tuple(lower), lo))
-        return search(upper, lower, lo)
-
+def _reachable(n, events):
+    """Every array reachable from the empty array within `events` events,
+    over every signalled level and every coin branch, as tuples of levels."""
     frontier = seen = {tuple((0,) * m for m in range(1, n + 1))}
     # a coin of 0 always pushes; one just below 1 pushes only when R = 1
     branches = (0.0, 1.0 - 1e-12)
-    with mock.patch.object(rsk, "_first_free_row", spy):
-        for _ in range(events):
-            reached = set()
-            for levels in frontier:
-                for k in range(1, n + 1):
-                    for coins in itertools.product(branches, repeat=n - k):
-                        lv = [list(x) for x in levels]
-                        rsk._apply_signal_inplace(lv, n, k, 0.5, iter(coins).__next__)
-                        reached.add(tuple(map(tuple, lv)))
-            frontier = reached - seen
-            seen = seen | reached
+    for _ in range(events):
+        reached = set()
+        for levels in frontier:
+            for k in range(1, n + 1):
+                for coins in itertools.product(branches, repeat=n - k):
+                    lv = [list(x) for x in levels]
+                    rsk._apply_signal_inplace(lv, n, k, 0.5, iter(coins).__next__)
+                    reached.add(tuple(map(tuple, lv)))
+        frontier = reached - seen
+        seen = seen | reached
+    return seen
+
+
+def _free_search_sites(n, events):
+    """(upper, lower, i, row) of every _nearest_free_row call the event rule
+    makes on the way to the arrays `_reachable(n, events)`: the search from
+    row i and the row it returned."""
+    sites = set()
+    search = rsk._nearest_free_row
+
+    def spy(upper, lower, i):
+        row = search(upper, lower, i)
+        sites.add((tuple(upper), tuple(lower), i, row))
+        return row
+
+    with mock.patch.object(rsk, "_nearest_free_row", spy):
+        _reachable(n, events)
     return sites
 
 
 @pytest.mark.parametrize("n, events", [(2, 14), (3, 9), (4, 6), (5, 5)])
 def test_first_free_rows_matches_value_scan_where_the_rule_searches(n, events):
-    """The row search, scalar and batched, equals the value scan at every
-    search the event rule makes (lo = 0 on the signalled level, lo = ival+1
-    after a push) on every reachable array."""
+    """At every search the event rule makes on every reachable array, the row
+    the search returns starts its value's cluster, and its value is the
+    value scan's answer and the batched search's at the rule's start: lo = 0
+    on the signalled level, searched from its last row, and lo = ival+1
+    after a push, searched from the row r of the level below that moved
+    from ival to ival+1, so lo = lower[r]."""
     sites = _free_search_sites(n, events)
     assert len(sites) > 150
-    for upper, lower, lo in sites:
+    for upper, lower, i, row in sites:
+        lo = lower[i] if i < len(lower) else 0
         want = _first_free_value(upper, lower, lo)
-        assert rsk._first_free_row(list(upper), list(lower), lo) == want, (upper, lower, lo)
+        assert upper[row] == want, (upper, lower, i)
+        assert upper.index(upper[row]) == row, (upper, lower, i)
         got = rsk._first_free_rows(np.array(upper)[:, None],
                                    np.array(lower, dtype=int)[:, None], np.array([lo]))
-        assert got.tolist() == [want], (upper, lower, lo)
+        assert got.tolist() == [want], (upper, lower, i)
+
+
+@pytest.mark.parametrize("n, events", [(2, 10), (3, 7), (4, 5), (5, 4)])
+def test_nearest_neighbor_index_is_the_nearest_unblocked_row(n, events):
+    """Fig. 7 on every reachable array, at every level k and every row i:
+    the nearest neighbour is the unblocked row of level k+1 with index <= i
+    and the smallest value, found here by brute force over is_blocked."""
+    for levels in _reachable(n, events):
+        arr = rsk.PartitionArray(n, levels)
+        for k in range(1, n):
+            upper = arr.level(k + 1)
+            for i in range(1, k + 2):
+                free = [j for j in range(1, i + 1) if not rsk.is_blocked(arr, k + 1, j)]
+                want = min(free, key=lambda j: upper[j - 1])
+                assert rsk.nearest_neighbor_index(arr, k, i) == want, (levels, k, i)
+
+
+@pytest.mark.parametrize("i", [-1, 0, 5])
+def test_nearest_neighbor_index_row_outside_range_raises(i):
+    arr = rsk.PartitionArray(4, [[5], [6, 2], [9, 2, 2], [10, 6, 2, 1]])
+    with pytest.raises(ValueError, match=rf"row {i} outside 1..4"):
+        rsk.nearest_neighbor_index(arr, 3, i)
 
 
 def test_first_free_rows_skips_a_start_inside_a_gap():
@@ -493,7 +547,7 @@ def test_first_free_rows_skips_a_start_inside_a_gap():
     upper, lower = np.array([[5], [1]]), np.array([[4]])
     assert _first_free_value([5, 1], [4], 2) == 2
     for lo, want in [(2, 5), (1, 1), (7, 7)]:
-        assert rsk._first_free_row([5, 1], [4], lo) == want
+        assert _first_free_row([5, 1], [4], lo) == want
         assert rsk._first_free_rows(upper, lower, np.array([lo])).tolist() == [want]
 
 
@@ -573,6 +627,49 @@ def test_clock_rejects_a_horizon_that_cannot_run_before_any_draw(horizon):
     with pytest.raises(ValueError, match="finite time horizon|clock rings"):
         next(_kernels._clock_rings((1.0, 1.0), 0.5, horizon, rng))
     assert rng.bit_generator.state == state
+
+
+def test_clock_rejects_a_negative_horizon_before_any_draw():
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"need a time horizon >= 0, got -1.0"):
+        next(_kernels._clock_rings((1.0, 1.0), 0.5, -1.0, rng))
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("run", [rsk.run_rsk, rsk.run_sets, rsk.run_pushtasep])
+def test_runs_reject_a_negative_horizon(run):
+    """Without snapshots run_rsk used to return [(-1.0, empty array)]; a
+    horizon of 0 stays valid and rings nothing."""
+    with pytest.raises(ValueError, match="need a time horizon >= 0"):
+        run((1.0, 1.0), 0.5, -1, 3)
+    run((1.0, 1.0), 0.5, 0.0, 3)
+
+
+def _no_draw():
+    raise AssertionError("drew a uniform")
+
+
+_SINGLE_STEPS = {
+    "array": lambda t, u: rsk.rsk_apply_signal(rsk.PartitionArray(3), 1, t, u),
+    "sets": lambda t, u: rsk.sets_apply_signal(rsk.SetSystem(3), 1, t, u),
+    "pushtasep": lambda t, u: rsk.pushtasep_apply_clock(rsk.PushTASEPState(5), 1, t, u),
+}
+
+
+@pytest.mark.parametrize("t", [1.0, 1.5, -0.1, float("nan")])
+@pytest.mark.parametrize("step", sorted(_SINGLE_STEPS))
+def test_single_steps_reject_t_outside_0_1_before_any_draw(step, t):
+    """With t > 1 no coin pushes: pushtasep_apply_clock at t = 1.5 used to
+    return (1, None), an escape."""
+    with pytest.raises(ValueError, match=r"need 0 <= t < 1, got"):
+        _SINGLE_STEPS[step](t, _no_draw)
+
+
+def test_single_steps_take_t_zero():
+    assert _SINGLE_STEPS["array"](0.0, _no_draw).levels == [[1], [1, 0], [1, 0, 0]]
+    assert _SINGLE_STEPS["sets"](0.0, _no_draw) == rsk.SetSystem(3, [{0}, (), ()])
+    assert _SINGLE_STEPS["pushtasep"](0.0, _no_draw) == (1, None)  # pushed out
 
 
 @pytest.mark.parametrize("taus, runs", [([0.5, 1e7], 1), ([1.0], _kernels.MAX_EXPECTED_RINGS)])
