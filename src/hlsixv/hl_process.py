@@ -19,6 +19,15 @@ halves apart, and a full step adds them.  Every half adds a target's terms
 in lattice edge order, so the exact laws are the same bit for bit on every
 run.  The DP sums the law of the outgoing string T; the support law
 nu(T)/mu(S) and the first-column law are its pushforwards.
+The string DP walks the live states only.  After steps 1..i a sequence that
+returns to the empty partition has at most b_i = min(p(i), N - m(i), rows)
+rows (_row_bounds), so step i maps the states with at most b_{i-1} rows to
+those with at most b_i rows, from and back to {empty}.  The rule is
+structural, so zero parameters change nothing: a plus adds at most one row,
+so a state above p(i) rows carries exactly 0 mass, and a minus removes at
+most one, so a state above N - m(i) rows reaches only states above the next
+bound.  Dropping them drops only +0.0 terms and T-prefixes whose mass at
+empty ends at 0, so every string's mass keeps its bits.
 Each lattice keeps the last few string laws and forward and backward sweeps
 summed on it (_memoized), so the support and first-column laws of one (spec,
 cap) share one DP, and the marginals of one (spec, cap) share one forward
@@ -26,7 +35,9 @@ and one backward sweep.  The memo dies with its lattice; _LATTICES keeps at
 most MAX_CACHED_BYTES and drops the least recently used lattice first.  The
 marginals and the step tables of the enumerator, its count and the exact
 sampler read one backward sweep: a table keeps the edges whose target can
-still return to empty.
+still return to empty.  That bwd > 0 pruning is exact, and those layers need
+the backward masses anyway; the string DP has none, and a backward sweep
+would cost it M+N more operator builds, about what the row bounds save.
 The support pushforward of a sequence validates each distinct partition,
 and traces each distinct (row counts, S), once per process in bounded
 caches, so pushing a whole sequence law costs a few dictionary hits per
@@ -239,7 +250,7 @@ class _Lattice:
             factor = _factor_table(self.qfactors, t)[self.class_qkey]
         return powtab[self.class_delta] * factor
 
-    def operator(self, kind, param, t, backward=False):
+    def operator(self, kind, param, t, backward=False, bounds=None):
         """The sparse matrix of one process step, split by colinc, for apply:
         kind '+' moves mass up the lattice, '-' down; backward is the
         transpose (for backward mass tables).  Its rows are 2 target +
@@ -247,13 +258,41 @@ class _Lattice:
         step toward lam is the lattice's CSR structure; a step toward mu is a
         CSC matrix with columns lam on the same edges.  Building one costs a
         gather over the edges and one scipy matrix construction, so a caller
-        builds each distinct step once."""
-        n = len(self.states)
-        data = self.class_weights(kind, param, t).take(self.edge_class)
+        builds each distinct step once.
+
+        bounds = (before, after), the step's row bounds b_{i-1} and b_i of
+        _row_bounds, keeps only the states with at most `before` rows before
+        the step and at most `after` rows after it, each side numbered in
+        lattice order among its kept states.  An edge mu < lam is kept or
+        dropped by its row 2 lam + colinc alone, as mu has rows(lam) - colinc
+        rows, so a kept row keeps all its terms in their order and a dropped
+        one adds only terms that are 0 on the walk's live states.  Bounds at
+        the lattice's row count, or None, keep every state: the full step,
+        which the sweeps and the step tables use."""
+        n_lam = n_mu = len(self.states)
+        indptr, mu_idx, colinc, edge_class = (
+            self.indptr, self.mu_idx, self.colinc, self.edge_class)
+        if bounds is not None and min(bounds) < self.rows:
+            # lam is the state after a plus and before a minus
+            lam_rows, mu_rows = bounds[::-1] if kind == "+" else bounds
+            nrows = np.fromiter(map(len, self.states), np.intp, n_lam)
+            lam_live = nrows <= lam_rows
+            # the rows 2 lam + colinc of the kept lam, emptied where mu has
+            # more than mu_rows rows
+            kept = (nrows[lam_live, None] - (0, 1) <= mu_rows).ravel()
+            first = indptr[:-1].reshape(-1, 2)[lam_live].ravel()
+            counts = np.diff(indptr).reshape(-1, 2)[lam_live].ravel() * kept
+            indptr = np.zeros(len(counts) + 1, dtype=np.int32)
+            np.cumsum(counts, out=indptr[1:])
+            edges = np.arange(indptr[-1]) + np.repeat(first - indptr[:-1], counts)
+            mu_pos = np.cumsum(nrows <= mu_rows, dtype=np.int32) - 1
+            mu_idx, colinc, edge_class = mu_pos[mu_idx[edges]], colinc[edges], edge_class[edges]
+            n_lam, n_mu = len(counts) // 2, int(mu_pos[-1]) + 1
+        data = self.class_weights(kind, param, t).take(edge_class)
         if (kind == "+") != backward:
-            return sparse.csr_matrix((data, self.mu_idx, self.indptr), shape=(2 * n, n))
-        return sparse.csc_matrix((data, 2 * self.mu_idx + self.colinc, self.indptr[::2]),
-                                 shape=(2 * n, n))
+            return sparse.csr_matrix((data, mu_idx, indptr), shape=(2 * n_lam, n_mu))
+        return sparse.csc_matrix((data, 2 * mu_idx + colinc, indptr[::2]),
+                                 shape=(2 * n_mu, n_lam))
 
     @property
     def nbytes(self) -> int:
@@ -645,12 +684,16 @@ def exact_support_string_distribution(
     halves of that step's operator map the mass vectors of all live
     prefixes at once, the child with T(i) = +1 (no first-column increment on
     a plus, a decrement on a minus) before the child with T(i) = -1, and
-    prefixes left without mass are dropped.  The strings thus come in depth-first order, +1 before
-    -1, the order in which their masses are summed.  Probabilities are
-    normalized by the total enumerated mass; the deficit against Pi^S is
-    reported.  The masses and their total are memoized on the lattice per
-    (t, steps), so the support and first-column laws of one (spec, cap)
-    share one DP; each call builds a fresh law from them through _law.
+    prefixes left without mass are dropped.  The strings thus come in
+    depth-first order, +1 before -1, the order in which their masses are
+    summed.  Step i runs over the states with at most b_i = min(p(i),
+    N - m(i), rows) rows only: the others cannot return to the empty
+    partition, so leaving them out changes no mass by a bit (module
+    docstring).  Probabilities are normalized by the total enumerated mass;
+    the deficit against Pi^S is reported.  The masses and their total are
+    memoized on the lattice per (t, steps), so the support and first-column
+    laws of one (spec, cap) share one DP; each call builds a fresh law from
+    them through _law.
     """
     lat = get_lattice(min(spec.M, spec.N), row_cap)
     steps = spec.steps()
@@ -661,24 +704,42 @@ def exact_support_string_distribution(
 
 def _string_masses(lat: _Lattice, steps, t) -> tuple:
     """(mass per outgoing string T, their total) by the level walk of
-    exact_support_string_distribution."""
-    n = len(lat.states)
-    vecs = np.zeros((n, 1))  # one column per live T-prefix
-    vecs[lat.empty] = 1.0
+    exact_support_string_distribution: one apply per step, of the operator
+    bounded by _row_bounds, each distinct (step, bounds) built once.  The
+    vectors start and end on the states with 0 rows, the empty partition
+    alone."""
+    vecs = np.ones((1, 1))  # one column per live T-prefix
     tbits = np.zeros((1, 0), dtype=np.int8)
-    for (kind, _), op in zip(steps, _operators(lat, steps, t)):
+    b = _row_bounds(steps, lat.rows)
+    built: dict = {}
+    for step, bounds in zip(steps, zip(b, b[1:])):
+        op = built.get((step, bounds))
+        if op is None:
+            op = built[step, bounds] = lat.operator(*step, t, bounds=bounds)
         half0, half1 = lat.apply(op, vecs)
-        out = np.empty((n, 2 * vecs.shape[1]))
-        out[:, 0::2], out[:, 1::2] = (half0, half1) if kind == "+" else (half1, half0)
+        out = np.empty((len(half0), 2 * vecs.shape[1]))
+        out[:, 0::2], out[:, 1::2] = (half0, half1) if step[0] == "+" else (half1, half0)
         live = out.any(axis=0)
         vecs = out[:, live]
         tbits = np.column_stack(
             (np.repeat(tbits, 2, axis=0), np.tile((1, -1), len(tbits)))
         )[live]
-    masses = {
-        tuple(T): m for T, m in zip(tbits.tolist(), vecs[lat.empty].tolist()) if m > 0.0
-    }
+    masses = {tuple(T): m for T, m in zip(tbits.tolist(), vecs[0].tolist()) if m > 0.0}
     return masses, sum(masses.values())
+
+
+def _row_bounds(steps, rows) -> list:
+    """b_0..b_{M+N}: after steps 1..i a sequence that returns to the empty
+    partition has at most b_i = min(p(i), N - m(i), rows) rows, as a plus
+    adds at most one row and a minus removes at most one."""
+    minus = sum(kind == "-" for kind, _ in steps)
+    p = m = 0
+    bounds = [0]
+    for kind, _ in steps:
+        p += kind == "+"
+        m += kind == "-"
+        bounds.append(min(p, minus - m, rows))
+    return bounds
 
 
 def exact_support_distribution(

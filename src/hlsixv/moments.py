@@ -58,6 +58,8 @@ def select_contours(side: str, k: int, ms, t: float, a, b) -> ContourFamily:
     exclude every 1/(t b_y) of the b given, which the moments pass as
     b_1..b_N.
     """
+    if k < 1:
+        raise ValueError(f"need at least one m, got k = {k}")
     ms = [int(m) for m in ms]
     if len(ms) != k or any(ms[i] < ms[i + 1] for i in range(k - 1)) or ms[-1] < 1:
         raise ValueError("need m_1 >= ... >= m_k >= 1")
@@ -224,9 +226,13 @@ def _moment(integrand, radii, tol, full):
     return float(val.real)
 
 
-def _check_inputs(N, t, b, tol):
+def _check_inputs(ms, N, t, b, tol):
+    if not ms:
+        raise ValueError("need at least one m, got none")
     if not 0.0 < t < 1.0:
         raise ValueError(f"need 0 < t < 1, got {t}")
+    if N < 1:
+        raise ValueError(f"need N >= 1, got {N}")
     if len(b) < N:
         raise ValueError(f"need b_1..b_N for N = {N}, got {len(b)} b values")
     if not tol > 0.0:
@@ -246,7 +252,7 @@ def hl_moment(k, ms, N, t, a, b, tol: float = 1e-9, radii=None, full: bool = Fal
     to satisfy the nesting conditions by the caller).
     """
     ms = [int(m) for m in ms]
-    _check_inputs(N, t, b, tol)
+    _check_inputs(ms, N, t, b, tol)
     if radii is None:
         radii = select_contours("hl", k, ms, t, a, b[:N]).radii
     return _moment(_hl_factors(ms, N, t, a, b), radii, tol, full)
@@ -256,7 +262,7 @@ def sixv_moment(k, ms, N, params: SixVertexParams, tol: float = 1e-9,
                 full: bool = False):
     """E[prod_i Q^{h(m_i + 1, N)}] for the quadrant six vertex model."""
     ms = [int(m) for m in ms]
-    _check_inputs(N, params.t, params.b, tol)
+    _check_inputs(ms, N, params.t, params.b, tol)
     Q, xi, u = params.to_native()
     radii = select_contours("sixv", k, ms, params.t, params.a, params.b[:N]).radii
     return _moment(_sixv_factors(ms, N, Q, xi, u), radii, tol, full)

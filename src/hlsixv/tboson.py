@@ -208,14 +208,27 @@ def yang_baxter_max_residual(trials: int, seed: int) -> float:
 # finite-volume exchange relations
 
 
+def _capped_occupancies(L: int, cap: int) -> np.ndarray:
+    """The basis indices, on occupancies <= cap + 1, of the occupancy
+    vectors whose L sites all hold at most cap, in ascending order."""
+    C = cap + 2
+    digits = np.arange(C**L)[:, None] // C ** np.arange(L) % C
+    return np.flatnonzero((digits <= cap).all(axis=1))
+
+
 def verify_exchange_relation(which: str, L: int, cap: int, a: float, b: float,
                              t: float) -> float:
     """Max matrix-element residual of one finite-L exchange relation.
 
     Operators are built on occupancies <= cap+1 so that two-operator products
     are exact on the compared sub-basis (occupancies <= cap): a row vertex
-    changes a site occupancy by at most one.
+    changes a site occupancy by at most one.  ValueError for L < 1 or
+    cap < 0, which leave no basis to compare.
     """
+    if L < 1:
+        raise ValueError(f"need L >= 1, got {L}")
+    if cap < 0:
+        raise ValueError(f"need cap >= 0, got {cap}")
     n_occ = cap + 1
     ab = a * b
     binv = 1.0 / b
@@ -238,18 +251,6 @@ def verify_exchange_relation(which: str, L: int, cap: int, a: float, b: float,
     else:
         raise ValueError("which must be CA, CB, DA or DB")
 
-    # restrict to in/out occupancies <= cap
-    keep = []
-    C = n_occ + 1
-    for idx in range(C**L):
-        v, ok = idx, True
-        for _ in range(L):
-            v, m = divmod(v, C)
-            if m > cap:
-                ok = False
-                break
-        if ok:
-            keep.append(idx)
-    keep = np.asarray(keep)
+    keep = _capped_occupancies(L, cap)
     diff = lhs[np.ix_(keep, keep)] - rhs[np.ix_(keep, keep)]
     return float(np.max(np.abs(diff)))

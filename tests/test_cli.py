@@ -651,6 +651,31 @@ def test_moments_inputs_that_cannot_run_exit_2(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--m", "", "--N", "1"), "need at least one m"),
+    (("--m", "1", "--N", "0"), "need N >= 1, got 0"),
+], ids=["no-m", "N-0"])
+def test_moments_without_an_m_or_a_column_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, "moments", "hl", *argv,
+                         "--t", "0.5", "--a", "0.4", "--b", "0.4")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--L", "0"), "need L >= 1, got 0"),
+    (("--cap", "-1"), "need cap >= 0, got -1"),
+], ids=["L-0", "cap-negative"])
+def test_tboson_exchange_outside_its_bounds_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, "tboson", "exchange", *argv, "--draws", "1")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert message in err
+
+
 @pytest.mark.parametrize("side, argv", [
     ("hl", ("--t", "0.5", "--a", "0.4", "--b", "0.4")),
     ("sixv", ("--t", "0.9", "--a", "0.4", "--b", "0.4")),

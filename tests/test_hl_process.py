@@ -3,6 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import given, settings, strategies as st
 
 from hlsixv import hl_process as hl
@@ -522,6 +523,151 @@ def test_level_walk_sums_the_support_masses_in_depth_first_order(M, N, data, t):
     dist = hl.exact_support_distribution(spec, cap)
     assert list(dist.items()) == expected
     assert dist.mass_deficit == 1.0 - total / hl.normalization_pi(spec)
+
+
+def _full_lattice_string_masses(lat, steps, t):
+    """The level walk of _string_masses over every state of the lattice at
+    every step: the oracle of the walk over the states within the row
+    bounds."""
+    n = len(lat.states)
+    vecs = np.zeros((n, 1))
+    vecs[lat.empty] = 1.0
+    tbits = np.zeros((1, 0), dtype=np.int8)
+    for (kind, _), op in zip(steps, hl._operators(lat, steps, t)):
+        half0, half1 = lat.apply(op, vecs)
+        out = np.empty((n, 2 * vecs.shape[1]))
+        out[:, 0::2], out[:, 1::2] = (half0, half1) if kind == "+" else (half1, half0)
+        live = out.any(axis=0)
+        vecs = out[:, live]
+        tbits = np.column_stack(
+            (np.repeat(tbits, 2, axis=0), np.tile((1, -1), len(tbits)))
+        )[live]
+    masses = {
+        tuple(T): m for T, m in zip(tbits.tolist(), vecs[lat.empty].tolist()) if m > 0.0
+    }
+    return masses, sum(masses.values())
+
+
+@st.composite
+def _walk_specs(draw):
+    """A spec with M, N <= 3, t in (0.05, 0.9), and sometimes one a_i or b_j
+    set to 0."""
+    M, N = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    S = draw(st.sampled_from(sorted(pt.enumerate_sign_class(M, N, +1))))
+    a = draw(st.lists(st.floats(0.05, 0.9), min_size=M, max_size=M))
+    b = draw(st.lists(st.floats(0.05, 0.9), min_size=N, max_size=N))
+    if draw(st.booleans()):
+        params = draw(st.sampled_from((a, b)))
+        params[draw(st.integers(0, len(params) - 1))] = 0.0
+    return hl.HLProcessSpec(t=draw(st.floats(0.05, 0.9)), a=a, b=b, S=S)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_walk_specs(), st.integers(0, 10))
+def test_live_state_walk_equals_the_full_lattice_walk(spec, cap):
+    """The walk over the states within the row bounds sums every string's
+    mass, and their total, bit for bit as the walk over the whole lattice,
+    in the same order."""
+    lat = hl.get_lattice(min(spec.M, spec.N), cap)
+    masses, total = hl._string_masses(lat, spec.steps(), spec.t)
+    ref_masses, ref_total = _full_lattice_string_masses(lat, spec.steps(), spec.t)
+    assert list(masses) == list(ref_masses)
+    assert np.array(list(masses.values())).tobytes() == \
+        np.array(list(ref_masses.values())).tobytes()
+    assert np.float64(total).tobytes() == np.float64(ref_total).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_walk_specs(), st.integers(0, 8))
+def test_live_states_keep_the_row_bounds(spec, cap):
+    """At every step i, each state with forward mass and completion mass has
+    at most b_i rows, and with positive parameters and cap >= 1 some such
+    state has exactly b_i rows: the bounds are the exact liveness rule's."""
+    lat = hl.get_lattice(min(spec.M, spec.N), cap)
+    nrows = np.array([len(lam) for lam in lat.states])
+    bounds = hl._row_bounds(spec.steps(), lat.rows)
+    assert bounds[0] == bounds[-1] == 0
+    positive = cap >= 1 and min(spec.a + spec.b) > 0
+    for i, (fwd, bwd) in enumerate(zip(hl._forward_sweep(lat, spec),
+                                       hl._backward_masses(lat, spec))):
+        live = nrows[(fwd > 0) & (bwd > 0)]
+        assert live.max() <= bounds[i]
+        if positive:
+            assert live.max() == bounds[i]
+
+
+def _parent_operator(lat, kind, param, t, backward=False):
+    """The step matrix over every state, as built from the lattice's arrays
+    alone."""
+    n = len(lat.states)
+    data = lat.class_weights(kind, param, t).take(lat.edge_class)
+    if (kind == "+") != backward:
+        return sparse.csr_matrix((data, lat.mu_idx, lat.indptr), shape=(2 * n, n))
+    return sparse.csc_matrix((data, 2 * lat.mu_idx + lat.colinc, lat.indptr[::2]),
+                             shape=(2 * n, n))
+
+
+def _same_matrix(op, ref):
+    return (op.format == ref.format and op.shape == ref.shape
+            and op.indptr.tobytes() == ref.indptr.tobytes()
+            and op.indices.tobytes() == ref.indices.tobytes()
+            and op.data.tobytes() == ref.data.tobytes())
+
+
+@pytest.mark.parametrize("rows,cap", [(1, 9), (2, 6), (3, 5)])
+def test_operator_at_the_lattice_row_count_is_the_full_step(rows, cap):
+    lat = hl.get_lattice(rows, cap)
+    for kind, backward in product("+-", (False, True)):
+        ref = _parent_operator(lat, kind, 0.37, 0.3, backward)
+        for bounds in (None, (rows, rows)):
+            op = lat.operator(kind, 0.37, 0.3, backward=backward, bounds=bounds)
+            assert _same_matrix(op, ref)
+
+
+@pytest.mark.parametrize("rows,cap", [(2, 6), (3, 5)])
+def test_bounded_operator_is_the_full_step_between_kept_states(rows, cap):
+    """A bounded step keeps the full step's entries between the kept states,
+    each kept target row with its terms in their stored order."""
+    lat = hl.get_lattice(rows, cap)
+    nrows = np.array([len(lam) for lam in lat.states])
+    for kind, backward in product("+-", (False, True)):
+        full = lat.operator(kind, 0.37, 0.3, backward=backward)
+        for bounds in product(range(rows + 1), repeat=2):
+            op = lat.operator(kind, 0.37, 0.3, backward=backward, bounds=bounds)
+            # the states the step's vectors run over: before, then after it
+            before, after = (np.flatnonzero(nrows <= b) for b in bounds)
+            if backward:
+                before, after = after, before
+            targets = np.ravel(2 * after[:, None] + (0, 1))
+            ref = full.tocsr()[targets][:, before]
+            op = op.tocsr()
+            assert op.shape == ref.shape
+            assert np.array_equal(op.indptr, ref.indptr)
+            assert np.array_equal(op.indices, ref.indices)
+            assert op.data.tobytes() == ref.data.tobytes()
+
+
+def test_string_walk_applies_each_step_once(monkeypatch):
+    """The string law of a fresh (spec, cap) makes M + N apply calls, one
+    per step, and builds each distinct (step, bounds) operator once."""
+    hl._LATTICES.clear()
+    calls, built = [], []
+    apply, operator = hl._Lattice.apply, hl._Lattice.operator
+
+    def spy_apply(lat, op, vecs):
+        calls.append(vecs.shape)
+        return apply(lat, op, vecs)
+
+    def spy_operator(lat, *args, **kwargs):
+        built.append((args, kwargs))
+        return operator(lat, *args, **kwargs)
+
+    monkeypatch.setattr(hl._Lattice, "apply", spy_apply)
+    monkeypatch.setattr(hl._Lattice, "operator", spy_operator)
+    hl.exact_support_string_distribution(SPEC33, 10)
+    assert len(calls) == SPEC33.M + SPEC33.N
+    assert calls[0] == (1, 1)
+    assert len(built) == len(set(map(repr, built)))
 
 
 def test_lattice_keeps_at_most_10_bytes_per_edge():

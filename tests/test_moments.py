@@ -27,6 +27,21 @@ def test_select_contours_nesting():
     assert six.radii == (1.0 / r1, 1.0 / r2)
 
 
+@pytest.mark.parametrize("moment", [
+    lambda k, ms, N: mo.hl_moment(k, ms, N, 0.5, (0.4,), (0.4,)),
+    lambda k, ms, N: mo.sixv_moment(k, ms, N, sv.SixVertexParams(t=0.5, a=(0.4,), b=(0.4,))),
+], ids=["hl", "sixv"])
+def test_moments_refuse_no_m_and_N_0_before_indexing(moment):
+    with pytest.raises(ValueError, match="need at least one m"):
+        moment(0, [], 1)
+    with pytest.raises(ValueError, match="need N >= 1, got 0"):
+        moment(1, [1], 0)
+    with pytest.raises(ValueError, match="need at least one m"):
+        mo.select_contours("hl", 0, [], 0.5, (0.4,), (0.4,))
+    with pytest.raises(ValueError, match="need at least one m"):
+        mo.hl_moment(0, [], 1, 0.5, (0.4,), (0.4,), radii=())
+
+
 def test_hl_moment_degenerate_a_zero():
     for k, ms in [(1, [2]), (2, [2, 1])]:
         v = mo.hl_moment(k, ms, 2, 0.45, (1e-14,) * 2, (0.3, 0.2))

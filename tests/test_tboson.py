@@ -107,6 +107,27 @@ def test_exchange_db_degenerate_a_zero():
     assert res < 1e-14
 
 
+@pytest.mark.parametrize("L, cap, message", [
+    (0, 2, "need L >= 1, got 0"),
+    (2, -1, "need cap >= 0, got -1"),
+])
+def test_exchange_relation_refuses_L_below_1_and_cap_below_0(L, cap, message):
+    with pytest.raises(ValueError, match=message):
+        tb.verify_exchange_relation("CA", L, cap, 0.4, 0.5, 0.3)
+
+
+@pytest.mark.parametrize("L, cap", [(1, 0), (1, 3), (2, 2), (3, 3), (4, 1)])
+def test_exchange_basis_is_the_occupancies_up_to_cap(L, cap):
+    """The compared sub-basis lists, in ascending order, the indices whose
+    L base-(cap + 2) digits are all <= cap."""
+    C = cap + 2
+    expect = [idx for idx in range(C**L)
+              if all(idx // C**site % C <= cap for site in range(L))]
+    got = tb._capped_occupancies(L, cap)
+    assert got.dtype.kind == "i"
+    assert got.tolist() == expect
+
+
 def test_operator_matrix_agrees_with_row_elements():
     L, cap, t, x = 2, 2, 0.3, 0.6
     n_occ = cap
