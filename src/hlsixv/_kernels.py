@@ -84,7 +84,8 @@ def _clock_rings(rates, t, horizon, rng):
     _check_horizon(total, horizon)
     if horizon < 0:
         raise ValueError(f"need a time horizon >= 0, got {horizon}")
-    # bisect_left is searchsorted's default side, on the same float64 values
+    # bisect_left counts the cum below the value, as _lockstep_ensemble does,
+    # on the same float64 values
     cum = cum.tolist()
     exponential, random = rng.exponential, rng.random
     scale = 1.0 / total
@@ -117,9 +118,11 @@ def _lockstep_ensemble(rates, t, taus, n_runs, seed, start, observe, step):
     finite, or more expected rings than MAX_EXPECTED_RINGS over all runs,
     raise ValueError before any draw.  The runs of a block step in
     lockstep.  Each step draws the waiting times of the block's live runs at
-    once, records every tau a run passes in one scatter, drops the runs
-    whose next event falls past the last tau, and steps the others after
-    one level uniform and one row of n coins each, in that order.
+    once, records every tau a run passes in one scatter with one flat index
+    (run i at the j-th tau is row i len(taus) + j of the output viewed as
+    [n_runs * len(taus), ...]), drops the runs whose next event falls past
+    the last tau, and steps the others after one level uniform and one row
+    of n coins each, in that order.
     """
     n, cum, total = _level_clock(rates, t)
     if n_runs < 1:
@@ -131,6 +134,7 @@ def _lockstep_ensemble(rates, t, taus, n_runs, seed, start, observe, step):
     rs = np.random.RandomState(seed)
     record_shape = observe(start(0)).shape[1:]
     out = np.zeros((n_runs, len(taus)) + record_shape, dtype=np.int32)
+    flat = out.reshape((n_runs * len(taus),) + record_shape)
     for first in range(0, n_runs, ENSEMBLE_BLOCK):
         ids = np.arange(first, min(first + ENSEMBLE_BLOCK, n_runs))
         state = start(len(ids))
@@ -138,18 +142,21 @@ def _lockstep_ensemble(rates, t, taus, n_runs, seed, start, observe, step):
         passed = np.zeros(len(ids), dtype=np.intp)  # taus recorded so far
         while len(ids):
             nxt = time + rs.exponential(1.0 / total, size=len(ids))
-            now = np.searchsorted(taus, nxt)  # the taus before the next event
+            # the taus before the next event, counted by comparing: a binary
+            # search per run costs more over the few taus a caller asks for
+            now = (taus[:, None] < nxt).sum(axis=0)
             rec = np.flatnonzero(passed < now)
             if len(rec):
                 owner, offset = _repeat_ranges(now[rec] - passed[rec])
                 seen = observe(state.take(rec, axis=-1))
-                out[ids[rec[owner]], passed[rec[owner]] + offset] = seen[owner]
+                first_row = ids[rec] * len(taus) + passed[rec]
+                flat[first_row[owner] + offset] = seen[owner]
             live = np.flatnonzero(now < len(taus))
             ids, state, time, passed = (ids[live], state.take(live, axis=-1),
                                         nxt[live], now[live])
             if len(ids):
                 u = rs.random_sample(len(ids))
-                level = np.minimum(1 + np.searchsorted(cum, u * total), n)
+                level = np.minimum(1 + (cum[:, None] < u * total).sum(axis=0), n)
                 step(state, level, rs.random_sample((len(ids), n)))
     return out
 

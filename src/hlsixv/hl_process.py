@@ -180,11 +180,24 @@ def row_cap(spec: HLProcessSpec) -> int:
     multiple of 8, widened by 8 until the realized deficit 1 - Z/Pi^S of the
     forward DP is at most DEFICIT_TOL.  The tail bound alone undercounts the paths
     through many small parameters (at plancherel_spec(K=128) its cap 8 leaves
-    1e-7).  LatticeTooLarge when no buildable cap gets there."""
+    1e-7).  LatticeTooLarge when no buildable cap gets there, and
+    TruncationError when a widening leaves the deficit where it was: the
+    forward sweep's rounding then sets a floor above DEFICIT_TOL (2.8e-12
+    at plancherel_spec(K=16000), caps 16 and 24 alike) that no wider cap
+    lowers."""
     pi = normalization_pi(spec)
     cap = -(-minimal_row_cap(spec) // 8) * 8
-    while 1.0 - _forward_mass(spec, cap) / pi > DEFICIT_TOL:
+    deficit = 1.0 - _forward_mass(spec, cap) / pi
+    while deficit > DEFICIT_TOL:
         cap += 8
+        wider = 1.0 - _forward_mass(spec, cap) / pi
+        if not wider < deficit:
+            raise TruncationError(
+                f"deficit {wider:.3g} at row cap {cap} is no lower than at cap "
+                f"{cap - 8}: the forward sweep's rounding floor lies above tol "
+                f"{DEFICIT_TOL}"
+            )
+        deficit = wider
     return cap
 
 

@@ -249,10 +249,15 @@ def hl_moment(k, ms, N, t, a, b, tol: float = 1e-9, radii=None, full: bool = Fal
     """E[prod_i t^{m_i - lambda'_1(m_i, N)}] for the ascending process.
 
     radii overrides the automatic contour selection (they are still required
-    to satisfy the nesting conditions by the caller).
+    to satisfy the nesting conditions by the caller): one radius per m, so
+    ValueError unless len(radii) == k == len(ms).
     """
     ms = [int(m) for m in ms]
     _check_inputs(ms, N, t, b, tol)
+    if radii is not None and not len(radii) == k == len(ms):
+        raise ValueError(
+            f"need one radius per m: k = {k}, {len(ms)} m values, {len(radii)} radii"
+        )
     if radii is None:
         radii = select_contours("hl", k, ms, t, a, b[:N]).radii
     return _moment(_hl_factors(ms, N, t, a, b), radii, tol, full)

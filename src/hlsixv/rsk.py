@@ -47,7 +47,9 @@ the order `_apply_signal_inplace` would draw them.  The batched step
 level and keeps the result of the runs that move, so a run's new state
 depends only on its own state, level and coins, whatever else is in the
 block; the block size changes a seeded output only through the order of
-the driver's draws.
+the driver's draws.  It works on whole rows of runs: a run's coins are
+read at a running flat position of the coin matrix, and a move adds a
+one-hot mask of rows to its level in place, so no run is indexed alone.
 """
 
 from __future__ import annotations
@@ -271,11 +273,14 @@ def _first_free_rows(upper, lower, lo):
     is a candidate when it is row 0 or upper[i] < lower[i-1], and the answer
     is the smallest candidate value >= lo, or lo when lo > upper[0].  The
     rule starts it at 0, and at ival+1 after a push, never strictly inside a
-    gap upper[i] < lo < lower[i-1], where lo itself would be free.
+    gap upper[i] < lo < lower[i-1], where lo itself would be free.  Rows hold
+    values >= 0, so raising every other row to max(upper[0], lo), which is
+    at least every candidate, leaves the candidates' minimum as the row
+    minimum.
     """
-    free = upper >= lo
-    free[1:] &= upper[1:] < lower
-    return np.where(free, upper, np.maximum(upper[0], lo)).min(axis=0)
+    other = upper < lo
+    other[1:] |= upper[1:] >= lower
+    return np.maximum(upper, np.maximum(upper[0], lo) * other).min(axis=0)
 
 
 def _apply_signal_batch(L, k, t, U):
@@ -289,38 +294,45 @@ def _apply_signal_batch(L, k, t, U):
     (`_first_free_rows` at the two starts the rule uses), the R formula and
     the push target are those of the reference, applied level by level to
     the whole block: every run is searched and counted at every level, and
-    only the runs that move (k <= m) keep the result.
+    only the runs that move (k <= m) keep the result.  No step indexes runs
+    one by one: a run reads its next coin at a running flat position of U,
+    and the move adds a one-hot mask of rows to the level in place.
     """
     n, runs = L.shape[0], L.shape[2]
-    run_ids = np.arange(runs)
     # row counts fit a signed type that holds -1..n, int8 up to n = 127
     count = np.min_scalar_type(-n - 1)
     # entry E <= n is R for a tie with E rows at ival, the last one 1 - t
     r_table = np.append((1.0 - t) / (1.0 - t ** (np.arange(n + 1) + 1)), 1.0 - t)
-    coin = np.zeros(runs, dtype=np.intp)
+    coins = U.ravel()
+    pos = np.arange(0, runs * n, n)  # run r's next coin is coins[pos[r]]
     ival = np.zeros(runs, dtype=L.dtype)
+    moved = ival  # no run draws at the first level, whatever this holds
     for m in range(int(k.min()), n + 1):
         upper = L[m - 1, :m]
         lower = L[m - 2, :m - 1] if m > 1 else upper[:0]
         begin = k == m
-        # the level below already moved a row from ival to ival+1, so its
-        # pre-event column ival+1 is one less than the current count
+        # the level below moved its row `moved` from ival to ival+1, so
+        # the move is forced when as many rows of level m lie above ival
         col_up = (upper > ival).sum(axis=0, dtype=count)
-        col_low = (lower > ival).sum(axis=0, dtype=count)
-        draws = (k < m) & (col_up != col_low - 1)
+        draws = (k < m) & (col_up != moved)
         ge_up = (upper >= ival).sum(axis=0, dtype=count)
         tie = (ival >= 1) & (ge_up == (lower >= ival).sum(axis=0, dtype=count))
-        r_prob = r_table[np.where(tie, ge_up - col_up, -1)]
-        push = draws & (U[run_ids, coin] < r_prob)
-        coin += draws
+        r_prob = r_table.take((ge_up - col_up + 1) * tie - 1)
+        push = draws & (coins.take(pos) < r_prob)
+        pos += draws
         # the push search starts at ival+1, where the row of level m-1 that
         # moved from ival to ival+1 counts as it did before
-        free = _first_free_rows(upper, lower, np.where(begin, 0, ival + 1))
+        free = _first_free_rows(upper, lower, (ival + 1) * ~begin)
         w = np.where(begin | push, free, ival)
-        # rows fall from row 0, so the first row at w follows the rows above
-        # it; a run with k > m adds 0 there (row <= m < n)
-        row = (upper > w).sum(axis=0, dtype=count)
-        L[m - 1, row, run_ids] += k <= m
+        # rows fall from row 0, so the row that moves is the first at or
+        # below w, the one after the rows above it; a run with k > m adds 0
+        above = upper > w
+        hit = ~above
+        hit[1:] &= above[:-1]
+        hit &= k <= m
+        upper += hit
+        if m < n:
+            moved = above.sum(axis=0, dtype=count)
         ival = w
 
 

@@ -228,8 +228,8 @@ def _vector_counts(arr: np.ndarray, key=tuple) -> dict:
     key(row as a tuple of ints), in order of first appearance.
 
     Each row is encoded as one int64 in mixed radix over the per-column
-    spans and the codes are counted with np.unique, so only the distinct
-    rows are turned into keys.  A column whose span exceeds the number of
+    spans and the codes are counted in one sort, so only the distinct rows
+    are turned into keys.  A column whose span exceeds the number of
     rows is renumbered densely first, and the code built so far is
     renumbered densely whenever the next column would overflow it.
     """
@@ -249,7 +249,14 @@ def _vector_counts(arr: np.ndarray, key=tuple) -> dict:
             radix = int(code.max()) + 1
         code = code * span + (col.astype(np.int64) - lo)
         radix *= span
-    _, first, counts = np.unique(code, return_index=True, return_counts=True)
+    # an unstable sort groups the rows by code, and the least row of each
+    # group is its code's first appearance: only the distinct codes are
+    # sorted by it
+    perm = np.argsort(code)
+    code = code[perm]
+    starts = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
+    first = np.minimum.reduceat(perm, starts)
+    counts = np.diff(starts, append=len(code))
     order = np.argsort(first)
     out: dict = {}
     for row, c in zip(flat[first[order]].tolist(), counts[order].tolist()):

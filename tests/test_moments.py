@@ -188,3 +188,15 @@ def test_k3_moments_match_exact_distribution():
         exact = vf.hl_exact_moment(3, ms, N, t, a, b)
         exact6 = vf.sixv_exact_moment(3, ms, N, t, a, b)
         assert max(abs(lhs - exact), abs(rhs - exact6)) < 1e-8
+
+
+@pytest.mark.parametrize("k, radii", [(1, (1.0, 0.4)), (3, (1.0,))],
+                         ids=["more-radii-than-m", "k-beyond-m"])
+def test_hl_moment_refuses_radii_that_do_not_match_k_and_ms(k, radii):
+    """radii must give one radius per m and k must count the m: two radii for
+    one m used to index past the factors, and k = 3 with one m and one
+    radius returned the k = 1 moment."""
+    with pytest.raises(ValueError, match="need one radius per m"):
+        mo.hl_moment(k, [1], 1, 0.5, (0.4,), (0.4,), radii=radii)
+    given = mo.hl_moment(1, [1], 1, 0.5, (0.4,), (0.4,), radii=(1.0,))
+    assert given == pytest.approx(mo.hl_moment(1, [1], 1, 0.5, (0.4,), (0.4,)))

@@ -284,6 +284,39 @@ def test_batch_step_runs_do_not_depend_on_the_block(n, t, runs, cuts):
         assert np.array_equal(piece, whole[:, :, lo:hi]), (lo, hi)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_wide_batch_step_matches_reference_stepper(n):
+    """A block of 3000 runs, as wide as the ensembles step, equals the
+    reference stepper run for run: states built by the reference, a third
+    of the coin rows drawn from the rule's R values themselves, so that a
+    coin equal to R shows the push test's strict <, and blocks whose lowest
+    signalled level is 1, 2 and n."""
+    runs = 3000
+    rng = np.random.default_rng(40 + n)
+    t = float(rng.uniform(0.05, 0.95))
+    arrays = []
+    for _ in range(runs):
+        arr = rsk.PartitionArray(n)
+        for k in rng.integers(1, n + 1, size=rng.integers(0, 16)):
+            rsk._apply_signal_inplace(arr.levels, n, int(k), t, rng.random)
+        arrays.append(arr)
+    L = _packed(arrays)
+    # R for a tie of E = 1..n rows at ival, and 1 - t; a tie of E = 0 rows
+    # has R = 1, which no coin in [0, 1) reaches
+    r_values = [(1.0 - t) / (1.0 - t ** e) for e in range(2, n + 2)] + [1.0 - t]
+    U = rng.random((runs, n))
+    U[::3] = rng.choice(r_values, size=U[::3].shape)
+    for lowest in sorted({1, min(2, n), n}):
+        k = rng.integers(lowest, n + 1, size=runs)
+        k[0] = lowest
+        block = L.copy()
+        rsk._apply_signal_batch(block, k, t, U)
+        want = [arr.copy() for arr in arrays]
+        for r, arr in enumerate(want):
+            rsk._apply_signal_inplace(arr.levels, n, int(k[r]), t, iter(U[r]).__next__)
+        assert np.array_equal(block, _packed(want)), lowest
+
+
 def _first_free_row(upper, lower, lo):
     """Value oracle of the rule's search: the smallest free value >= lo of two
     neighbouring levels, found by rows.  The free values of two interlacing

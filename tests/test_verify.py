@@ -192,3 +192,25 @@ def test_vector_counts_match_tuple_counter(arr):
     assert all(type(v) is int for key in counts for v in key)
     stripped = vf._vector_counts(arr, key=lambda row: row[:1])
     assert stripped == Counter(tuple(int(v) for v in row[:1]) for row in flat)
+
+
+def _wide_column(rng):
+    """400 rows whose first column spans far more values than there are rows."""
+    return np.column_stack([rng.integers(-2**40, 2**40, size=400) // 2**30,
+                            rng.integers(0, 3, size=400)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: rng.integers(0, 3, size=(20000, 3, 3)),
+    lambda rng: rng.integers(0, 400, size=(100000, 2)),
+    _wide_column,
+], ids=["20000x3x3", "100000x2", "wide-column"])
+def test_vector_counts_of_ensemble_sized_arrays(make):
+    """Counts of arrays as large as the checks count equal Counter's, keyed
+    in order of first appearance."""
+    arr = make(np.random.default_rng(11))
+    flat = arr.reshape(len(arr), -1)
+    expected = Counter(tuple(int(v) for v in row) for row in flat)
+    counts = vf._vector_counts(arr)
+    assert counts == expected
+    assert list(counts) == list(expected)
