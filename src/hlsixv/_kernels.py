@@ -142,9 +142,7 @@ def _lockstep_ensemble(rates, t, taus, n_runs, seed, start, observe, step):
         passed = np.zeros(len(ids), dtype=np.intp)  # taus recorded so far
         while len(ids):
             nxt = time + rs.exponential(1.0 / total, size=len(ids))
-            # the taus before the next event, counted by comparing: a binary
-            # search per run costs more over the few taus a caller asks for
-            now = (taus[:, None] < nxt).sum(axis=0)
+            now = np.searchsorted(taus, nxt)  # the taus before the next event
             rec = np.flatnonzero(passed < now)
             if len(rec):
                 owner, offset = _repeat_ranges(now[rec] - passed[rec])

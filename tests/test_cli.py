@@ -519,11 +519,11 @@ def test_verify_plancherel_level_beyond_the_rates_exits_2(capsys):
 
 
 def test_verify_plancherel_at_a_deficit_floor_exits_2(capsys):
-    """At K = 8000 the 2K law's deficit stops falling above the tolerance,
+    """At K = 1986 the 2K law's deficit stops falling above the tolerance,
     which used to widen the row cap without end."""
     code, out, err = run(capsys, "verify", "plancherel", "--rates", "1.0,0.8",
                          "--t", "0.5", "--tau", "0.6", "--level-n", "2",
-                         "--K", "8000", "--samples", "100", "--seed", "1")
+                         "--K", "1986", "--samples", "100", "--seed", "1")
     assert code == 2
     assert out == ""
     assert "at row cap 24 is no lower than at cap 16" in err

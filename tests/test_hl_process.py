@@ -1040,11 +1040,11 @@ def test_truncation_error(monkeypatch):
 
 
 def test_row_cap_stops_when_widening_leaves_the_deficit():
-    """At plancherel_spec(K=16000) the forward sweep's rounding leaves a
-    deficit near 2.8e-12 at caps 16 and 24 alike, above DEFICIT_TOL: row_cap
+    """At plancherel_spec(K=3972) the forward sweep's rounding leaves a
+    deficit near 1.3e-12 at caps 16 and 24 alike, above DEFICIT_TOL: row_cap
     stops at the first widening that does not lower it, where it used to
     widen the cap without end."""
-    spec = hl.plancherel_spec(0.5, (1.0, 0.8), 0.6, 16000)
+    spec = hl.plancherel_spec(0.5, (1.0, 0.8), 0.6, 3972)
     with pytest.raises(hl.TruncationError,
                        match=r"deficit \S+ at row cap 24 is no lower than at cap 16"):
         hl.row_cap(spec)
