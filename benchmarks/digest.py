@@ -30,6 +30,13 @@ lines agree compute the same outputs bit for bit:
   states that no path returns to ∅ from, which the sequence tables must
   drop.  It is printed after all, so that all stays comparable with the
   digests recorded before it.
+- fresh: for each sign string S with M = N <= 3, one draw of
+  `verify.draw_matched_params` (seed SEED), the Hall-Littlewood string,
+  support and first-column laws at row cap FRESH_CAP, each on an emptied
+  `hl_process._LATTICES`.  Every other line reaches its lattices through
+  `row_cap`'s full forward sweep; these laws read lattices that only the
+  bounded string walk has stepped on.  It is printed last, so that every
+  earlier line stays comparable with the digests recorded before it.
 """
 
 from __future__ import annotations
@@ -62,6 +69,7 @@ ENSEMBLE_RATES = (1.0, 0.7, 0.4)
 ENSEMBLE_T = 0.42
 ENSEMBLE_TAUS = (0.4, 0.9, 1.7)
 ZERO_CAPS = (4, 9)
+FRESH_CAP = 16
 
 
 def _law(dist) -> str:
@@ -112,6 +120,19 @@ def zeros():
                         yield _law(hl.exact_marginal_distribution(spec, pos, cap))
                     sampler = hl.SequenceSampler(spec, cap, seed=k)
                     yield repr([sampler.sample() for _ in range(20)])
+
+
+def fresh():
+    rng = np.random.default_rng(SEED)
+    for M in (1, 2, 3):
+        for S in pt.enumerate_sign_class(M, M, +1):
+            t, a, b = vf.draw_matched_params(rng, M, M)
+            spec = hl.HLProcessSpec(t=t, a=a, b=b, S=S)
+            yield repr((M, S, t, a, b, FRESH_CAP))
+            for law in (hl.exact_support_string_distribution, hl.exact_support_distribution,
+                        hl.exact_first_column_distribution):
+                hl._LATTICES.clear()
+                yield _law(law(spec, FRESH_CAP))
 
 
 def samplers():
@@ -176,6 +197,7 @@ def main() -> None:
         print(f"{name} {digest.hex()}")
     print(f"all {total.hexdigest()}")
     print(f"zeros {_digest(zeros).hex()}")
+    print(f"fresh {_digest(fresh).hex()}")
 
 
 if __name__ == "__main__":

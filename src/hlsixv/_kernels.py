@@ -3,15 +3,18 @@ builder and the step that applies its sparse operators, and the level clock
 with the lockstep driver of the Monte Carlo ensembles.
 
 The lattice builder is vectorized and works for any number of rows.  It
-enumerates each state's interlacing partners as a mixed-radix product of row
-ranges and sorts the edges into classes of equal |lam| - |mu| and equal skew
-Hall-Littlewood factors, each factor given by the multiset of its (1 - t^e)
-exponents; hl_process keeps the edges once, as one cached list sorted by
-(lam, colinc, mu), and gathers the class weights of one step, for given x
-and t, into a sparse operator split by colinc.  scatter_accumulate applies
-one: every step of hl_process's DP, and its sequence count, call it.  A CSR
-or CSC matrix product adds each target's terms from 0 in stored order, so
-its sums are the same bit for bit on every run.
+builds one stratum at a time, the edges whose lam has r rows and whose
+first-column increment colinc is c, enumerating each state's interlacing
+partners as a mixed-radix product of row ranges, already in (lam, mu)
+order, and keys each edge by |lam| - |mu| and the equality pattern that
+fixes its skew Hall-Littlewood factors, each factor given by the multiset of
+its (1 - t^e) exponents.  hl_process keeps the strata once, in one cached
+layout grouped by colinc, then lam, then mu, and gathers the class weights
+of one step, for given x and t, into a sparse operator split by colinc.
+scatter_accumulate applies one: every step of hl_process's DP, and its
+sequence count, call it.  A CSR or CSC matrix product adds each target's
+terms from 0 in stored order, so its sums are the same bit for bit on every
+run.
 
 Every continuous-time dynamics is driven by one Poisson clock that rings
 level k at rate c_k: _level_clock checks its inputs, _check_horizon how
@@ -32,6 +35,7 @@ ensemble of more runs than one block depends on it.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from math import comb, isfinite
 
 import numpy as np
@@ -189,15 +193,6 @@ def _box_rank_tables(rows, cap):
     ]
 
 
-def _renumber(code):
-    """Dense keys 0..k-1 for the distinct values of code, in increasing order,
-    and those values."""
-    present = np.flatnonzero(np.bincount(code))
-    relabel = np.zeros(present[-1] + 1, dtype=np.intp)
-    relabel[present] = np.arange(len(present))
-    return relabel[code], present
-
-
 def _run_factors(pattern, rows):
     """Exponent counts (e = 1..rows) of the P and Q skew factors of one edge.
 
@@ -220,58 +215,115 @@ def _run_factors(pattern, rows):
     return tuple(pcounts), tuple(qcounts)
 
 
-def build_interlacing_edges(parts):
-    """Edges mu < lam of the interlacing lattice on parts = box_partitions(rows, cap).
+def lattice_states(rows, cap):
+    """(parts, offsets) of the interlacing lattice on partitions with at most
+    `rows` rows and parts <= cap: parts is an (n, rows) zero-padded array of
+    the states ordered by their number of rows, then lexicographically, and
+    the states with r rows are parts[offsets[r]:offsets[r + 1]], so the
+    states with at most r rows are the first offsets[r + 1] = C(cap + r, r).
+    The r-row block is box_partitions(r, cap - 1) + 1."""
+    offsets = [0] + [comb(cap + r, r) for r in range(rows + 1)]
+    parts = np.zeros((offsets[-1], rows), dtype=np.intp)
+    for r in range(1, rows + 1 if cap else 1):
+        parts[offsets[r]:offsets[r + 1], :r] = box_partitions(r, cap - 1) + 1
+    return parts, offsets
 
-    Each state lam gets the Cartesian product of its row ranges
-    [lam_{i+1}, lam_i], enumerated in mixed radix with the last row fastest,
-    so edges come grouped by lam in state order and then by mu
-    lexicographically.  An edge's weight in a process step is
-    x^{|lam| - |mu|} times its skew factor, so edges are grouped into the few
-    classes of equal delta = |lam| - |mu| and equal P and Q factors.
 
-    Returns the intp arrays mu_idx, lam_idx and edge_class, the int8
-    first-column increment colinc, delta per class, and for P and for Q a
-    pair (key per class, exponent counts per key) describing the factor
-    prod_e (1 - t^e)^count_e.
+def lex_ranks(parts, cap):
+    """The position of each row of parts in box_partitions(rows, cap)."""
+    rank = _box_rank_tables(parts.shape[1], cap)
+    return sum(rank[i][parts[:, i]] for i in range(parts.shape[1]))
 
-    The skew factors depend only on which neighbours of the merged sequence
-    lam_1 >= mu_1 >= ... >= mu_rows >= 0 are equal.  mu_i equals lam_i at the
-    top of its range and lam_{i+1} at the bottom, so each edge is keyed by
-    that equality pattern, renumbered densely row by row, and the few
-    distinct patterns are read by _run_factors.
-    """
-    rows = parts.shape[1]
+
+def edge_counts(parts):
+    """(2, n) array: the number of edges mu < lam of each state lam of parts
+    whose first-column increment colinc is 0 (row 0) and 1 (row 1).  With r
+    rows, mu_i ranges over [lam_{i+1}, lam_i] for i < r, and mu_r is 0 on
+    colinc 1 and in [1, lam_r] on colinc 0; the empty partition has one
+    edge, to itself, of colinc 0."""
+    n, rows = parts.shape
+    nrows = np.count_nonzero(parts, axis=1)
     lower = np.zeros_like(parts)
     lower[:, :-1] = parts[:, 1:]
     width = parts - lower + 1
-    lam_idx, k = _repeat_ranges(width.prod(axis=1))
-    rank = _box_rank_tables(rows, int(parts[-1, 0]))
-    mu_idx = np.zeros_like(lam_idx)
-    delta = parts.sum(axis=1)[lam_idx]
-    colinc = np.count_nonzero(parts, axis=1).astype(np.int8)[lam_idx]
-    key = np.zeros_like(lam_idx)
-    patterns = [()]
-    for i in reversed(range(rows)):  # in place where it can, to bound memory
-        w = width[:, i][lam_idx]
-        mu = k % w
-        k //= w
-        key *= 4
-        key += 2 * (mu == w - 1)  # mu_i = lam_i
-        key += mu == 0  # mu_i = lam_{i+1}
-        mu += lower[:, i][lam_idx]
-        mu_idx += rank[i][mu]
-        delta -= mu
-        colinc -= mu > 0
-        key, present = _renumber(key)
-        patterns = [(bool(c & 2), bool(c & 1)) + patterns[c >> 2] for c in present]
-    edge_class, present = _renumber(delta * len(patterns) + key)
-    class_delta, class_pattern = np.divmod(present, len(patterns))
+    last = np.maximum(nrows - 1, 0)
+    # the product of the widths of the rows above the last
+    width[np.arange(n), last] = 1
+    base = width.prod(axis=1)
+    lam_last = parts[np.arange(n), last]
+    return np.stack((np.where(nrows > 0, base * lam_last, 1),
+                     np.where(nrows > 0, base, 0)))
+
+
+@lru_cache(maxsize=None)
+def pattern_factors(rows):
+    """((pkey, pfactors), (qkey, qfactors)) over the 4**rows equality
+    patterns of an edge: code sum_i 4^i (2 [mu_i = lam_i] + [mu_i =
+    lam_{i+1}]), lam_{rows+1} = 0.  key[code] is the entry of the factors
+    list, each entry the exponent counts (e = 1..rows) of prod_e (1 -
+    t^e)^count_e."""
+    sides = zip(*(
+        _run_factors(tuple(bool(code >> 2 * i & bit) for i in range(rows) for bit in (2, 1)),
+                     rows)
+        for code in range(4**rows)
+    ))
     factors = []
-    for side in zip(*(_run_factors(p, rows) for p in patterns)):
+    for side in sides:
         distinct = sorted(set(side))
         lookup = {f: n for n, f in enumerate(distinct)}
         keys = np.array([lookup[f] for f in side], dtype=np.intp)
-        factors.append((keys[class_pattern], distinct))
-    pfactors, qfactors = factors
-    return mu_idx, lam_idx, colinc, edge_class, class_delta, pfactors, qfactors
+        keys.flags.writeable = False  # shared by every lattice of this many rows
+        factors.append((keys, distinct))
+    return tuple(factors)
+
+
+def build_interlacing_edges(rows, cap, r, colinc):
+    """The stratum (r, colinc) of the interlacing lattice of lattice_states(
+    rows, cap): the edges mu < lam where lam has r rows and mu has r -
+    colinc, as int32 arrays mu_idx (mu's state position) and edge_class.
+
+    Each lam of the r-row block gets the Cartesian product of its row ranges
+    [lam_{i+1}, lam_i] for i < r, and [1, lam_r] (colinc 0) or {0} (colinc
+    1) for the last row, enumerated in mixed radix with the last row
+    fastest, so the edges come grouped by lam in state order and then by mu
+    lexicographically.  mu's position is the offset of its row block plus
+    the rank of mu - 1 in box_partitions(r - colinc, cap - 1).
+
+    An edge's weight in a process step is x^{|lam| - |mu|} times its skew
+    factor, which depends only on which neighbours of the merged sequence
+    lam_1 >= mu_1 >= ... >= mu_rows >= 0 are equal.  edge_class is delta
+    4^rows + code, delta = |lam| - |mu| <= cap and code the equality pattern
+    of pattern_factors (rows below r are 0 = 0 = 0), so a class names the
+    same weight whichever strata are built.
+    """
+    if r == 0 or cap == 0:
+        # the empty partition's edge to itself, equal in every row
+        n = int(colinc == 0 and r == 0)
+        return (np.zeros(n, dtype=np.int32), np.full(n, 4**rows - 1, dtype=np.int32))
+    lam = box_partitions(r, cap - 1) + 1
+    below = np.zeros_like(lam)  # lam_{i+1}, 0 under the last row
+    below[:, :-1] = lam[:, 1:]
+    # mu_i ranges over [low_i, high_i]
+    low, high = below.copy(), lam.copy()
+    if colinc:
+        high[:, -1] = 0
+    else:
+        low[:, -1] = 1
+    width = high - low + 1
+    lam_idx, k = _repeat_ranges(width.prod(axis=1))
+    mu_rows = r - colinc
+    rank = _box_rank_tables(mu_rows, cap - 1)
+    mu_idx = np.full_like(lam_idx, comb(cap + mu_rows - 1, mu_rows - 1) if mu_rows else 0)
+    delta = lam.sum(axis=1)[lam_idx]
+    # rows r..rows-1 are 0 on both sides
+    key = np.full_like(lam_idx, sum(3 * 4**i for i in range(r, rows)))
+    for i in reversed(range(r)):  # in place where it can, to bound memory
+        w = width[:, i][lam_idx]
+        mu = k % w
+        k //= w
+        mu += low[:, i][lam_idx]
+        key += 4**i * (2 * (mu == lam[:, i][lam_idx]) + (mu == below[:, i][lam_idx]))
+        if i < mu_rows:
+            mu_idx += rank[i][mu - 1]
+        delta -= mu
+    return mu_idx.astype(np.int32), (delta * 4**rows + key).astype(np.int32)

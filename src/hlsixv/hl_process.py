@@ -9,25 +9,33 @@ Exact computations run on a cached interlacing lattice (partitions with at
 most min(M,N) rows, for any number of rows, and parts <= row_cap) whose
 edges carry the skew-factor structure; parts above row_cap carry total mass
 below a geometric tail bound, and the realized truncation deficit is reported
-against the closed-form normalization constant.  The lattice keeps its edges
-once, as one list sorted by (lam, colinc, mu), where colinc is the
-first-column increment of the edge, which fixes the bit T(i) of the
-outgoing string.  Each law gathers the weights of each of its distinct
-steps into one sparse operator split by colinc, then applies it with
-_kernels.scatter_accumulate: the level walk of the string law takes its two
-halves apart, and a full step adds them.  Every half adds a target's terms
-in lattice edge order, so the exact laws are the same bit for bit on every
-run.  The DP sums the law of the outgoing string T; the support law
-nu(T)/mu(S) and the first-column law are its pushforwards.
+against the closed-form normalization constant.  The lattice orders its
+states by number of rows, then lexicographically, and keeps its edges once,
+grouped by colinc, the first-column increment of the edge, which fixes the
+bit T(i) of the outgoing string, then by lam, then by mu.  The edges whose
+lam has r rows and whose colinc is c, the stratum (r, c), are thus one
+block, and their mu all have r - c rows.  Each law gathers the weights of
+each of its distinct steps into one sparse operator, diag(colinc-0 half,
+colinc-1 half), then applies it with _kernels.scatter_accumulate: the level
+walk of the string law takes its two halves apart, and a full step adds
+them.  Every half adds a target's terms in lattice edge order, so the exact
+laws are the same bit for bit on every run.  The DP sums the law of the
+outgoing string T; the support law nu(T)/mu(S) and the first-column law are
+its pushforwards.
 The string DP walks the live states only.  After steps 1..i a sequence that
 returns to the empty partition has at most b_i = min(p(i), N - m(i), rows)
 rows (_row_bounds), so step i maps the states with at most b_{i-1} rows to
-those with at most b_i rows, from and back to {empty}.  The rule is
-structural, so zero parameters change nothing: a plus adds at most one row,
-so a state above p(i) rows carries exactly 0 mass, and a minus removes at
-most one, so a state above N - m(i) rows reaches only states above the next
-bound.  Dropping them drops only +0.0 terms and T-prefixes whose mass at
-empty ends at 0, so every string's mass keeps its bits.
+those with at most b_i rows, from and back to {empty}: a prefix of the
+states on each side, whose edges are a prefix of each colinc half.  The
+rule is structural, so zero parameters change nothing: a plus adds at most
+one row, so a state above p(i) rows carries exactly 0 mass, and a minus
+removes at most one, so a state above N - m(i) rows reaches only states
+above the next bound.  Dropping them drops only +0.0 terms and T-prefixes
+whose mass at empty ends at 0, so every string's mass keeps its bits.
+Only a full step or one bounded by (rows, rows) reads the top stratum
+(rows, 0), the edges between two partitions of `rows` rows and most of the
+lattice (54,264 of 74,613 edges at rows 3, cap 16), so the lattice builds
+it on the first such step.  An M = N walk never takes one.
 Each lattice keeps the last few string laws and forward and backward sweeps
 summed on it (_memoized), so the support and first-column laws of one (spec,
 cap) share one DP, and the marginals of one (spec, cap) share one forward
@@ -48,8 +56,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
+from operator import add
 
 import numpy as np
 from scipy import sparse
@@ -225,23 +234,32 @@ def _factor_table(factors, t):
 
 @dataclass
 class _Lattice:
-    """The edges mu < lam, stored once in lattice edge order: sorted by lam,
-    then by colinc (0 when lam has as many rows as mu, 1 when it has one
-    more), then by mu.  mu_idx and edge_class are one CSR structure with 2n
-    rows 2 lam + colinc: the edges of lam with increment c are
-    [indptr[2 lam + c]:indptr[2 lam + c + 1]]."""
+    """The edges mu < lam, stored once in lattice edge order.
+
+    The states are ordered by their number of rows, then lexicographically:
+    those with r rows are states[offsets[r]:offsets[r + 1]], so the states
+    with at most b rows are the first offsets[b + 1].  An edge's colinc is 0
+    when lam has as many rows as mu and 1 when it has one more.  The stratum
+    (r, c) holds the edges whose lam has r rows and whose colinc is c; its mu
+    all have r - c rows.  The edges are grouped by colinc, colinc 1 first,
+    then by lam, then by mu, so each stratum is one contiguous block: the
+    edges of lam with increment c are [indptr[c, lam]:indptr[c, lam + 1]].
+    The top stratum (rows, 0) is the last block.  get_lattice builds every
+    other one, and the first step that reads it (a full step, or one bounded
+    by (rows, rows)) builds it: mu_idx and edge_class hold the built edges,
+    a prefix of the layout, and indptr is the whole layout's."""
 
     rows: int
     cap: int
     states: list
     index: dict
-    indptr: np.ndarray
-    mu_idx: np.ndarray  # int32, per edge
-    edge_class: np.ndarray  # int32; edges of one class share |lam| - |mu| and skew factors
-    colinc: np.ndarray  # int8, per edge
-    class_delta: np.ndarray  # |lam| - |mu| per class
-    class_pkey: np.ndarray  # per class, the entry of pfactors
-    class_qkey: np.ndarray
+    offsets: list  # offsets[r]: the first state with r rows; offsets[rows + 1] = n
+    lex_order: np.ndarray  # int32; the state positions in lexicographic order
+    indptr: np.ndarray  # int32, (2, n + 1)
+    mu_idx: np.ndarray  # int32, per built edge
+    edge_class: np.ndarray  # int32, per built edge: |lam| - |mu| times 4^rows plus its pattern
+    pkey: np.ndarray  # per equality pattern, the entry of pfactors
+    qkey: np.ndarray
     pfactors: list  # per key, the count of (1 - t^e) factors for e = 1..rows
     qfactors: list
     # the last MEMO_ENTRIES DP results summed on this lattice, by key, the
@@ -258,54 +276,58 @@ class _Lattice:
         P factors for kind '+', Q factors for '-'."""
         powtab = float(param) ** np.arange(self.cap + 1, dtype=np.float64)
         if kind == "+":
-            factor = _factor_table(self.pfactors, t)[self.class_pkey]
+            factor = _factor_table(self.pfactors, t)[self.pkey]
         else:
-            factor = _factor_table(self.qfactors, t)[self.class_qkey]
-        return powtab[self.class_delta] * factor
+            factor = _factor_table(self.qfactors, t)[self.qkey]
+        return np.multiply.outer(powtab, factor).ravel()
 
     def operator(self, kind, param, t, backward=False, bounds=None):
-        """The sparse matrix of one process step, split by colinc, for apply:
-        kind '+' moves mass up the lattice, '-' down; backward is the
-        transpose (for backward mass tables).  Its rows are 2 target +
-        colinc, and each row adds its terms from 0 in lattice edge order.  A
-        step toward lam is the lattice's CSR structure; a step toward mu is a
-        CSC matrix with columns lam on the same edges.  Building one costs a
-        gather over the edges and one scipy matrix construction, so a caller
+        """The sparse matrix of one process step for apply, diag(colinc-0
+        half, colinc-1 half): kind '+' moves mass up the lattice, '-' down;
+        backward is the transpose (for backward mass tables).  Its rows are
+        c n + target and its columns c n' + source, and each row adds its
+        terms from 0 in lattice edge order.  A step toward lam is a CSR
+        matrix on the lattice's row pointers; a step toward mu is a CSC
+        matrix with columns lam on the same edges.  Building one costs a
+        gather over its edges and one scipy matrix construction, so a caller
         builds each distinct step once.
 
         bounds = (before, after), the step's row bounds b_{i-1} and b_i of
         _row_bounds, keeps only the states with at most `before` rows before
-        the step and at most `after` rows after it, each side numbered in
-        lattice order among its kept states.  An edge mu < lam is kept or
-        dropped by its row 2 lam + colinc alone, as mu has rows(lam) - colinc
-        rows, so a kept row keeps all its terms in their order and a dropped
-        one adds only terms that are 0 on the walk's live states.  Bounds at
-        the lattice's row count, or None, keep every state: the full step,
-        which the sweeps and the step tables use."""
-        n_lam = n_mu = len(self.states)
-        indptr, mu_idx, colinc, edge_class = (
-            self.indptr, self.mu_idx, self.colinc, self.edge_class)
-        if bounds is not None and min(bounds) < self.rows:
+        the step and at most `after` rows after it: a prefix of the states on
+        each side.  lam keeps at most lam_rows rows and mu at most mu_rows,
+        so half c keeps the strata (r, c) with r <= min(lam_rows, mu_rows +
+        c), a prefix of its edges, whole rows with their terms in order.
+        Bounds at the lattice's row count, or None, keep every state: the
+        full step, which the sweeps and the step tables use."""
+        lam_rows = mu_rows = self.rows
+        if bounds is not None:
             # lam is the state after a plus and before a minus
             lam_rows, mu_rows = bounds[::-1] if kind == "+" else bounds
-            nrows = np.fromiter(map(len, self.states), np.intp, n_lam)
-            lam_live = nrows <= lam_rows
-            # the rows 2 lam + colinc of the kept lam, emptied where mu has
-            # more than mu_rows rows
-            kept = (nrows[lam_live, None] - (0, 1) <= mu_rows).ravel()
-            first = indptr[:-1].reshape(-1, 2)[lam_live].ravel()
-            counts = np.diff(indptr).reshape(-1, 2)[lam_live].ravel() * kept
-            indptr = np.zeros(len(counts) + 1, dtype=np.int32)
-            np.cumsum(counts, out=indptr[1:])
-            edges = np.arange(indptr[-1]) + np.repeat(first - indptr[:-1], counts)
-            mu_pos = np.cumsum(nrows <= mu_rows, dtype=np.int32) - 1
-            mu_idx, colinc, edge_class = mu_pos[mu_idx[edges]], colinc[edges], edge_class[edges]
-            n_lam, n_mu = len(counts) // 2, int(mu_pos[-1]) + 1
-        data = self.class_weights(kind, param, t).take(edge_class)
+        n_lam, n_mu = self.offsets[lam_rows + 1], self.offsets[mu_rows + 1]
+        ptrs = [self.indptr[c, :n_lam + 1] for c in (0, 1)]
+        stops = [ptr[self.offsets[min(lam_rows, mu_rows + c) + 1]] for c, ptr in enumerate(ptrs)]
+        if stops[0] > len(self.mu_idx):
+            self._build_top()
+        kept = [slice(ptr[0], stop) for ptr, stop in zip(ptrs, stops)]
+        ptr0, ptr1 = (np.minimum(ptr, stop) - ptr[0] for ptr, stop in zip(ptrs, stops))
+        data = np.empty(ptr0[-1] + ptr1[-1])
+        weights = self.class_weights(kind, param, t)
+        # every class indexes weights: mode "clip" only skips the bounds check
+        weights.take(self.edge_class[kept[0]], out=data[:ptr0[-1]], mode="clip")
+        weights.take(self.edge_class[kept[1]], out=data[ptr0[-1]:], mode="clip")
+        args = (data, np.concatenate((self.mu_idx[kept[0]], self.mu_idx[kept[1]] + n_mu)),
+                np.concatenate((ptr0, ptr1[1:] + ptr0[-1])))
         if (kind == "+") != backward:
-            return sparse.csr_matrix((data, mu_idx, indptr), shape=(2 * n_lam, n_mu))
-        return sparse.csc_matrix((data, 2 * mu_idx + colinc, indptr[::2]),
-                                 shape=(2 * n_mu, n_lam))
+            return sparse.csr_matrix(args, shape=(2 * n_lam, 2 * n_mu))
+        return sparse.csc_matrix(args, shape=(2 * n_mu, 2 * n_lam))
+
+    def _build_top(self):
+        """Append the top stratum (rows, 0) to the built edges."""
+        mu_idx, edge_class = _kernels.build_interlacing_edges(self.rows, self.cap, self.rows, 0)
+        self.mu_idx = np.concatenate((self.mu_idx, mu_idx))
+        self.edge_class = np.concatenate((self.edge_class, edge_class))
+        _evict(keep=self)
 
     @property
     def nbytes(self) -> int:
@@ -317,9 +339,10 @@ class _Lattice:
 
     def apply(self, op, vecs):
         """op applied to one vector, or to each column of vecs: the colinc-0
-        half of the step and its colinc-1 half, whose sum is the full step."""
-        out = _kernels.scatter_accumulate(op, vecs)
-        return out[0::2], out[1::2]
+        half of the step and its colinc-1 half, whose sum is the full step.
+        Each half reads its own copy of vecs."""
+        out = _kernels.scatter_accumulate(op, np.concatenate((vecs, vecs)))
+        return out[:len(out) // 2], out[len(out) // 2:]
 
 
 def _operators(lat: _Lattice, steps, t, backward=False) -> list:
@@ -401,10 +424,12 @@ class LatticeTooLarge(ValueError):
 
 # Largest edge count get_lattice builds: 5.8 times the 2.76M edges of rows 3,
 # cap 32, the largest lattice the exact checks reach, admitting rows 3 up to
-# cap 44, rows 4 up to cap 25 and rows 5 up to cap 18.  The build peaks near
-# 80 bytes per edge and the finished lattice keeps 9 bytes per edge (mu and
-# class as int32, colinc as int8) and its row pointer, so the largest
-# lattice allowed peaks near 1.3 GB and keeps 0.15 GB.  A cap from
+# cap 44, rows 4 up to cap 25 and rows 5 up to cap 18.  A lattice is
+# refused by its full edge count, its top stratum included.  Building it in
+# full peaks near 62 bytes per edge (rows 3, cap 24, traced) and the
+# finished lattice keeps 8 bytes per edge (mu and class as int32) and its
+# row pointers, so the largest lattice allowed peaks near 1.0 GB and keeps
+# 0.13 GB.  A cap from
 # minimal_row_cap's range up to TAIL_CAP_MAX (rows 3, cap 400: 6.0e12 edges)
 # is refused at once.
 MAX_LATTICE_EDGES = 16_000_000
@@ -452,36 +477,33 @@ def get_lattice(rows: int, cap: int) -> _Lattice:
             f"interlacing lattice with {rows} rows and row cap {cap} has "
             f"{n_edges} edges, above the limit of {MAX_LATTICE_EDGES}"
         )
-    parts = _kernels.box_partitions(rows, cap)
+    parts, offsets = _kernels.lattice_states(rows, cap)
     states = [pt.strip_zeros(tuple(lam)) for lam in parts.tolist()]
     index = {lam: i for i, lam in enumerate(states)}
-    (mu_idx, lam_idx, colinc, edge_class, class_delta,
-     (class_pkey, pfactors), (class_qkey, qfactors)) = _kernels.build_interlacing_edges(parts)
-    # the builder lists the edges by lam, then mu; sort them by their rows
-    # 2 lam + colinc and reorder one array at a time, so that at most one
-    # extra copy is alive
-    row = 2 * lam_idx + colinc
-    del lam_idx
-    order = np.argsort(row, kind="stable")
-    indptr = np.zeros(2 * len(states) + 1, dtype=np.int32)
-    np.cumsum(np.bincount(row, minlength=2 * len(states)), out=indptr[1:])
-    del row
-    mu_idx = mu_idx.astype(np.int32)[order]
-    edge_class = edge_class.astype(np.int32)[order]
-    colinc = colinc[order]
-    del order
+    lex_order = np.empty(len(states), dtype=np.int32)
+    lex_order[_kernels.lex_ranks(parts, cap)] = np.arange(len(states))
+    # the row pointer of the whole layout: colinc 1, then colinc 0
+    counts = _kernels.edge_counts(parts)
+    indptr = np.zeros((2, len(states) + 1), dtype=np.int32)
+    np.cumsum(counts[1], out=indptr[1, 1:])
+    np.cumsum(counts[0], out=indptr[0, 1:])
+    indptr[0] += indptr[1, -1]
+    # every stratum but the top (rows, 0), in layout order
+    strata = [(r, 1) for r in range(1, rows + 1)] + [(r, 0) for r in range(rows)]
+    built = [_kernels.build_interlacing_edges(rows, cap, r, c) for r, c in strata]
+    (pkey, pfactors), (qkey, qfactors) = _kernels.pattern_factors(rows)
     lat = _Lattice(
         rows=rows,
         cap=cap,
         states=states,
         index=index,
+        offsets=offsets,
+        lex_order=lex_order,
         indptr=indptr,
-        mu_idx=mu_idx,
-        edge_class=edge_class,
-        colinc=colinc,
-        class_delta=class_delta,
-        class_pkey=class_pkey,
-        class_qkey=class_qkey,
+        mu_idx=np.concatenate([mu for mu, _ in built]),
+        edge_class=np.concatenate([cls for _, cls in built]),
+        pkey=pkey,
+        qkey=qkey,
         pfactors=pfactors,
         qfactors=qfactors,
     )
@@ -516,18 +538,27 @@ def sequence_weight(seq, spec: HLProcessSpec) -> float:
 
 
 def _step_tables(lat: _Lattice, spec: HLProcessSpec) -> tuple:
-    """(bwd, tables): _backward_sweep's masses, and per step the rows
-    2 source + colinc of its backward operator as CSR, keeping the edges of
-    nonzero weight whose target has bwd[i+1] > 0, as (indptr, dst, weight):
-    the edges out of state s are [indptr[s]:indptr[s+1]], in (colinc,
-    target) order."""
+    """(bwd, tables): _backward_sweep's masses, and per step the edges of
+    its backward operator as CSR over sources, keeping the edges of nonzero
+    weight whose target has bwd[i+1] > 0, as (indptr, dst, weight): the
+    edges out of state s are [indptr[s]:indptr[s+1]], in (colinc, target)
+    order."""
     ops, bwd = _backward_sweep(lat, spec)
     tables = []
     for op, live in zip(ops, bwd[1:]):
-        op = op.tocsr()
-        keep = (op.data != 0.0) & (live[op.indices] > 0)
-        indptr = np.concatenate(([0], np.cumsum(keep)))[op.indptr[::2]]
-        tables.append((indptr, op.indices[keep], op.data[keep]))
+        op = op.tocsr()  # rows c n + source, columns c len(live) + target
+        n = op.shape[0] // 2
+        dst = op.indices % len(live)
+        keep = (op.data != 0.0) & (live[dst] > 0)
+        ptr = np.concatenate(([0], np.cumsum(keep)))[op.indptr]
+        ptr0, ptr1 = ptr[:n + 1], ptr[n:] - ptr[n]
+        # source s lists its kept colinc-0 edges from ptr0[s] + ptr1[s], then
+        # its kept colinc-1 edges
+        shift = np.concatenate((ptr1[:-1], ptr0[1:] - ptr[n]))
+        at = np.arange(ptr[-1]) + np.repeat(shift, np.diff(ptr))
+        table = np.empty_like(dst, shape=ptr[-1]), np.empty(ptr[-1])
+        table[0][at], table[1][at] = dst[keep], op.data[keep]
+        tables.append((ptr0 + ptr1, *table))
     return bwd, tables
 
 
@@ -595,12 +626,15 @@ def exact_sequence_distribution(spec: HLProcessSpec, row_cap: int) -> DiscreteDi
             f"{count} sequences, more than {MAX_SEQUENCES}; use the DP-backed "
             "laws or lower row_cap"
         )
-    outcomes: dict = {}
-    total = 0.0
-    for seq, w in _enumerate_sequences(lat, tables):
-        outcomes[seq] = outcomes.get(seq, 0.0) + w
-        total += w
-    return _law(spec, outcomes, total)
+    # every path is a distinct sequence
+    outcomes = dict(_enumerate_sequences(lat, tables))
+    return _law(spec, outcomes, _left_sum(outcomes.values()))
+
+
+def _left_sum(values) -> float:
+    """The sum of values added one at a time from 0.0, left to right, on
+    every Python: built-in sum() of floats is compensated from 3.12 on."""
+    return reduce(add, values, 0.0)
 
 
 def _law(spec: HLProcessSpec, masses: dict, total) -> DiscreteDistribution:
@@ -738,7 +772,7 @@ def _string_masses(lat: _Lattice, steps, t) -> tuple:
             (np.repeat(tbits, 2, axis=0), np.tile((1, -1), len(tbits)))
         )[live]
     masses = {tuple(T): m for T, m in zip(tbits.tolist(), vecs[0].tolist()) if m > 0.0}
-    return masses, sum(masses.values())
+    return masses, _left_sum(masses.values())
 
 
 def _row_bounds(steps, rows) -> list:
@@ -786,7 +820,10 @@ def exact_marginal_distribution(
         raise ValueError("position out of range")
     lat = get_lattice(min(spec.M, spec.N), row_cap)
     mass = _forward_sweep(lat, spec)[position] * _backward_masses(lat, spec)[position]
-    return _law(spec, {lat.states[i]: mass[i] for i in np.nonzero(mass)[0]}, mass.sum())
+    # the outcomes are listed, and summed, in lexicographic state order
+    lex = lat.lex_order
+    mass = mass[lex]
+    return _law(spec, {lat.states[lex[i]]: mass[i] for i in np.nonzero(mass)[0]}, mass.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,10 @@ def row_operator_element(kind: str, spectral: float, lam, mu, L: int, t: float) 
 # finite-volume operator matrices
 
 
+# (start edge i, end edge j) of each row operator T(i|j)
+_EDGES = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}
+
+
 def operator_matrix(kind: str, spectral: float, L: int, n_occ: int, t: float) -> np.ndarray:
     """Dense black-normalized T(i|j) on the basis of occupancy vectors in
     {0..n_occ}^L.
@@ -114,7 +118,13 @@ def operator_matrix(kind: str, spectral: float, L: int, n_occ: int, t: float) ->
     M[bot, top] = row weight with the bottom/top occupancies decoded in walk
     order (site L most significant).  kind in 'A','B','C','D'.
     """
-    ij = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}[kind]
+    i, j = _EDGES[kind]
+    return _row_contraction(i, spectral, L, n_occ, t)[j]
+
+
+def _row_contraction(i: int, spectral: float, L: int, n_occ: int, t: float) -> np.ndarray:
+    """[j, bot, top]: T(i|j) for both end edges j, from one contraction of
+    the row's site tensors from start edge i."""
     C = n_occ + 1
     # site tensor W[h_in, m_bottom, h_out, n_top]
     W = np.zeros((2, C, 2, C))
@@ -125,12 +135,12 @@ def operator_matrix(kind: str, spectral: float, L: int, n_occ: int, t: float) ->
                 if 0 <= n < C:
                     W[h, m, hp, n] = boson_weight(h, m, hp, n, spectral, t)
     part = np.zeros((2, 1, 1))
-    part[ij[0], 0, 0] = 1.0
+    part[i, 0, 0] = 1.0
     for _ in range(L):
         part = np.einsum("hbt,hmgn->gbmtn", part, W).reshape(
             2, part.shape[1] * C, part.shape[2] * C
         )
-    return part[ij[1]]
+    return part
 
 
 def occ_index(occ, n_occ: int) -> int:
@@ -233,8 +243,14 @@ def verify_exchange_relation(which: str, L: int, cap: int, a: float, b: float,
     ab = a * b
     binv = 1.0 / b
 
+    rows: dict = {}
+
     def op(kind, spec):
-        return operator_matrix(kind, spec, L, n_occ, t)
+        # A and B, and C and D, read one contraction per spectral parameter
+        i, j = _EDGES[kind]
+        if (i, spec) not in rows:
+            rows[i, spec] = _row_contraction(i, spec, L, n_occ, t)
+        return rows[i, spec][j]
 
     if which == "CA":
         lhs = (1 - ab) * op("C", binv) @ op("A", a) + ab * (1 - t) * op("A", binv) @ op("C", a)

@@ -388,9 +388,12 @@ def test_first_column_distribution_consistency():
 
 @pytest.mark.parametrize("rows,cap", [(1, 6), (2, 6), (3, 6), (4, 3), (5, 3)])
 def test_lattice_matches_interlacing_oracle(rows, cap):
-    lat = hl.get_lattice(rows, cap)
+    lat = _built_lattice(rows, cap)
     box = list(pt.partitions_in_box(rows, cap))
     assert sorted(lat.states) == sorted(box)
+    # the states by number of rows, then lexicographically
+    assert lat.states == sorted(box, key=lambda lam: (pt.num_rows(lam), lam))
+    assert [lat.states[i] for i in lat.lex_order] == sorted(box)
     expected = {(mu, lam) for lam in box for mu in box if pt.interlaces(lam, mu)}
     lam_idx, colinc = _edge_lams(lat)
     edges = [(lat.states[m], lat.states[l]) for m, l in zip(lat.mu_idx, lam_idx)]
@@ -399,7 +402,6 @@ def test_lattice_matches_interlacing_oracle(rows, cap):
     assert set(edges) == expected
     for (mu, lam), inc in zip(edges, colinc):
         assert pt.num_rows(lam) - pt.num_rows(mu) == inc
-    assert np.array_equal(lat.colinc, colinc)
     a, t = 0.37, 0.3
     # column i of each image is the full step applied to the unit vector at
     # state i
@@ -414,11 +416,28 @@ def test_lattice_matches_interlacing_oracle(rows, cap):
             assert abs(down[j, i] - q) <= 1e-15 * abs(q)
 
 
+def _built_lattice(rows, cap):
+    """get_lattice(rows, cap) with every stratum built, by one full step."""
+    lat = hl.get_lattice(rows, cap)
+    lat.operator("+", 0.5, 0.5)
+    return lat
+
+
 def _edge_lams(lat):
-    """lam and the first-column increment of each edge, in lattice edge
-    order: the rows of lat.indptr are 2 lam + colinc."""
-    rows = np.repeat(np.arange(len(lat.indptr) - 1), np.diff(lat.indptr))
-    return rows // 2, rows % 2
+    """lam and the first-column increment of each edge of a built lattice, in
+    lattice edge order: the colinc-1 edges, then the colinc-0 edges, each by
+    lam as lat.indptr[colinc] points."""
+    n = len(lat.states)
+    lams = [np.repeat(np.arange(n), np.diff(lat.indptr[c])) for c in (1, 0)]
+    assert sum(map(len, lams)) == len(lat.mu_idx)
+    return np.concatenate(lams), np.repeat([1, 0], list(map(len, lams)))
+
+
+def _halves_order(lat):
+    """The edges of a built lattice in operator order: colinc 0, then
+    colinc 1."""
+    h1 = lat.indptr[1, -1]
+    return np.r_[h1:len(lat.mu_idx), 0:h1]
 
 
 def _bincount_step(lat, vec, kind, x, t, colinc=None, backward=False):
@@ -437,12 +456,17 @@ def _bincount_step(lat, vec, kind, x, t, colinc=None, backward=False):
 
 @pytest.mark.parametrize("rows,cap", [(1, 9), (2, 6), (3, 5), (4, 3)])
 def test_operator_step_equals_bincount_reference(rows, cap):
-    lat = hl.get_lattice(rows, cap)
+    lat = _built_lattice(rows, cap)
     n = len(lat.states)
     lam_idx, inc = _edge_lams(lat)
-    # lattice edge order: lam, then colinc, then mu, each edge once
-    key = (lam_idx * 2 + inc) * n + lat.mu_idx
+    # lattice edge order: colinc 1 first, then lam, then mu, each edge once
+    key = ((1 - inc) * n + lam_idx) * n + lat.mu_idx
     assert np.all(np.diff(key) > 0)
+    # so each stratum (rows of lam, colinc) is one block, the top (rows, 0) last
+    nrows = np.array([len(lam) for lam in lat.states])
+    stratum = 2 * (1 - inc) * (rows + 1) + nrows[lam_idx]
+    assert np.all(np.diff(stratum) >= 0)
+    assert np.all(nrows[lat.mu_idx] == nrows[lam_idx] - inc)
     rng = np.random.default_rng(rows * 100 + cap)
     for _ in range(3):
         x, t = rng.uniform(0.05, 0.95, size=2)
@@ -463,7 +487,7 @@ def test_operator_step_equals_bincount_reference(rows, cap):
 def test_full_step_is_the_sum_of_its_halves(rows, cap):
     """Each full step of a sweep adds the colinc-1 half to the colinc-0 half,
     bit for bit, and equals the bincount sum over all edges to rounding."""
-    lat = hl.get_lattice(rows, cap)
+    lat = _built_lattice(rows, cap)
     rng = np.random.default_rng(rows)
     for kind, backward in product("+-", (False, True)):
         op = lat.operator(kind, 0.37, 0.3, backward=backward)
@@ -479,9 +503,9 @@ def test_full_step_is_the_sum_of_its_halves(rows, cap):
 def test_operator_data_is_the_gathered_class_weights(rows, cap):
     """The stored values of every step operator are its class weights
     gathered by edge class, bit for bit."""
-    lat = hl.get_lattice(rows, cap)
+    lat = _built_lattice(rows, cap)
     for kind, backward in product("+-", (False, True)):
-        expect = lat.class_weights(kind, 0.37, 0.3)[lat.edge_class]
+        expect = lat.class_weights(kind, 0.37, 0.3)[lat.edge_class[_halves_order(lat)]]
         data = lat.operator(kind, 0.37, 0.3, backward=backward).data
         assert data.dtype == expect.dtype
         assert data.tobytes() == expect.tobytes()
@@ -597,14 +621,17 @@ def test_live_states_keep_the_row_bounds(spec, cap):
 
 
 def _parent_operator(lat, kind, param, t, backward=False):
-    """The step matrix over every state, as built from the lattice's arrays
-    alone."""
+    """The step matrix over every state of a built lattice, diag(colinc-0
+    half, colinc-1 half), as built from the lattice's arrays alone."""
     n = len(lat.states)
-    data = lat.class_weights(kind, param, t).take(lat.edge_class)
+    order = _halves_order(lat)
+    h0 = len(order) - lat.indptr[1, -1]
+    data = lat.class_weights(kind, param, t).take(lat.edge_class[order])
+    indices = lat.mu_idx[order] + n * (np.arange(len(order)) >= h0)
+    indptr = np.concatenate((lat.indptr[0] - lat.indptr[0, 0], lat.indptr[1, 1:] + h0))
     if (kind == "+") != backward:
-        return sparse.csr_matrix((data, lat.mu_idx, lat.indptr), shape=(2 * n, n))
-    return sparse.csc_matrix((data, 2 * lat.mu_idx + lat.colinc, lat.indptr[::2]),
-                             shape=(2 * n, n))
+        return sparse.csr_matrix((data, indices, indptr), shape=(2 * n, 2 * n))
+    return sparse.csc_matrix((data, indices, indptr), shape=(2 * n, 2 * n))
 
 
 def _same_matrix(op, ref):
@@ -616,7 +643,7 @@ def _same_matrix(op, ref):
 
 @pytest.mark.parametrize("rows,cap", [(1, 9), (2, 6), (3, 5)])
 def test_operator_at_the_lattice_row_count_is_the_full_step(rows, cap):
-    lat = hl.get_lattice(rows, cap)
+    lat = _built_lattice(rows, cap)
     for kind, backward in product("+-", (False, True)):
         ref = _parent_operator(lat, kind, 0.37, 0.3, backward)
         for bounds in (None, (rows, rows)):
@@ -624,27 +651,78 @@ def test_operator_at_the_lattice_row_count_is_the_full_step(rows, cap):
             assert _same_matrix(op, ref)
 
 
-@pytest.mark.parametrize("rows,cap", [(2, 6), (3, 5)])
+@pytest.mark.parametrize("rows,cap", [(1, 9), (2, 6), (3, 5), (4, 3)])
 def test_bounded_operator_is_the_full_step_between_kept_states(rows, cap):
-    """A bounded step keeps the full step's entries between the kept states,
-    each kept target row with its terms in their stored order."""
-    lat = hl.get_lattice(rows, cap)
+    """A bounded step's two halves are the full step's halves restricted to
+    the kept states, a prefix of the states on each side, each kept target
+    row with its terms in their stored order."""
+    lat = _built_lattice(rows, cap)
+    n = len(lat.states)
     nrows = np.array([len(lam) for lam in lat.states])
     for kind, backward in product("+-", (False, True)):
-        full = lat.operator(kind, 0.37, 0.3, backward=backward)
+        full = lat.operator(kind, 0.37, 0.3, backward=backward).tocsr()
         for bounds in product(range(rows + 1), repeat=2):
-            op = lat.operator(kind, 0.37, 0.3, backward=backward, bounds=bounds)
+            op = lat.operator(kind, 0.37, 0.3, backward=backward, bounds=bounds).tocsr()
             # the states the step's vectors run over: before, then after it
             before, after = (np.flatnonzero(nrows <= b) for b in bounds)
+            assert np.array_equal(before, np.arange(lat.offsets[bounds[0] + 1]))
             if backward:
                 before, after = after, before
-            targets = np.ravel(2 * after[:, None] + (0, 1))
-            ref = full.tocsr()[targets][:, before]
-            op = op.tocsr()
-            assert op.shape == ref.shape
-            assert np.array_equal(op.indptr, ref.indptr)
-            assert np.array_equal(op.indices, ref.indices)
-            assert op.data.tobytes() == ref.data.tobytes()
+            assert op.shape == (2 * len(after), 2 * len(before))
+            for c in (0, 1):
+                half = op[c * len(after):(c + 1) * len(after)]
+                ref = full[c * n + after][:, c * n + before]
+                assert np.array_equal(half[:, :c * len(before)].indptr, np.zeros(len(after) + 1))
+                half = half[:, c * len(before):(c + 1) * len(before)]
+                assert np.array_equal(half.indptr, ref.indptr)
+                assert np.array_equal(half.indices, ref.indices)
+                assert half.data.tobytes() == ref.data.tobytes()
+
+
+SIGNS_33 = sorted(pt.enumerate_sign_class(3, 3, +1))
+
+
+def test_square_string_laws_never_build_the_top_stratum():
+    """No step of an M = N string walk is bounded by (rows, rows), so the
+    support and first-column laws of every M = N = 3 sign string leave the
+    rows-3 lattice without its stratum (3, 0): the 20,349 of its 74,613
+    edges at cap 16 whose lam has fewer rows or one more than mu."""
+    hl._LATTICES.clear()
+    for S in SIGNS_33:
+        spec = hl.HLProcessSpec(t=0.35, a=(0.4, 0.3, 0.5), b=(0.45, 0.2, 0.3), S=S)
+        hl.exact_support_distribution(spec, 16)
+        hl.exact_first_column_distribution(spec, 16)
+    lat = hl._LATTICES[(3, 16)]
+    assert len(lat.mu_idx) == len(lat.edge_class) == 20_349
+    assert lat.indptr[0, -1] == comb(16 + 6, 6) == 74_613
+
+
+def test_top_stratum_built_on_demand_equals_a_full_first_use():
+    """A full sweep after bounded steps builds stratum (rows, 0), and then
+    every step, full or bounded, equals the step of a lattice whose first
+    use was full, bit for bit."""
+    hl._LATTICES.clear()
+    lazy = hl.get_lattice(3, 7)
+    bounded = lazy.operator("+", 0.37, 0.3, bounds=(1, 2))
+    assert len(lazy.mu_idx) < lazy.indptr[0, -1]
+    hl._sweep(lazy, [lazy.operator("-", 0.37, 0.3)])
+    assert len(lazy.mu_idx) == lazy.indptr[0, -1] == comb(7 + 6, 6)
+    hl._LATTICES.clear()
+    full = _built_lattice(3, 7)
+    assert np.array_equal(lazy.mu_idx, full.mu_idx)
+    assert np.array_equal(lazy.edge_class, full.edge_class)
+    assert _same_matrix(bounded, full.operator("+", 0.37, 0.3, bounds=(1, 2)))
+    for kind, backward in product("+-", (False, True)):
+        for bounds in (None, (3, 3), (2, 3), (3, 2)):
+            args = (kind, 0.37, 0.3, backward, bounds)
+            assert _same_matrix(lazy.operator(*args), full.operator(*args))
+
+
+def test_totals_add_left_to_right():
+    """The exact laws total their masses one at a time from the left, which
+    built-in sum() of floats does not from Python 3.12 on."""
+    assert hl._left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert hl._left_sum([]) == 0.0
 
 
 def test_string_walk_applies_each_step_once(monkeypatch):
@@ -733,7 +811,7 @@ SPEC33 = hl.HLProcessSpec(t=0.35, a=(0.4, 0.3, 0.5), b=(0.45, 0.2, 0.3), S="+-++
 def test_step_tables_list_candidates_in_colinc_then_target_order(spec):
     """Each source's candidates of both kinds of step come in (colinc,
     target) order, as a lexicographic sort of the edge list puts them."""
-    lat = hl.get_lattice(min(spec.M, spec.N), 5)
+    lat = _built_lattice(min(spec.M, spec.N), 5)
     lam_idx, inc = _edge_lams(lat)
     steps = spec.steps()
     bwd, tables = hl._step_tables(lat, spec)
@@ -803,8 +881,10 @@ def test_marginals_read_the_memoized_forward_sweep():
     for pos in range(1, spec.M + spec.N):
         fwd = hl._sweep(lat, hl._operators(lat, steps[:pos], spec.t))[-1]
         bwd = hl._sweep(lat, hl._operators(lat, steps[pos:], spec.t, backward=True)[::-1])[-1]
-        mass = fwd * bwd
-        expect = hl._law(spec, {lat.states[i]: mass[i] for i in np.nonzero(mass)[0]},
+        # listed and summed in lexicographic state order
+        lex = lat.lex_order
+        mass = (fwd * bwd)[lex]
+        expect = hl._law(spec, {lat.states[lex[i]]: mass[i] for i in np.nonzero(mass)[0]},
                          mass.sum())
         assert hl._forward_sweep(lat, spec)[pos].tobytes() == fwd.tobytes()
         assert _same_law(hl.exact_marginal_distribution(spec, pos, cap), expect)
@@ -870,13 +950,14 @@ def test_lattice_cache_stays_within_its_byte_bound(monkeypatch):
     """Past MAX_CACHED_BYTES, get_lattice and a memoized DP drop the least
     recently used lattices, a cache hit counting as a use."""
     hl._LATTICES.clear()
-    monkeypatch.setattr(hl, "MAX_CACHED_BYTES", 14_000)
+    # (3, 5) and (2, 6) fit, and (2, 8) beside them does not
+    monkeypatch.setattr(hl, "MAX_CACHED_BYTES", 6_000)
     used = []
     for key in [(1, 9), (3, 4), (2, 7), (1, 20), (1, 30), (2, 8), (3, 5)]:
         for k in (key, (2, 6)):
             hl.get_lattice(*k)
             used = [u for u in used if u != k] + [k]
-            assert _cached_bytes() <= 14_000
+            assert _cached_bytes() <= 6_000
             # the cache holds the lattices used last, in the order of use
             assert list(hl._LATTICES) == used[-len(hl._LATTICES):]
     assert len(hl._LATTICES) < len(used)
@@ -886,7 +967,7 @@ def test_lattice_cache_stays_within_its_byte_bound(monkeypatch):
     spec = hl.HLProcessSpec(t=0.3, a=(0.4, 0.3), b=(0.3,) * 6, S="++------")
     hl._forward_mass(spec, 6)
     assert len(hl.get_lattice(2, 6).memo) == 1
-    assert _cached_bytes() <= 14_000
+    assert _cached_bytes() <= 6_000
     assert list(hl._LATTICES) == [(1, 9), (2, 6)]
 
 
