@@ -17,6 +17,8 @@ carries index i and the right boundary j of the operator T(i|j), with
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import partitions as pt
@@ -143,6 +145,17 @@ def _row_contraction(i: int, spectral: float, L: int, n_occ: int, t: float) -> n
     return part
 
 
+# The exchange relations of one draw (a, b, t) read T(i|j) from both start
+# edges at the spectral parameters a and 1/b: four contractions, each giving
+# both end edges, kept read-only for the draw's next relations.
+@lru_cache(maxsize=4)
+def _shared_row_contraction(i: int, spectral: float, L: int, n_occ: int,
+                            t: float) -> np.ndarray:
+    part = _row_contraction(i, spectral, L, n_occ, t)
+    part.flags.writeable = False
+    return part
+
+
 def occ_index(occ, n_occ: int) -> int:
     """Basis index of an occupancy vector (site L most significant)."""
     idx = 0
@@ -232,7 +245,9 @@ def verify_exchange_relation(which: str, L: int, cap: int, a: float, b: float,
 
     Operators are built on occupancies <= cap+1 so that two-operator products
     are exact on the compared sub-basis (occupancies <= cap): a row vertex
-    changes a site occupancy by at most one.  ValueError for L < 1 or
+    changes a site occupancy by at most one.  The operators are read from
+    _shared_row_contraction, so the four relations of one (a, b, t) contract
+    four rows between them.  ValueError for L < 1 or
     cap < 0, which leave no basis to compare.
     """
     if L < 1:
@@ -243,14 +258,9 @@ def verify_exchange_relation(which: str, L: int, cap: int, a: float, b: float,
     ab = a * b
     binv = 1.0 / b
 
-    rows: dict = {}
-
     def op(kind, spec):
-        # A and B, and C and D, read one contraction per spectral parameter
         i, j = _EDGES[kind]
-        if (i, spec) not in rows:
-            rows[i, spec] = _row_contraction(i, spec, L, n_occ, t)
-        return rows[i, spec][j]
+        return _shared_row_contraction(i, spec, L, n_occ, t)[j]
 
     if which == "CA":
         lhs = (1 - ab) * op("C", binv) @ op("A", a) + ab * (1 - t) * op("A", binv) @ op("C", a)

@@ -102,10 +102,11 @@ def test_exchange_relations_random_draws():
             assert res < 1e-12, (which, a, b, t, res)
 
 
-def test_exchange_relation_contracts_each_row_once(monkeypatch):
-    """A relation reads two start edges at two spectral parameters: four row
-    contractions, each giving both end edges, and the same residual bit for
-    bit as one operator_matrix per operator."""
+def test_exchange_relations_of_a_draw_contract_each_row_once(monkeypatch):
+    """The four relations of one draw read two start edges at two spectral
+    parameters: four row contractions between them, each giving both end
+    edges, and the same residuals bit for bit as one operator_matrix per
+    operator."""
     L, cap, a, b, t = 3, 2, 0.4, 0.55, 0.3
     contract, calls = tb._row_contraction, []
 
@@ -114,21 +115,22 @@ def test_exchange_relation_contracts_each_row_once(monkeypatch):
         return contract(*args)
 
     monkeypatch.setattr(tb, "_row_contraction", spy)
-    for which in ("CA", "CB", "DA", "DB"):
-        calls.clear()
-        tb.verify_exchange_relation(which, L, cap, a, b, t)
-        assert len(calls) == len(set(calls)) == 4
-    res = tb.verify_exchange_relation("CA", L, cap, a, b, t)
+    tb._shared_row_contraction.cache_clear()
+    residuals = {which: tb.verify_exchange_relation(which, L, cap, a, b, t)
+                 for which in ("CA", "CB", "DA", "DB")}
+    assert len(calls) == len(set(calls)) == 4
     monkeypatch.undo()
+    tb._shared_row_contraction.cache_clear()
 
     def op(kind, x):
         return tb.operator_matrix(kind, x, L, cap + 1, t)
 
     ab, binv = a * b, 1.0 / b
-    lhs = (1 - ab) * op("C", binv) @ op("A", a) + ab * (1 - t) * op("A", binv) @ op("C", a)
-    rhs = (1 - t * ab) * op("A", a) @ op("C", binv)
+    lhs = (1 - ab) * op("C", binv) @ op("B", a) + ab * (1 - t) * op("A", binv) @ op("D", a)
+    rhs = t * (1 - ab) * op("B", a) @ op("C", binv) + ab * (1 - t) * op("A", a) @ op("D", binv)
     keep = tb._capped_occupancies(L, cap)
-    assert res == float(np.max(np.abs(lhs[np.ix_(keep, keep)] - rhs[np.ix_(keep, keep)])))
+    assert residuals["CB"] == float(np.max(np.abs(lhs[np.ix_(keep, keep)]
+                                                  - rhs[np.ix_(keep, keep)])))
 
 
 def test_exchange_db_degenerate_a_zero():
