@@ -224,7 +224,7 @@ def lattice_states(rows, cap):
     The r-row block is box_partitions(r, cap - 1) + 1."""
     offsets = [0] + [comb(cap + r, r) for r in range(rows + 1)]
     parts = np.zeros((offsets[-1], rows), dtype=np.intp)
-    for r in range(1, rows + 1 if cap else 1):
+    for r in range(1, rows + 1):
         parts[offsets[r]:offsets[r + 1], :r] = box_partitions(r, cap - 1) + 1
     return parts, offsets
 
@@ -296,10 +296,9 @@ def build_interlacing_edges(rows, cap, r, colinc):
     of pattern_factors (rows below r are 0 = 0 = 0), so a class names the
     same weight whichever strata are built.
     """
-    if r == 0 or cap == 0:
-        # the empty partition's edge to itself, equal in every row
-        n = int(colinc == 0 and r == 0)
-        return (np.zeros(n, dtype=np.int32), np.full(n, 4**rows - 1, dtype=np.int32))
+    if r == 0:
+        # the empty partition's one edge, to itself (colinc 0), equal in every row
+        return np.zeros(1, dtype=np.int32), np.full(1, 4**rows - 1, dtype=np.int32)
     lam = box_partitions(r, cap - 1) + 1
     below = np.zeros_like(lam)  # lam_{i+1}, 0 under the last row
     below[:, :-1] = lam[:, 1:]
