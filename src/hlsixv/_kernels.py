@@ -193,7 +193,10 @@ def _box_rank_tables(rows, cap):
     ]
 
 
-def _run_factors(pattern, rows):
+# every pattern of up to 5 rows (4^5); a lattice of many rows may meet
+# millions, so the cache is bounded
+@lru_cache(maxsize=1024)
+def run_factors(pattern, rows):
     """Exponent counts (e = 1..rows) of the P and Q skew factors of one edge.
 
     pattern[j] tells whether z_j = z_{j+1} in the merged sequence z = (lam_1,
@@ -255,50 +258,43 @@ def edge_counts(parts):
                      np.where(nrows > 0, base, 0)))
 
 
-@lru_cache(maxsize=None)
-def pattern_factors(rows):
-    """((pkey, pfactors), (qkey, qfactors)) over the 4**rows equality
-    patterns of an edge: code sum_i 4^i (2 [mu_i = lam_i] + [mu_i =
-    lam_{i+1}]), lam_{rows+1} = 0.  key[code] is the entry of the factors
-    list, each entry the exponent counts (e = 1..rows) of prod_e (1 -
-    t^e)^count_e."""
-    sides = zip(*(
-        _run_factors(tuple(bool(code >> 2 * i & bit) for i in range(rows) for bit in (2, 1)),
-                     rows)
-        for code in range(4**rows)
-    ))
-    factors = []
-    for side in sides:
-        distinct = sorted(set(side))
-        lookup = {f: n for n, f in enumerate(distinct)}
-        keys = np.array([lookup[f] for f in side], dtype=np.intp)
-        keys.flags.writeable = False  # shared by every lattice of this many rows
-        factors.append((keys, distinct))
-    return tuple(factors)
+def _renumber(key):
+    """(dense, present): the values of the intp array key numbered 0, 1, ...
+    in increasing order, and the values present, by one bincount (no sort)."""
+    table = np.bincount(key)
+    present = np.flatnonzero(table)
+    table[present] = np.arange(len(present))
+    return table[key], present
 
 
 def build_interlacing_edges(rows, cap, r, colinc):
     """The stratum (r, colinc) of the interlacing lattice of lattice_states(
     rows, cap): the edges mu < lam where lam has r rows and mu has r -
-    colinc, as int32 arrays mu_idx (mu's state position) and edge_class.
+    colinc, as (mu_idx, edge_class, class_delta, class_pattern).
 
     Each lam of the r-row block gets the Cartesian product of its row ranges
     [lam_{i+1}, lam_i] for i < r, and [1, lam_r] (colinc 0) or {0} (colinc
     1) for the last row, enumerated in mixed radix with the last row
     fastest, so the edges come grouped by lam in state order and then by mu
-    lexicographically.  mu's position is the offset of its row block plus
-    the rank of mu - 1 in box_partitions(r - colinc, cap - 1).
+    lexicographically.  mu's position, the int32 mu_idx, is the offset of
+    its row block plus the rank of mu - 1 in box_partitions(r - colinc,
+    cap - 1).
 
     An edge's weight in a process step is x^{|lam| - |mu|} times its skew
     factor, which depends only on which neighbours of the merged sequence
-    lam_1 >= mu_1 >= ... >= mu_rows >= 0 are equal.  edge_class is delta
-    4^rows + code, delta = |lam| - |mu| <= cap and code the equality pattern
-    of pattern_factors (rows below r are 0 = 0 = 0), so a class names the
-    same weight whichever strata are built.
+    lam_1 >= mu_1 >= ... >= mu_rows >= 0 are equal.  The int32 edge_class
+    numbers the (|lam| - |mu|, equality pattern) pairs that occur in the
+    stratum: class k has |lam| - |mu| = class_delta[k] and the pattern
+    class_pattern[k], the tuple of the 2 rows flags [lam_i = mu_i], [mu_i =
+    lam_{i+1}] for i = 1..rows, lam_{rows+1} = 0, that run_factors reads.
+    A pattern's key grows by one base-4 digit per row and is renumbered
+    densely once its range passes 4^6, so the keys and the pattern list stay
+    below 4 max(4^6, patterns present) whatever the number of rows.
     """
     if r == 0:
         # the empty partition's one edge, to itself (colinc 0), equal in every row
-        return np.zeros(1, dtype=np.int32), np.full(1, 4**rows - 1, dtype=np.int32)
+        return (np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32),
+                np.zeros(1, dtype=np.intp), [(True, True) * rows])
     lam = box_partitions(r, cap - 1) + 1
     below = np.zeros_like(lam)  # lam_{i+1}, 0 under the last row
     below[:, :-1] = lam[:, 1:]
@@ -314,15 +310,27 @@ def build_interlacing_edges(rows, cap, r, colinc):
     rank = _box_rank_tables(mu_rows, cap - 1)
     mu_idx = np.full_like(lam_idx, comb(cap + mu_rows - 1, mu_rows - 1) if mu_rows else 0)
     delta = lam.sum(axis=1)[lam_idx]
-    # rows r..rows-1 are 0 on both sides
-    key = np.full_like(lam_idx, sum(3 * 4**i for i in range(r, rows)))
+    key = np.zeros_like(lam_idx)
+    patterns = [(True, True) * (rows - r)]  # rows r+1..rows are 0 = 0 = 0
     for i in reversed(range(r)):  # in place where it can, to bound memory
         w = width[:, i][lam_idx]
         mu = k % w
         k //= w
         mu += low[:, i][lam_idx]
-        key += 4**i * (2 * (mu == lam[:, i][lam_idx]) + (mu == below[:, i][lam_idx]))
+        key *= 4
+        key += 2 * (mu == lam[:, i][lam_idx]) + (mu == below[:, i][lam_idx])
+        present = range(4 * len(patterns))
+        if len(present) > 4**6:  # past 4^6 codes, keep only those present
+            key, present = _renumber(key)
+            present = present.tolist()
+        patterns = [(bool(c & 2), bool(c & 1)) + patterns[c >> 2] for c in present]
         if i < mu_rows:
             mu_idx += rank[i][mu - 1]
         delta -= mu
-    return mu_idx.astype(np.int32), (delta * 4**rows + key).astype(np.int32)
+    # |lam| - |mu| <= lam_1 <= cap
+    key *= cap + 1
+    key += delta
+    edge_class, present = _renumber(key)
+    pattern, class_delta = np.divmod(present, cap + 1)
+    return (mu_idx.astype(np.int32), edge_class.astype(np.int32), class_delta,
+            [patterns[p] for p in pattern.tolist()])

@@ -256,12 +256,17 @@ class _Lattice:
     offsets: list  # offsets[r]: the first state with r rows; offsets[rows + 1] = n
     lex_order: np.ndarray  # int32; the state positions in lexicographic order
     indptr: np.ndarray  # int32, (2, n + 1)
-    mu_idx: np.ndarray  # int32, per built edge
-    edge_class: np.ndarray  # int32, per built edge: |lam| - |mu| times 4^rows plus its pattern
-    pkey: np.ndarray  # per equality pattern, the entry of pfactors
-    qkey: np.ndarray
-    pfactors: list  # per key, the count of (1 - t^e) factors for e = 1..rows
-    qfactors: list
+    mu_idx: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
+    # int32, per built edge: its class in `classes`
+    edge_class: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
+    # (|lam| - |mu|, P key, Q key) -> class, numbered in the order first met
+    classes: dict = field(default_factory=dict)
+    class_delta: np.ndarray = None  # per class, |lam| - |mu|
+    class_pkey: np.ndarray = None  # per class, the key of its P factor in pfactors
+    class_qkey: np.ndarray = None
+    # exponent counts (e = 1..rows) of a factor prod_e (1 - t^e)^count_e -> key
+    pfactors: dict = field(default_factory=dict)
+    qfactors: dict = field(default_factory=dict)
     # the last MEMO_ENTRIES DP results summed on this lattice, by key, the
     # most recently used last (_memoized)
     memo: dict = field(default_factory=dict, repr=False, compare=False)
@@ -276,10 +281,33 @@ class _Lattice:
         P factors for kind '+', Q factors for '-'."""
         powtab = float(param) ** np.arange(self.cap + 1, dtype=np.float64)
         if kind == "+":
-            factor = _factor_table(self.pfactors, t)[self.pkey]
+            factor = _factor_table(self.pfactors, t)[self.class_pkey]
         else:
-            factor = _factor_table(self.qfactors, t)[self.qkey]
-        return np.multiply.outer(powtab, factor).ravel()
+            factor = _factor_table(self.qfactors, t)[self.class_qkey]
+        return powtab[self.class_delta] * factor
+
+    def _add_edges(self, strata):
+        """Append the edges of each built stratum of strata, each a result
+        of _kernels.build_interlacing_edges, in lattice edge order.  A
+        stratum's classes join `classes` in the order first met, so the
+        edges built before keep their classes whatever strata come later."""
+        classes, pfactors, qfactors = self.classes, self.pfactors, self.qfactors
+        factor_keys = {}  # pattern -> (P key, Q key)
+        edge_class = []
+        for _, local, delta, patterns in strata:
+            number = []
+            for d, pattern in zip(delta.tolist(), patterns):
+                keys = factor_keys.get(pattern)
+                if keys is None:
+                    p, q = _kernels.run_factors(pattern, self.rows)
+                    keys = factor_keys[pattern] = (pfactors.setdefault(p, len(pfactors)),
+                                                   qfactors.setdefault(q, len(qfactors)))
+                number.append(classes.setdefault((d, *keys), len(classes)))
+            edge_class.append(np.array(number, dtype=np.int32)[local])
+        self.class_delta, self.class_pkey, self.class_qkey = (
+            np.array(list(classes), dtype=np.intp).reshape(-1, 3).T)
+        self.mu_idx = np.concatenate([self.mu_idx] + [mu for mu, *_ in strata])
+        self.edge_class = np.concatenate([self.edge_class] + edge_class)
 
     def operator(self, kind, param, t, backward=False, bounds=None):
         """The sparse matrix of one process step for apply, diag(colinc-0
@@ -324,9 +352,7 @@ class _Lattice:
 
     def _build_top(self):
         """Append the top stratum (rows, 0) to the built edges."""
-        mu_idx, edge_class = _kernels.build_interlacing_edges(self.rows, self.cap, self.rows, 0)
-        self.mu_idx = np.concatenate((self.mu_idx, mu_idx))
-        self.edge_class = np.concatenate((self.edge_class, edge_class))
+        self._add_edges([_kernels.build_interlacing_edges(self.rows, self.cap, self.rows, 0)])
         _evict(keep=self)
 
     @property
@@ -490,8 +516,6 @@ def get_lattice(rows: int, cap: int) -> _Lattice:
     indptr[0] += indptr[1, -1]
     # every stratum but the top (rows, 0), in layout order
     strata = [(r, 1) for r in range(1, rows + 1)] + [(r, 0) for r in range(rows)]
-    built = [_kernels.build_interlacing_edges(rows, cap, r, c) for r, c in strata]
-    (pkey, pfactors), (qkey, qfactors) = _kernels.pattern_factors(rows)
     lat = _Lattice(
         rows=rows,
         cap=cap,
@@ -500,13 +524,8 @@ def get_lattice(rows: int, cap: int) -> _Lattice:
         offsets=offsets,
         lex_order=lex_order,
         indptr=indptr,
-        mu_idx=np.concatenate([mu for mu, _ in built]),
-        edge_class=np.concatenate([cls for _, cls in built]),
-        pkey=pkey,
-        qkey=qkey,
-        pfactors=pfactors,
-        qfactors=qfactors,
     )
+    lat._add_edges([_kernels.build_interlacing_edges(rows, cap, r, c) for r, c in strata])
     _LATTICES[key] = lat
     _evict(keep=lat)
     return lat

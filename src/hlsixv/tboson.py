@@ -17,8 +17,6 @@ carries index i and the right boundary j of the operator T(i|j), with
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from . import partitions as pt
@@ -145,15 +143,37 @@ def _row_contraction(i: int, spectral: float, L: int, n_occ: int, t: float) -> n
     return part
 
 
-# The exchange relations of one draw (a, b, t) read T(i|j) from both start
-# edges at the spectral parameters a and 1/b: four contractions, each giving
-# both end edges, kept read-only for the draw's next relations.
-@lru_cache(maxsize=4)
-def _shared_row_contraction(i: int, spectral: float, L: int, n_occ: int,
-                            t: float) -> np.ndarray:
-    part = _row_contraction(i, spectral, L, n_occ, t)
-    part.flags.writeable = False
-    return part
+# The most bytes a row contraction (2 (n_occ + 1)^(2L) doubles) may hold to
+# be shared.  The four relations of one draw (a, b, t) read the same four
+# contractions, so the last draw's four are kept while each is this small:
+# 1 MiB keeps L = 3 up to cap 4 and L = 4 up to cap 2, at most 4 MiB between
+# calls.  A larger one is made for each operator that reads it, as
+# operator_matrix makes it, so that no call holds four at once.
+KEPT_CONTRACTION_BYTES = 1 << 20
+
+# (L, n_occ, a, 1/b, t) -> the contractions of _draw_contractions, for the
+# last draw only
+_kept_contractions: dict = {}
+
+
+def _draw_contractions(L: int, n_occ: int, a: float, binv: float, t: float):
+    """{(i, spectral): _row_contraction} for both start edges i at the
+    spectral parameters a and 1/b, read-only: every row an exchange relation
+    of the draw (a, b, t) reads, kept in _kept_contractions for the draw's
+    next relation.  None when each would hold more than
+    KEPT_CONTRACTION_BYTES."""
+    if 16 * (n_occ + 1) ** (2 * L) > KEPT_CONTRACTION_BYTES:
+        return None
+    key = (L, n_occ, a, binv, t)
+    rows = _kept_contractions.get(key)
+    if rows is None:
+        _kept_contractions.clear()
+        rows = _kept_contractions[key] = {}
+        for spectral in (a, binv):
+            for i in (0, 1):
+                rows[i, spectral] = part = _row_contraction(i, spectral, L, n_occ, t)
+                part.flags.writeable = False
+    return rows
 
 
 def occ_index(occ, n_occ: int) -> int:
@@ -246,9 +266,10 @@ def verify_exchange_relation(which: str, L: int, cap: int, a: float, b: float,
     Operators are built on occupancies <= cap+1 so that two-operator products
     are exact on the compared sub-basis (occupancies <= cap): a row vertex
     changes a site occupancy by at most one.  The operators are read from
-    _shared_row_contraction, so the four relations of one (a, b, t) contract
-    four rows between them.  ValueError for L < 1 or
-    cap < 0, which leave no basis to compare.
+    _draw_contractions, so the four relations of one draw (a, b, t)
+    contract four rows between them, while the rows are small enough to
+    keep; larger ones are built per operator by operator_matrix.
+    ValueError for L < 1 or cap < 0, which leave no basis to compare.
     """
     if L < 1:
         raise ValueError(f"need L >= 1, got {L}")
@@ -258,9 +279,13 @@ def verify_exchange_relation(which: str, L: int, cap: int, a: float, b: float,
     ab = a * b
     binv = 1.0 / b
 
+    rows = _draw_contractions(L, n_occ, a, binv, t)
+
     def op(kind, spec):
+        if rows is None:
+            return operator_matrix(kind, spec, L, n_occ, t)
         i, j = _EDGES[kind]
-        return _shared_row_contraction(i, spec, L, n_occ, t)[j]
+        return rows[i, spec][j]
 
     if which == "CA":
         lhs = (1 - ab) * op("C", binv) @ op("A", a) + ab * (1 - t) * op("A", binv) @ op("C", a)

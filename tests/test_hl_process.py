@@ -1,5 +1,6 @@
 from itertools import product
 from math import comb
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -386,7 +387,7 @@ def test_first_column_distribution_consistency():
         assert cols[key] == pytest.approx(brute.get(key, 0.0), abs=1e-11)
 
 
-@pytest.mark.parametrize("rows,cap", [(1, 6), (2, 6), (3, 6), (4, 3), (5, 3)])
+@pytest.mark.parametrize("rows,cap", [(1, 6), (2, 6), (3, 6), (4, 3), (5, 3), (12, 2)])
 def test_lattice_matches_interlacing_oracle(rows, cap):
     lat = _built_lattice(rows, cap)
     box = list(pt.partitions_in_box(rows, cap))
@@ -672,11 +673,41 @@ def test_bounded_operator_is_the_full_step_between_kept_states(rows, cap):
             for c in (0, 1):
                 half = op[c * len(after):(c + 1) * len(after)]
                 ref = full[c * n + after][:, c * n + before]
-                assert np.array_equal(half[:, :c * len(before)].indptr, np.zeros(len(after) + 1))
-                half = half[:, c * len(before):(c + 1) * len(before)]
+                block = half[:, c * len(before):(c + 1) * len(before)]
+                # half c reads only its own copy of the input: op is diag(half 0, half 1)
+                assert block.nnz == half.nnz
+                half = block
                 assert np.array_equal(half.indptr, ref.indptr)
                 assert np.array_equal(half.indices, ref.indices)
                 assert half.data.tobytes() == ref.data.tobytes()
+
+
+def test_many_row_lattice_numbers_only_the_classes_it_meets():
+    """A lattice of 12 rows and cap 4 (20,475 edges) numbers only the edge
+    classes that occur, not the 4^12 equality patterns of its rows, and its
+    full sweeps give the marginal law and Z that the sort-based builder gave
+    (pinned), bit for bit."""
+    hl._LATTICES.clear()
+    tracemalloc.start()
+    try:
+        hl.get_lattice(12, 4)._build_top()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 7 MB; a table over the 4^12 patterns would take gigabytes
+    assert peak < 32 * 2**20
+    a = tuple(0.1 + 0.02 * i for i in range(12))
+    b = tuple(0.3 - 0.01 * i for i in range(12))
+    spec = hl.HLProcessSpec(t=0.35, a=a, b=b, S="+" * 6 + "-" * 3 + "+" * 6 + "-" * 9)
+    marg = hl.exact_marginal_distribution(spec, 12, 4)
+    assert hl._forward_mass(spec, 4) == float.fromhex("0x1.224410b2b5f39p+6")
+    assert marg.mass_deficit == float.fromhex("0x1.2155780152b28p-4")
+    for lam, p in [((), "0x1.54e4e7218192bp-4"), ((1,), "0x1.a18e0614dac37p-3"),
+                   ((2, 1), "0x1.20067dd289ebap-3"), ((4, 4, 3, 1), "0x1.1ceae9eeaef14p-22")]:
+        assert marg[lam] == float.fromhex(p)
+    lat = hl._LATTICES[(12, 4)]
+    assert len(lat.mu_idx) == comb(4 + 24, 24) == 20_475
+    assert len(lat.class_delta) == len(lat.classes) == lat.edge_class.max() + 1 < 1_000
 
 
 SIGNS_33 = sorted(pt.enumerate_sign_class(3, 3, +1))

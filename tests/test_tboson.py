@@ -115,12 +115,12 @@ def test_exchange_relations_of_a_draw_contract_each_row_once(monkeypatch):
         return contract(*args)
 
     monkeypatch.setattr(tb, "_row_contraction", spy)
-    tb._shared_row_contraction.cache_clear()
+    tb._kept_contractions.clear()
     residuals = {which: tb.verify_exchange_relation(which, L, cap, a, b, t)
                  for which in ("CA", "CB", "DA", "DB")}
     assert len(calls) == len(set(calls)) == 4
     monkeypatch.undo()
-    tb._shared_row_contraction.cache_clear()
+    tb._kept_contractions.clear()
 
     def op(kind, x):
         return tb.operator_matrix(kind, x, L, cap + 1, t)
@@ -131,6 +131,31 @@ def test_exchange_relations_of_a_draw_contract_each_row_once(monkeypatch):
     keep = tb._capped_occupancies(L, cap)
     assert residuals["CB"] == float(np.max(np.abs(lhs[np.ix_(keep, keep)]
                                                   - rhs[np.ix_(keep, keep)])))
+
+
+def test_exchange_contractions_above_the_kept_size_are_not_shared(monkeypatch):
+    """Row contractions larger than KEPT_CONTRACTION_BYTES are made per
+    operator, as operator_matrix makes them, none kept after the call, with
+    the same residuals bit for bit as shared ones."""
+    L, cap, a, b, t = 3, 2, 0.4, 0.55, 0.3
+    tb._kept_contractions.clear()
+    kept = [tb.verify_exchange_relation(which, L, cap, a, b, t)
+            for which in ("CA", "CB", "DA", "DB")]
+    contract, calls = tb._row_contraction, []
+
+    def spy(*args):
+        calls.append(args)
+        return contract(*args)
+
+    monkeypatch.setattr(tb, "_row_contraction", spy)
+    # one byte below a contraction of L = 3, cap 2: 2 (cap + 2)^(2L) doubles
+    monkeypatch.setattr(tb, "KEPT_CONTRACTION_BYTES", 16 * (cap + 2) ** (2 * L) - 1)
+    tb._kept_contractions.clear()
+    for which, residual in zip(("CA", "CB", "DA", "DB"), kept):
+        assert tb.verify_exchange_relation(which, L, cap, a, b, t) == residual
+        assert not tb._kept_contractions
+    # CA and DB read 6 operators, CB and DA 8
+    assert len(calls) == 28 and len(set(calls)) == 4
 
 
 def test_exchange_db_degenerate_a_zero():
