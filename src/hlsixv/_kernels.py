@@ -288,8 +288,9 @@ def build_interlacing_edges(rows, cap, r, colinc):
     class_pattern[k], the tuple of the 2 rows flags [lam_i = mu_i], [mu_i =
     lam_{i+1}] for i = 1..rows, lam_{rows+1} = 0, that run_factors reads.
     A pattern's key grows by one base-4 digit per row and is renumbered
-    densely once its range passes 4^6, so the keys and the pattern list stay
-    below 4 max(4^6, patterns present) whatever the number of rows.
+    densely once its range passes the edge count or 4^6, so the keys and
+    the pattern list stay below 4 max(min(edges, 4^6), patterns present)
+    whatever the number of rows.
     """
     if r == 0:
         # the empty partition's one edge, to itself (colinc 0), equal in every row
@@ -320,7 +321,7 @@ def build_interlacing_edges(rows, cap, r, colinc):
         key *= 4
         key += 2 * (mu == lam[:, i][lam_idx]) + (mu == below[:, i][lam_idx])
         present = range(4 * len(patterns))
-        if len(present) > 4**6:  # past 4^6 codes, keep only those present
+        if len(present) > min(len(key), 4**6):  # keep only the patterns present
             key, present = _renumber(key)
             present = present.tolist()
         patterns = [(bool(c & 2), bool(c & 1)) + patterns[c >> 2] for c in present]
